@@ -6,7 +6,9 @@ by a family token (A4, B3, I2(5), ...) or by a JSON file carrying an explicit
 Coxeter matrix.  Output is human-readable text by default; --format json and
 --format dot emit machine-readable artifacts, byte-identical across runs.
 
-Exit codes: 0 on success, 2 on parse/usage errors, 3 when a bounded search
+Exit codes: 0 on success, 1 on other library errors (a non-spherical
+Coxeter matrix, a rank above the cap, ...), 2 on parse/usage errors (bad
+words, tokens, flags or group and config files), 3 when a bounded search
 gives up (the partial certificate is still emitted).
 """
 
@@ -35,10 +37,19 @@ from .errors import BudgetExceeded, GarsideError, ParseError
 _KINDS = {k.value: k for k in conjugacy.SummitKind}
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read {what} {path}: {e}") from None
+
+
 def _load_context(token: str, config: dict) -> GroupContext:
     rank_cap = int(config.get("rankCap", GroupContext.DEFAULT_RANK_CAP))
     if token.endswith(".json"):
-        data = json.loads(Path(token).read_text())
+        data = _read_json(token, "group file")
+        if not isinstance(data, dict) or "matrix" not in data:
+            raise ParseError(f"group file {token} has no \"matrix\" entry")
         spec = CoxeterSpec.from_matrix(data["matrix"], name=data.get("name"))
     elif "matrix" in config and token == "config":
         spec = CoxeterSpec.from_matrix(config["matrix"], name=config.get("name"))
@@ -101,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     shared.add_argument("--output", default=argparse.SUPPRESS,
                         help="write output to this path instead of stdout")
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="cap on internal parallelism (current engines are sequential)")
     parser = argparse.ArgumentParser(
         prog="garside",
         description="Garside-theoretic computations in spherical-type Artin-Tits groups",
@@ -207,10 +216,16 @@ def _run_word_command(ctx: GroupContext, args) -> int:
     return 0
 
 
+def _non_negative(name: str, value: int) -> int:
+    if value < 0:
+        raise ParseError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _default_budget(args, config: dict, key: str, fallback: int) -> int:
     if hasattr(args, "budget"):
-        return args.budget
-    return int(config.get("budgets", {}).get(key, fallback))
+        return _non_negative("--budget", args.budget)
+    return _non_negative("budget", int(config.get("budgets", {}).get(key, fallback)))
 
 
 def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
@@ -251,7 +266,8 @@ def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
                   + json.dumps(cert.to_json(), sort_keys=True))
     elif args.command == "complex-ball":
         ball = lattice.complex_ball(
-            P, args.radius, _default_budget(args, config, "complexBall", 0)
+            P, _non_negative("--radius", args.radius),
+            _default_budget(args, config, "complexBall", 0),
         )
         if args.format == "dot":
             _emit(args, ball.to_dot())
@@ -318,12 +334,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    for name, default in (("config", None), ("format", "text"),
-                          ("output", None), ("threads", 1)):
+    for name, default in (("config", None), ("format", "text"), ("output", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
-        config = json.loads(Path(args.config).read_text()) if args.config else {}
+        config = _read_json(args.config, "config file") if args.config else {}
         ctx = _load_context(args.group, config)
         if args.command == "figures":
             return _run_figures(ctx, args)

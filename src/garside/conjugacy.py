@@ -21,6 +21,7 @@ from enum import Enum
 from .elements import (
     GarsideStructure,
     GroupElement,
+    _first_simple,
     format_element,
     format_word,
     prefix_le,
@@ -313,7 +314,7 @@ def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]
             ylen = y.word_length()
             if found_len is not None and ylen > found_len:
                 break
-            if s not in ctx.w_left_descents(_first_wid(y)):
+            if not ctx.w_ldesc_mask(_first_simple(y)) >> s & 1:
                 continue
             if member(v.conjugate_by(y)):
                 found.append(y)
@@ -329,12 +330,6 @@ def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]
         y for y in uniq
         if not any(z != y and prefix_le(z, y) for z in uniq)
     ]
-
-
-def _first_wid(u: GroupElement) -> int:
-    if u.power > 0:
-        return u.ctx.delta
-    return u.factors[0] if u.factors else u.ctx.identity
 
 
 @dataclass

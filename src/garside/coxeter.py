@@ -63,7 +63,10 @@ class CoxeterSpec:
 
     @staticmethod
     def from_matrix(matrix, name: str | None = None) -> "CoxeterSpec":
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        try:
+            rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        except (TypeError, ValueError):
+            raise ParseError("Coxeter matrix must be a list of rows of integers") from None
         return CoxeterSpec(rank=len(rows), matrix=rows, name=name)
 
     @staticmethod
@@ -259,8 +262,9 @@ class GroupContext:
         self._mul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {0: 0}
         self._len_memo: dict[int, int] = {0: 0}
-        self._ldesc_memo: dict[int, frozenset[int]] = {}
-        self._rdesc_memo: dict[int, frozenset[int]] = {}
+        self._ldesc_memo: dict[int, int] = {}
+        self._rdesc_memo: dict[int, int] = {}
+        self._desc_sets: dict[int, frozenset[int]] = {}
         self._word_memo: dict[int, tuple[int, ...]] = {0: ()}
         self._meet_memo: dict[tuple[int, int], int] = {}
         self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
@@ -365,20 +369,31 @@ class GroupContext:
             self._len_memo[a] = out
         return out
 
-    def w_right_descents(self, a: int) -> frozenset[int]:
+    def w_rdesc_mask(self, a: int) -> int:
         out = self._rdesc_memo.get(a)
         if out is None:
             perm, n = self._perms[a], self.num_positive
-            out = frozenset(s for s in range(self.rank) if perm[s] >= n)
+            out = sum(1 << s for s in range(self.rank) if perm[s] >= n)
             self._rdesc_memo[a] = out
         return out
 
-    def w_left_descents(self, a: int) -> frozenset[int]:
+    def w_ldesc_mask(self, a: int) -> int:
         out = self._ldesc_memo.get(a)
         if out is None:
-            out = self.w_right_descents(self.w_inv(a))
+            out = self.w_rdesc_mask(self.w_inv(a))
             self._ldesc_memo[a] = out
         return out
+
+    def _desc_set(self, mask: int) -> frozenset[int]:
+        if mask not in self._desc_sets:
+            self._desc_sets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
+        return self._desc_sets[mask]
+
+    def w_right_descents(self, a: int) -> frozenset[int]:
+        return self._desc_set(self.w_rdesc_mask(a))
+
+    def w_left_descents(self, a: int) -> frozenset[int]:
+        return self._desc_set(self.w_ldesc_mask(a))
 
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
@@ -397,28 +412,16 @@ class GroupContext:
             m = 0
             x, y = a, b
             while True:
-                common = self.w_left_descents(x) & self.w_left_descents(y)
+                common = self.w_ldesc_mask(x) & self.w_ldesc_mask(y)
                 if not common:
                     break
-                s = self.gens[min(common)]
+                s = self.gens[(common & -common).bit_length() - 1]
                 m = self.w_mul(m, s)
                 x = self.w_mul(s, x)
                 y = self.w_mul(s, y)
             out = m
             self._meet_memo[key] = out
         return out
-
-    def w_meet_suffix(self, a: int, b: int) -> int:
-        m = 0
-        x, y = a, b
-        while True:
-            common = self.w_right_descents(x) & self.w_right_descents(y)
-            if not common:
-                return m
-            s = self.gens[min(common)]
-            m = self.w_mul(s, m)
-            x = self.w_mul(x, s)
-            y = self.w_mul(y, s)
 
     def w_rcomp(self, a: int) -> int:
         """Right complement w.r.t. the classical structure: a^-1 * Delta."""

@@ -26,23 +26,24 @@ _DELTA_RE = re.compile(r"(?:Δ|D)\^(-?\d+)")
 
 
 def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, ...]]:
-    """Left-greedy normalization: slide mass to the left until every adjacent
-    pair is normal, then absorb leading Delta factors into the power."""
-    fs = [f for f in factors if f != ctx.identity]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            x, y = fs[i], fs[i + 1]
-            if y == ctx.identity:
-                continue
+    """Left normal form by the one-sweep algorithm (Epstein et al., ch. 9): append
+    each factor, then left-weight pairs from the right end up to the first pair
+    (x, y) already left-weighted, i.e. with ldesc(y) inside rdesc(x).  Trailing
+    identities drop; leading Delta factors join the power."""
+    e, ldesc, rdesc = ctx.identity, ctx.w_ldesc_mask, ctx.w_rdesc_mask
+    fs: list[int] = []
+    for f in factors:
+        if f == e:
+            continue
+        fs.append(f)
+        i = len(fs) - 1
+        while i > 0 and ldesc(fs[i]) & ~rdesc(fs[i - 1]):
+            x, y = fs[i - 1], fs[i]
             d = ctx.w_meet(ctx.w_rcomp(x), y)
-            if d != ctx.identity:
-                fs[i] = ctx.w_mul(x, d)
-                fs[i + 1] = ctx.w_mul(ctx.w_inv(d), y)
-                changed = True
-        if changed:
-            fs = [f for f in fs if f != ctx.identity]
+            fs[i - 1], fs[i] = ctx.w_mul(x, d), ctx.w_mul(ctx.w_inv(d), y)
+            i -= 1
+        while fs and fs[-1] == e:
+            fs.pop()
     k = 0
     while k < len(fs) and fs[k] == ctx.delta:
         k += 1
@@ -145,13 +146,14 @@ class GroupElement:
         return GroupElement(ctx, self.power + other.power, shifted + other.factors)
 
     def inverse(self) -> "GroupElement":
+        # The twisted complements, reversed, are left-weighted (El-Rifai & Morton, 1994).
         ctx, a, fs = self.ctx, self.power, self.factors
         r = len(fs)
         parts = tuple(
             ctx.w_tau_pow(ctx.w_lcomp(fs[r - 1 - i]), -(r - 1 - i) - a)
             for i in range(r)
         )
-        return GroupElement(ctx, -a - r, parts)
+        return GroupElement(ctx, -a - r, parts, normalized=True)
 
     def __pow__(self, m: int) -> "GroupElement":
         base = self if m >= 0 else self.inverse()
@@ -417,17 +419,12 @@ class GarsideStructure:
         """The simple factors of u for this structure: classical factors,
         leading Delta copies included, grouped left to right in blocks of N."""
         ctx, n = self.ctx, self.exponent
-        p = self.inf(u)
-        lead = u.power - n * p
-        padded = [GroupElement.delta_power(ctx, 1)] * lead + [
-            GroupElement.from_simple(ctx, f) for f in u.factors
-        ]
+        padded = [ctx.delta] * (u.power - n * self.inf(u)) + list(u.factors)
         blocks = []
         for i in range(0, len(padded), n):
-            block = GroupElement.identity(ctx)
-            for piece in padded[i:i + n]:
-                block = block * piece
-            blocks.append(block)
+            block = padded[i:i + n]
+            k = block.count(ctx.delta)
+            blocks.append(GroupElement(ctx, k, block[k:], normalized=True))
         return blocks
 
     def canonical_form(self, u: GroupElement) -> "CanonicalForm":

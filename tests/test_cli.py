@@ -144,3 +144,59 @@ def test_config_budgets(tmp_path, capsys):
     code, out, _ = invoke(capsys, "A3", "--config", str(conf), "intersect",
                           "s1,s2", "s2,s3", "--budget", "3", "--format", "json")
     assert json.loads(out)["certificate"]["budget"] == 3
+
+
+def assert_one_line_error(code, err, expected_code=2):
+    assert code == expected_code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_group_files_exit_2(tmp_path, capsys):
+    no_matrix = tmp_path / "no_matrix.json"
+    no_matrix.write_text(json.dumps({"name": "I2(5)"}))
+    code, _, err = invoke(capsys, str(no_matrix), "nf", "s1")
+    assert_one_line_error(code, err)
+    assert "matrix" in err
+    code, _, err = invoke(capsys, str(tmp_path / "missing.json"), "nf", "s1")
+    assert_one_line_error(code, err)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    code, _, err = invoke(capsys, str(bad_json), "nf", "s1")
+    assert_one_line_error(code, err)
+    code, _, err = invoke(capsys, "A2", "--config", str(bad_json), "nf", "s1")
+    assert_one_line_error(code, err)
+    for matrix in ([[1, "x"], ["x", 1]], 5, [[1, 3], None]):
+        bad_matrix = tmp_path / "bad_matrix.json"
+        bad_matrix.write_text(json.dumps({"matrix": matrix}))
+        code, _, err = invoke(capsys, str(bad_matrix), "nf", "s1")
+        assert_one_line_error(code, err)
+
+
+def test_non_spherical_matrix_exits_1(tmp_path, capsys):
+    affine = tmp_path / "affine_a2.json"
+    affine.write_text(json.dumps({"matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}))
+    code, _, err = invoke(capsys, str(affine), "nf", "s1")
+    assert_one_line_error(code, err, expected_code=1)
+
+
+def test_negative_budget_and_radius_exit_2(tmp_path, capsys):
+    code, _, err = invoke(capsys, "A3", "intersect", "s1,s2", "s2,s3", "--budget", "-1")
+    assert_one_line_error(code, err)
+    code, _, err = invoke(capsys, "A3", "join", "s1", "s2", "--budget", "-2")
+    assert_one_line_error(code, err)
+    code, _, err = invoke(capsys, "A4", "complex-ball", "s1", "--radius", "-1",
+                          "--budget", "0")
+    assert_one_line_error(code, err)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"budgets": {"complexBall": -1}}))
+    code, _, err = invoke(capsys, "A4", "--config", str(conf), "complex-ball", "s1")
+    assert_one_line_error(code, err)
+    # a budget of 0 stays valid
+    code, _, _ = invoke(capsys, "A4", "complex-ball", "s1", "--radius", "0", "--budget", "0")
+    assert code == 0
+
+
+def test_threads_flag_is_gone(capsys):
+    code, _, err = invoke(capsys, "A2", "nf", "s1", "--threads", "2")
+    assert code == 2 and "--threads" in err

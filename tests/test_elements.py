@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from garside import (
     suffix_le,
     support,
 )
+from garside.elements import _normalize
 from garside.errors import ContextMismatch, NotSimple, ParseError
 
 from conftest import ctx, random_element
@@ -31,6 +33,18 @@ from conftest import ctx, random_element
 
 def w(token, text):
     return parse_word(ctx(token), text)
+
+
+# Every spherical family with small W, plus a reducible matrix (A2 x A1).
+FAMILIES = ("A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "A2xA1")
+
+
+@functools.cache
+def family(name):
+    if name == "A2xA1":
+        matrix = [[1, 3, 2], [3, 1, 2], [2, 2, 1]]
+        return build_context(CoxeterSpec.from_matrix(matrix, name=name))
+    return ctx(name)
 
 
 # ----------------------------------------------------------------- arithmetic
@@ -94,8 +108,8 @@ def test_normal_form_uniqueness_under_reshuffling():
 
 def test_left_greedy_condition_holds():
     rng = random.Random(6)
-    for token in ("A3", "B2"):
-        c = ctx(token)
+    for token in ("B2",) + FAMILIES:
+        c = family(token)
         for _ in range(50):
             u = random_element(c, rng, 8)
             for x, y in zip(u.factors, u.factors[1:]):
@@ -103,6 +117,91 @@ def test_left_greedy_condition_holds():
                 assert c.w_left_descents(y) <= c.w_right_descents(x)
             for f in u.factors:
                 assert f not in (c.identity, c.delta)
+
+
+def _fixpoint_normalize(c, power, factors):
+    """Reference left normal form: repeat full left-to-right passes, making
+    each adjacent pair left-weighted, until nothing changes."""
+    fs = [f for f in factors if f != c.identity]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fs) - 1):
+            x, y = fs[i], fs[i + 1]
+            if y == c.identity:
+                continue
+            d = c.w_meet(c.w_rcomp(x), y)
+            if d != c.identity:
+                fs[i] = c.w_mul(x, d)
+                fs[i + 1] = c.w_mul(c.w_inv(d), y)
+                changed = True
+        if changed:
+            fs = [f for f in fs if f != c.identity]
+    k = 0
+    while k < len(fs) and fs[k] == c.delta:
+        k += 1
+    return power + k, tuple(fs[k:])
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_one_sweep_normalize_matches_fixpoint_oracle(token):
+    c = family(token)
+    elements = c.all_elements()
+    rng = random.Random(f"one-sweep/{token}")
+    for _ in range(300):
+        # identity and Delta entries anywhere, the rest arbitrary simples
+        factors = tuple(
+            rng.choice((c.identity, c.delta)) if rng.random() < 0.25 else rng.choice(elements)
+            for _ in range(rng.randint(0, 9))
+        )
+        power = rng.randint(-3, 3)
+        assert _normalize(c, power, factors) == _fixpoint_normalize(c, power, factors)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_inverse_is_already_normal(token):
+    c = family(token)
+    rng = random.Random(f"inverse/{token}")
+    for _ in range(60):
+        v = random_element(c, rng, 10).inverse()
+        assert _normalize(c, v.power, v.factors) == (v.power, v.factors)
+        assert v * v.inverse() == GroupElement.identity(c)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_structure_factors_match_multiplied_blocks(token):
+    c = family(token)
+    rng = random.Random(f"blocks/{token}")
+    for _ in range(40):
+        u = random_element(c, rng, 10)
+        for n in (1, 2, 3):
+            st = GarsideStructure(c, n)
+            padded = [GroupElement.delta_power(c, 1)] * (u.power - n * st.inf(u)) + [
+                GroupElement.from_simple(c, f) for f in u.factors
+            ]
+            expected = []
+            for i in range(0, len(padded), n):
+                block = GroupElement.identity(c)
+                for piece in padded[i:i + n]:
+                    block = block * piece
+                expected.append(block)
+            blocks = st.factors(u)
+            assert blocks == expected
+            assert all(st.is_simple(b) for b in blocks)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_descent_sets_match_permutation_definition(token):
+    # s is a right descent of w when w sends the simple root of s to a
+    # negative root, and a left descent when w^-1 does.
+    c = family(token)
+    n = c.num_positive
+    for a in c.all_elements():
+        perm = c._perms[a]
+        right = {s for s in range(c.rank) if perm[s] >= n}
+        left = {s for s in range(c.rank) if perm.index(s) >= n}
+        assert c.w_right_descents(a) == right
+        assert c.w_left_descents(a) == left
 
 
 def test_inf_sup_extremality():
