@@ -44,8 +44,22 @@ def _read_json(path: str, what: str):
         raise ParseError(f"cannot read {what} {path}: {e}") from None
 
 
+def _read_config(path: str) -> dict:
+    config = _read_json(path, "config file")
+    if not isinstance(config, dict):
+        raise ParseError(f"config file {path} must hold a JSON object")
+    rank_cap = config.get("rankCap", GroupContext.DEFAULT_RANK_CAP)
+    if type(rank_cap) is not int or rank_cap < 1:
+        raise ParseError(f"config rankCap must be an integer >= 1, got {rank_cap!r}")
+    budgets = config.get("budgets", {})
+    if not isinstance(budgets, dict) or not all(
+            type(v) is int and v >= 0 for v in budgets.values()):
+        raise ParseError(f"config budgets must map names to integers >= 0, got {budgets!r}")
+    return config
+
+
 def _load_context(token: str, config: dict) -> GroupContext:
-    rank_cap = int(config.get("rankCap", GroupContext.DEFAULT_RANK_CAP))
+    rank_cap = config.get("rankCap", GroupContext.DEFAULT_RANK_CAP)
     if token.endswith(".json"):
         data = _read_json(token, "group file")
         if not isinstance(data, dict) or "matrix" not in data:
@@ -101,7 +115,7 @@ def _emit_json(args, payload) -> None:
 
 
 def _structure(ctx: GroupContext, args) -> GarsideStructure:
-    return GarsideStructure(ctx, getattr(args, "N", 1) or 1)
+    return GarsideStructure(ctx, getattr(args, "N", 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +208,8 @@ def _run_word_command(ctx: GroupContext, args) -> int:
             _emit(args, f"result: {format_element(result)}\nconjugator: {format_element(conj)}")
     elif args.command == "summit":
         graph = conjugacy.compute_summit_graph(
-            u, _KINDS[args.kind], st, power_bound=args.power_bound
+            u, _KINDS[args.kind], st,
+            power_bound=_non_negative("--power-bound", args.power_bound),
         )
         if args.format == "dot":
             _emit(args, graph.to_dot())
@@ -225,7 +240,7 @@ def _non_negative(name: str, value: int) -> int:
 def _default_budget(args, config: dict, key: str, fallback: int) -> int:
     if hasattr(args, "budget"):
         return _non_negative("--budget", args.budget)
-    return _non_negative("budget", int(config.get("budgets", {}).get(key, fallback)))
+    return config.get("budgets", {}).get(key, fallback)
 
 
 def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
@@ -338,7 +353,7 @@ def run(argv=None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
-        config = _read_json(args.config, "config file") if args.config else {}
+        config = _read_config(args.config) if args.config else {}
         ctx = _load_context(args.group, config)
         if args.command == "figures":
             return _run_figures(ctx, args)

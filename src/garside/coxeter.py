@@ -269,6 +269,8 @@ class GroupContext:
         self._meet_memo: dict[tuple[int, int], int] = {}
         self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
         self._all_elements: list[int] | None = None
+        # Tables of code outside the engine (the oracles), freed with the context.
+        self.memo: dict = {}
 
         self.delta = self.delta_of(frozenset(range(self.rank)))
         self.delta_length = self.w_len(self.delta)
@@ -398,9 +400,6 @@ class GroupContext:
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
         return self.w_len(a) + self.w_len(self.w_mul(self.w_inv(a), b)) == self.w_len(b)
-
-    def w_is_suffix(self, a: int, b: int) -> bool:
-        return self.w_len(a) + self.w_len(self.w_mul(b, self.w_inv(a))) == self.w_len(b)
 
     def w_meet(self, a: int, b: int) -> int:
         """Greatest common prefix of two simple elements (greedy on descents)."""
@@ -538,9 +537,6 @@ class GroupContext:
             return 1
         perm = self.delta_permutation(X)
         return 1 if all(perm[s] == s for s in X) else 2
-
-    def generator_names(self) -> list[str]:
-        return [f"s{i + 1}" for i in range(self.rank)]
 
     def __repr__(self) -> str:
         name = self.spec.name or f"rank-{self.rank} matrix"

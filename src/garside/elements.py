@@ -113,9 +113,6 @@ class GroupElement:
     def is_positive(self) -> bool:
         return self.power >= 0
 
-    def is_delta_power(self) -> bool:
-        return not self.factors
-
     def is_simple(self) -> bool:
         """Simple for the classical structure: a positive prefix of Delta."""
         return self.is_positive() and self.sup() <= 1

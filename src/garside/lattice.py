@@ -126,24 +126,32 @@ class Certificate:
         }
 
 
-def signed_ball(ctx: GroupContext, radius: int, letters=None) -> list[GroupElement]:
-    """All distinct elements given by signed words of length <= radius over the
-    chosen generators (all of them by default), in a deterministic order."""
-    gens = sorted(letters) if letters is not None else list(range(ctx.rank))
-    steps = [GroupElement.generator(ctx, i) for i in gens]
-    steps += [g.inverse() for g in steps]
-    seen = {GroupElement.identity(ctx)}
-    frontier = [GroupElement.identity(ctx)]
+def _ball_words(ctx: GroupContext, radius: int,
+                letters=None) -> dict[GroupElement, tuple[tuple[int, int], ...]]:
+    """Every element given by a signed word of length <= radius over the chosen
+    generators (all of them by default), mapped to its first shortest word when
+    generators come before their inverses."""
+    gens = sorted(letters) if letters is not None else range(ctx.rank)
+    steps = [((i, 1), GroupElement.generator(ctx, i)) for i in gens]
+    steps += [((i, -1), g.inverse()) for (i, _), g in steps]
+    words = {GroupElement.identity(ctx): ()}
+    frontier = list(words)
     for _ in range(radius):
         nxt = []
         for u in frontier:
-            for g in steps:
+            for letter, g in steps:
                 v = u * g
-                if v not in seen:
-                    seen.add(v)
+                if v not in words:
+                    words[v] = words[u] + (letter,)
                     nxt.append(v)
         frontier = nxt
-    return sorted(seen, key=GroupElement.sort_key)
+    return words
+
+
+def signed_ball(ctx: GroupContext, radius: int, letters=None) -> list[GroupElement]:
+    """All distinct elements given by signed words of length <= radius over the
+    chosen generators (all of them by default), in a deterministic order."""
+    return sorted(_ball_words(ctx, radius, letters), key=GroupElement.sort_key)
 
 
 def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
@@ -194,27 +202,28 @@ def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     return result, cert
 
 
-def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[ParabolicSubgroup]:
-    """All subgroups g A_X g^-1 with g in the signed ball of the given radius,
-    deduplicated by their central elements."""
+def _subsets(ctx: GroupContext) -> list[frozenset[int]]:
+    """Every subset of the generators, in binary-mask order."""
+    return [frozenset(i for i in range(ctx.rank) if mask >> i & 1)
+            for mask in range(1 << ctx.rank)]
+
+
+def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup]:
+    """The subgroups g A_X g^-1 with X in bases and g in the signed ball of the
+    given radius, one per central element, sorted."""
+    ball = signed_ball(ctx, radius)
     out: dict[GroupElement, ParabolicSubgroup] = {}
-    ball = signed_ball(ctx, conjugator_bound)
-    subsets = sorted(
-        (frozenset(X) for X in _power_set(range(ctx.rank))),
-        key=lambda X: (len(X), sorted(X)),
-    )
-    for X in subsets:
+    for X in bases:
         for g in ball:
             P = ParabolicSubgroup.from_conjugator(ctx, g, X)
-            if P.z not in out:
-                out[P.z] = P
+            out.setdefault(P.z, P)
     return sorted(out.values(), key=ParabolicSubgroup.sort_key)
 
 
-def _power_set(items):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield [x for i, x in enumerate(items) if mask >> i & 1]
+def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[ParabolicSubgroup]:
+    """All subgroups g A_X g^-1 with g in the signed ball of the given radius,
+    deduplicated by their central elements."""
+    return _conjugates(ctx, _subsets(ctx), conjugator_bound)
 
 
 def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
@@ -284,11 +293,9 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
 # ------------------------------------------------------------------ complex
 
 
-def _irreducible_proper_bases(ctx: GroupContext):
-    for X in _power_set(range(ctx.rank)):
-        fs = frozenset(X)
-        if fs and len(fs) < ctx.rank and len(ctx.components(fs)) == 1:
-            yield fs
+def _irreducible_proper_bases(ctx: GroupContext) -> list[frozenset[int]]:
+    return [X for X in _subsets(ctx)
+            if X and len(X) < ctx.rank and ctx.is_irreducible(X)]
 
 
 def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSubgroup]:
@@ -298,16 +305,8 @@ def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSu
         raise NotProper(f"{P!r} is the whole group")
     if not P.is_irreducible():
         raise NotIrreducible(f"{P!r} is reducible")
-    ctx = P.ctx
-    seen: dict[GroupElement, ParabolicSubgroup] = {}
-    for X in sorted(_irreducible_proper_bases(ctx), key=lambda X: (len(X), sorted(X))):
-        for g in signed_ball(ctx, budget):
-            Q = ParabolicSubgroup.from_conjugator(ctx, g, X)
-            if Q.z in seen or parabolic_equal(P, Q):
-                continue
-            if z_commute(P, Q):
-                seen[Q.z] = Q
-    return sorted(seen.values(), key=ParabolicSubgroup.sort_key)
+    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget)
+    return [Q for Q in candidates if Q != P and z_commute(P, Q)]
 
 
 @dataclass

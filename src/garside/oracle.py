@@ -4,11 +4,13 @@ Everything here recomputes its answers from first principles at the level of
 words: multiplication is concatenation, two positive words are compared by
 exhaustively applying defining relations, divisibility is a search for a
 rewriting that starts (or ends) with a given letter, and normal forms are
-rebuilt by greedy letter-by-letter extraction.  The main engines are used in
-exactly one role, as the final equality comparator when deduplicating search
-spaces; none of their normal-form, lattice or closure algorithms are reused.
+rebuilt by greedy letter-by-letter extraction.  The search spaces (signed
+balls and conjugate parabolic subgroups) come from lattice's enumerator, which
+a test checks against the word-by-word definition; otherwise the engines serve
+only as the final equality comparator, and no normal-form, closure or lattice
+algorithm is shared.  Tables are kept in the context's memo and die with it.
 
-All searches are budget-bounded and raise BudgetExceeded rather than guess.
+The word searches are budget-bounded and raise BudgetExceeded rather than guess.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from .coxeter import GroupContext
 from .elements import GroupElement, prefix_le, suffix_le
 from .errors import BudgetExceeded, NoMinimumFound
+from .lattice import _ball_words, enumerate_parabolics
 from .parabolic import ParabolicSubgroup, contains_element, contains_subgroup
 
 _CLOSURE_CAP = 500_000
@@ -208,15 +211,15 @@ class WordSystem:
         return tuple(reversed(y)), tuple(reversed(x))
 
 
-_word_systems: dict[int, WordSystem] = {}
+def _memo(ctx: GroupContext, key, build):
+    """ctx.memo[key], built on first use; it is freed with the context."""
+    if key not in ctx.memo:
+        ctx.memo[key] = build()
+    return ctx.memo[key]
 
 
 def word_system(ctx: GroupContext) -> WordSystem:
-    ws = _word_systems.get(id(ctx))
-    if ws is None:
-        ws = WordSystem(ctx)
-        _word_systems[id(ctx)] = ws
-    return ws
+    return _memo(ctx, "word_system", lambda: WordSystem(ctx))
 
 
 def symmetric_group_image(ctx: GroupContext, word: SignedWord):
@@ -241,20 +244,6 @@ def symmetric_group_image(ctx: GroupContext, word: SignedWord):
 # ------------------------------------------------------------------- elements
 
 
-def signed_words(ctx: GroupContext, max_len: int):
-    """All signed words up to the given length, in deterministic order."""
-    alphabet = [(i, 1) for i in range(ctx.rank)] + [(i, -1) for i in range(ctx.rank)]
-    layer: list[SignedWord] = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            for a in alphabet:
-                nxt.append(w + (a,))
-        yield from nxt
-        layer = nxt
-
-
 @dataclass
 class Ball:
     """All distinct elements expressible by signed words of bounded length,
@@ -266,26 +255,11 @@ class Ball:
     words: dict[GroupElement, SignedWord]
 
 
-_balls: dict[tuple[int, int], Ball] = {}
-
-
-def ball(ctx: GroupContext, radius: int, budget: int = 2_000_000) -> Ball:
-    key = (id(ctx), radius)
-    out = _balls.get(key)
-    if out is not None:
-        return out
-    count = sum((2 * ctx.rank) ** k for k in range(radius + 1))
-    if count > budget:
-        raise BudgetExceeded(f"signed ball of radius {radius} has {count} words")
-    words: dict[GroupElement, SignedWord] = {}
-    for w in signed_words(ctx, radius):
-        u = GroupElement.from_letters(ctx, w)
-        if u not in words:
-            words[u] = w
-    elements = sorted(words, key=GroupElement.sort_key)
-    out = Ball(ctx, radius, elements, words)
-    _balls[key] = out
-    return out
+def ball(ctx: GroupContext, radius: int) -> Ball:
+    def build():
+        words = _ball_words(ctx, radius)
+        return Ball(ctx, radius, sorted(words, key=GroupElement.sort_key), words)
+    return _memo(ctx, ("ball", radius), build)
 
 
 def brute_meet(u: GroupElement, v: GroupElement, order: str = "prefix",
@@ -359,52 +333,13 @@ def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupEle
 # ------------------------------------------------------------------ subgroups
 
 
-@dataclass
-class EnumeratedParabolics:
-    """Every subgroup (word)·A_X·(word)^-1 over all subsets X and all signed
-    conjugating words up to the bound, deduplicated by central element."""
-
-    ctx: GroupContext
-    conjugator_bound: int
-    items: list[ParabolicSubgroup]
-
-
-_parabolic_lists: dict[tuple[int, int], EnumeratedParabolics] = {}
-
-
-def enumerate_parabolics_oracle(ctx: GroupContext, conjugator_bound: int,
-                                budget: int = 2_000_000) -> EnumeratedParabolics:
-    key = (id(ctx), conjugator_bound)
-    out = _parabolic_lists.get(key)
-    if out is not None:
-        return out
-    count = sum((2 * ctx.rank) ** k for k in range(conjugator_bound + 1))
-    if count * (1 << ctx.rank) > budget:
-        raise BudgetExceeded("parabolic enumeration outgrew its budget")
-    subsets = sorted(
-        (frozenset(i for i in range(ctx.rank) if mask >> i & 1)
-         for mask in range(1 << ctx.rank)),
-        key=lambda X: (len(X), sorted(X)),
-    )
-    seen: dict[GroupElement, ParabolicSubgroup] = {}
-    for X in subsets:
-        for w in signed_words(ctx, conjugator_bound):
-            g = GroupElement.from_letters(ctx, w)
-            P = ParabolicSubgroup.from_conjugator(ctx, g, X)
-            if P.z not in seen:
-                seen[P.z] = P
-    items = sorted(seen.values(), key=ParabolicSubgroup.sort_key)
-    out = EnumeratedParabolics(ctx, conjugator_bound, items)
-    _parabolic_lists[key] = out
-    return out
-
-
 def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgroup:
     """The unique minimal enumerated parabolic subgroup containing u; raises
     NoMinimumFound when the bounded enumeration has no single minimum."""
     ctx = u.ctx
     containing = [
-        P for P in enumerate_parabolics_oracle(ctx, conjugator_bound).items
+        P for P in _memo(ctx, ("parabolics", conjugator_bound),
+                         lambda: enumerate_parabolics(ctx, conjugator_bound))
         if contains_element(P, u)
     ]
     minimal = [
@@ -418,16 +353,9 @@ def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgr
     return minimal[0]
 
 
-_membership_cache: dict[tuple[int, int, int, tuple], list[bool]] = {}
-
-
 def _ball_membership(P: ParabolicSubgroup, radius: int) -> list[bool]:
-    key = (id(P.ctx), radius, P.z.power, P.z.factors)
-    out = _membership_cache.get(key)
-    if out is None:
-        out = [contains_element(P, u) for u in ball(P.ctx, radius).elements]
-        _membership_cache[key] = out
-    return out
+    return _memo(P.ctx, ("membership", radius, P.z),
+                 lambda: [contains_element(P, u) for u in ball(P.ctx, radius).elements])
 
 
 def intersect_oracle(P: ParabolicSubgroup, Q: ParabolicSubgroup,

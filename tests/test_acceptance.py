@@ -36,12 +36,17 @@ from garside.conjugacy import (
     summit_membership,
     uss_seed,
 )
-from garside.lattice import characterize_pair
+from garside.lattice import (
+    _irreducible_proper_bases,
+    _subsets,
+    characterize_pair,
+    enumerate_parabolics,
+    signed_ball,
+)
 from garside.oracle import (
     _ball_membership,
     ball,
     closure_oracle,
-    enumerate_parabolics_oracle,
     intersect_oracle,
     word_system,
 )
@@ -143,29 +148,11 @@ def test_criterion_03_arrow_classification(positive_conjugate_graph):
 # ---------------------------------------------------------------- criteria 4-6
 
 
-def _exhaustive_elements(token: str, max_len: int):
-    c = ctx(token)
-    letters = [(i, sgn) for i in range(c.rank) for sgn in (1, -1)]
-    seen = {GroupElement.identity(c)}
-    layer = [GroupElement.identity(c)]
-    for _ in range(max_len):
-        nxt = []
-        for u in layer:
-            for i, sgn in letters:
-                g = GroupElement.generator(c, i)
-                v = u * (g if sgn > 0 else g.inverse())
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        layer = nxt
-    return sorted(seen, key=GroupElement.sort_key)
-
-
 @pytest.fixture(scope="module")
 def closure_samples():
     samples = {
-        "A2": _exhaustive_elements("A2", 5),
-        "B2": _exhaustive_elements("B2", 5),
+        "A2": signed_ball(ctx("A2"), 5),
+        "B2": signed_ball(ctx("B2"), 5),
     }
     rng = random.Random(1234)
     a3 = ctx("A3")
@@ -238,7 +225,7 @@ def test_criterion_07_intersection_matches_oracle():
     pairs_checked = 0
     for token, radius in (("A2", 5), ("B2", 5), ("A3", 5)):
         c = ctx(token)
-        listing = enumerate_parabolics_oracle(c, 2).items
+        listing = enumerate_parabolics(c, 2)
         for i, P in enumerate(listing):
             for Q in listing[i:]:
                 R, cert = intersect(P, Q, budget=5)
@@ -259,8 +246,7 @@ def test_criterion_08_standard_intersections():
     checked = 0
     for token in ("A3", "A4", "B3"):
         c = ctx(token)
-        subsets = [frozenset(i for i in range(c.rank) if mask >> i & 1)
-                   for mask in range(1 << c.rank)]
+        subsets = _subsets(c)
         for X in subsets:
             for Y in subsets:
                 R, _ = intersect(
@@ -277,15 +263,6 @@ def test_criterion_08_standard_intersections():
 
 
 # ------------------------------------------------------------------ criterion 9
-
-
-def _irreducible_proper_bases(c):
-    out = []
-    for mask in range(1, 1 << c.rank):
-        X = frozenset(i for i in range(c.rank) if mask >> i & 1)
-        if len(X) < c.rank and len(c.components(X)) == 1:
-            out.append(X)
-    return out
 
 
 def test_criterion_09_adjacency_biconditional():
@@ -396,8 +373,7 @@ def test_criterion_12_ribbon_suite():
     checked = 0
     for token in ("A4", "B3"):
         c = ctx(token)
-        for mask in range(1 << c.rank):
-            X = frozenset(i for i in range(c.rank) if mask >> i & 1)
+        for X in _subsets(c):
             if len(X) == c.rank:
                 continue
             for t in range(c.rank):

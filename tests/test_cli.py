@@ -197,6 +197,27 @@ def test_negative_budget_and_radius_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+def test_bad_config_values_exit_2(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    for bad in ([1], {"rankCap": "x"}, {"rankCap": 2.5}, {"rankCap": 0},
+                {"rankCap": True}, {"budgets": [1]},
+                {"budgets": {"intersect": "x"}}, {"budgets": {"intersect": 1.5}}):
+        conf.write_text(json.dumps(bad))
+        code, _, err = invoke(capsys, "A2", "--config", str(conf), "nf", "s1")
+        assert_one_line_error(code, err)
+        code, _, err = invoke(capsys, "A3", "--config", str(conf), "intersect",
+                              "s1,s2", "s2,s3")
+        assert_one_line_error(code, err)
+
+
+def test_structure_exponent_and_power_bound_checked(capsys):
+    for command in ("nf", "cycle", "summit"):
+        code, _, err = invoke(capsys, "A2", command, "s1 s2", "--N", "0")
+        assert_one_line_error(code, err)
+    code, _, err = invoke(capsys, "A2", "summit", "s1 s2", "--power-bound", "-1")
+    assert_one_line_error(code, err)
+
+
 def test_threads_flag_is_gone(capsys):
     code, _, err = invoke(capsys, "A2", "nf", "s1", "--threads", "2")
     assert code == 2 and "--threads" in err

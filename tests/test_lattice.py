@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,13 @@ from garside import (
     z_commute,
 )
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
-from garside.lattice import enumerate_parabolics, signed_ball
+from garside.lattice import (
+    _irreducible_proper_bases,
+    _subsets,
+    enumerate_parabolics,
+    signed_ball,
+)
+from garside.oracle import ball
 
 from conftest import ctx, random_element
 
@@ -172,14 +179,34 @@ def test_enumerate_parabolics_dedupes():
     # conjugating the full group or the trivial group gives nothing new
     full = [P for P in ps if not P.is_proper()]
     assert len(full) == 1
+    # all standard subgroups are present
+    for X in _subsets(c):
+        assert ParabolicSubgroup.standard(c, X) in ps
+
+
+def signed_words(rank, max_len):
+    """Every signed word of length <= max_len: shortest first, then in
+    lexicographic order with generators before their inverses."""
+    alphabet = [(i, 1) for i in range(rank)] + [(i, -1) for i in range(rank)]
+    for n in range(max_len + 1):
+        yield from product(alphabet, repeat=n)
 
 
 def test_signed_ball_growth():
-    c = ctx("A2")
-    sizes = [len(signed_ball(c, r)) for r in range(4)]
-    assert sizes[0] == 1
-    assert sizes == sorted(sizes)
-    assert len(set(signed_ball(c, 3))) == sizes[3]
+    # the breadth-first ball against the word-by-word definition: its elements
+    # are the products of all signed words, each with its first word
+    for token in ("A2", "B2", "A3", "I2(5)"):
+        c = ctx(token)
+        sizes = [len(signed_ball(c, r)) for r in range(4)]
+        assert sizes[0] == 1
+        assert sizes == sorted(sizes)
+        first = {}
+        for word in signed_words(c.rank, 3):
+            first.setdefault(GroupElement.from_letters(c, word), word)
+        for r in range(4):
+            words = {u: word for u, word in first.items() if len(word) <= r}
+            assert signed_ball(c, r) == sorted(words, key=GroupElement.sort_key)
+            assert ball(c, r).words == words
 
 
 def test_subsequence_invariance_check():
@@ -212,10 +239,9 @@ def test_noncommuting_z_witnessed_by_subsequences():
 
 
 def test_adjacency_biconditional_standard_pairs_a3_b3():
-    from garside.lattice import _irreducible_proper_bases
     for token in ("A3", "B3"):
         c = ctx(token)
-        bases = list(_irreducible_proper_bases(c))
+        bases = _irreducible_proper_bases(c)
         for X in bases:
             for Y in bases:
                 if X == Y:

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from garside import (
+    context_from_token,
     GroupElement,
     ParabolicSubgroup,
     contains_element,
@@ -18,11 +21,11 @@ from garside import (
     pn_normal_form,
 )
 from garside.errors import BudgetExceeded
+from garside.lattice import enumerate_parabolics
 from garside.oracle import (
     ball,
     brute_meet,
     closure_oracle,
-    enumerate_parabolics_oracle,
     enumerate_simples,
     intersect_oracle,
     symmetric_group_image,
@@ -188,13 +191,27 @@ def test_closure_oracle_agrees_with_engine_sampled():
 
 
 def test_enumerate_parabolics_oracle():
-    listing = enumerate_parabolics_oracle(ctx("A2"), 1)
-    assert len({P.z for P in listing.items}) == len(listing.items)
+    # the listing closure_oracle searches, against its word-by-word definition:
+    # g A_X g^-1 for every subset X and every signed word g of length <= 1
+    c = ctx("A2")
+    listing = enumerate_parabolics(c, 1)
+    assert len({P.z for P in listing}) == len(listing)
+    letters = [()] + [((i, e),) for i in range(c.rank) for e in (1, -1)]
+    conjugates = [
+        ParabolicSubgroup.from_conjugator(c, GroupElement.from_letters(c, g), X)
+        for mask in range(4)
+        for X in [frozenset(i for i in range(2) if mask >> i & 1)]
+        for g in letters
+    ]
+    for Q in conjugates:
+        assert any(parabolic_equal(P, Q) for P in listing)
+    for P in listing:
+        assert any(parabolic_equal(P, Q) for Q in conjugates)
     # all standard subgroups are present
     for mask in range(4):
         base = frozenset(i for i in range(2) if mask >> i & 1)
-        std = ParabolicSubgroup.standard(ctx("A2"), base)
-        assert any(parabolic_equal(P, std) for P in listing.items)
+        std = ParabolicSubgroup.standard(c, base)
+        assert any(parabolic_equal(P, std) for P in listing)
 
 
 def test_intersect_oracle_examples():
@@ -217,3 +234,15 @@ def test_intersect_oracle_examples():
     full_ball = ball(c, 3).elements
     self_int = intersect_oracle(P, P, radius=3)
     assert self_int == [u for u in full_ball if contains_element(P, u)]
+
+
+def test_oracle_tables_are_freed_with_the_context():
+    c = context_from_token("A2")
+    P = ParabolicSubgroup.standard(c, {0})
+    closure_oracle(parse_word(c, "s1 s2"), 2)
+    intersect_oracle(P, P, radius=2)
+    word_system(c).left_normal_form(((0, 1), (1, -1)))
+    ref = weakref.ref(c)
+    del c, P
+    gc.collect()
+    assert ref() is None
