@@ -3,13 +3,14 @@
 One invocation computes one thing: a normal form, a mixed form, a summit
 graph, a parabolic closure, an intersection, and so on.  The group is named
 by a family token (A4, B3, I2(5), ...) or by a JSON file carrying an explicit
-Coxeter matrix.  Output is human-readable text by default; --format json and
---format dot emit machine-readable artifacts, byte-identical across runs.
+Coxeter matrix.  Output is human-readable text by default; --format json
+emits machine-readable artifacts, byte-identical across runs, and --format
+dot draws the graph of summit, complex-ball and figures.
 
 Exit codes: 0 on success, 1 on other library errors (a non-spherical
 Coxeter matrix, a rank above the cap, ...), 2 on parse/usage errors (bad
-words, tokens, flags or group and config files), 3 when a bounded search
-gives up (the partial certificate is still emitted).
+words, tokens, flags, group and config files or output paths), 3 when a
+bounded search gives up (the partial certificate is still emitted).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .elements import (
 from .errors import BudgetExceeded, GarsideError, ParseError
 
 _KINDS = {k.value: k for k in conjugacy.SummitKind}
+_DOT_COMMANDS = ("summit", "complex-ball", "figures")
 
 
 def _read_json(path: str, what: str):
@@ -105,7 +107,10 @@ def _subgroup_text(P: parabolic.ParabolicSubgroup) -> str:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as e:
+            raise ParseError(f"cannot write {args.output}: {e}") from None
     else:
         print(text)
 
@@ -353,6 +358,8 @@ def run(argv=None) -> int:
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
+        if args.format == "dot" and args.command not in _DOT_COMMANDS:
+            raise ParseError(f"--format dot applies to {', '.join(_DOT_COMMANDS)} only")
         config = _read_config(args.config) if args.config else {}
         ctx = _load_context(args.group, config)
         if args.command == "figures":

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import mul
 
+from .coxeter import ENUMERATION_BUDGET
 from .elements import (
     GarsideStructure,
     GroupElement,
@@ -38,6 +41,8 @@ from .errors import (
 )
 
 _ORBIT_CAP = 100_000
+_I_INFINITY_WINDOW = 3
+_I_INFINITY_CAP = 64
 
 
 class SummitKind(Enum):
@@ -89,6 +94,27 @@ def decycling(u: GroupElement, structure: GarsideStructure | None = None):
     return u.conjugate_by(conj), conj
 
 
+def _orbit(u: GroupElement, structure: GarsideStructure, step):
+    """Apply `step` (cycling or decycling) from u until an element repeats.
+
+    Returns the trail of elements visited (u first), the conjugator of each
+    step, and the index in the trail that the last step returned to.
+    """
+    index = {u: 0}
+    cur, conjs = u, []
+    for _ in range(_ORBIT_CAP):
+        cur, c = step(cur, structure)
+        conjs.append(c)
+        j = index.setdefault(cur, len(conjs))
+        if j < len(conjs):
+            return list(index), conjs, j
+    raise GarsideError("orbit iteration exceeded its cap")
+
+
+def _product(u: GroupElement, conjs) -> GroupElement:
+    return reduce(mul, conjs, GroupElement.identity(u.ctx))
+
+
 def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated cycling until the structure infimum is maximal in the
     conjugacy class; returns (element, accumulated conjugator).
@@ -96,81 +122,33 @@ def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None)
     Cycling never lowers the infimum nor raises the supremum, so the
     trajectory stays inside a finite set and must revisit an element; once it
     loops without having improved the infimum, no further cycling ever will.
-    Only improvements are committed, so the map is the identity on elements
-    that already realize the maximum.
+    The first element of the orbit with the largest infimum is returned, so
+    the map is the identity on elements that already realize the maximum.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
-    best, best_conj = u, GroupElement.identity(u.ctx)
-    cur, conj = best, best_conj
-    seen = {cur}
-    while structure.canonical_length(cur) > 0:
-        cur, c = cycling(cur, structure)
-        conj = conj * c
-        if structure.inf(cur) > structure.inf(best):
-            best, best_conj = cur, conj
-            seen = {cur}
-        elif cur in seen:
-            break
-        else:
-            seen.add(cur)
-    if structure.canonical_length(cur) == 0:
-        return cur, conj
-    return best, best_conj
+    trail, conjs, _ = _orbit(u, structure, cycling)
+    i = max(range(len(trail)), key=lambda k: structure.inf(trail[k]))
+    return trail[i], _product(u, conjs[:i])
 
 
 def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated decycling until the structure supremum is minimal; identity on
     elements already realizing the minimum."""
     structure = structure or GarsideStructure(u.ctx, 1)
-    best, best_conj = u, GroupElement.identity(u.ctx)
-    cur, conj = best, best_conj
-    seen = {cur}
-    while structure.canonical_length(cur) > 0:
-        cur, c = decycling(cur, structure)
-        conj = conj * c
-        if structure.sup(cur) < structure.sup(best):
-            best, best_conj = cur, conj
-            seen = {cur}
-        elif cur in seen:
-            break
-        else:
-            seen.add(cur)
-    if structure.canonical_length(cur) == 0:
-        return cur, conj
-    return best, best_conj
+    trail, conjs, _ = _orbit(u, structure, decycling)
+    i = min(range(len(trail)), key=lambda k: structure.sup(trail[k]))
+    return trail[i], _product(u, conjs[:i])
 
 
 def _orbit_to_repeat(u: GroupElement, structure: GarsideStructure, step):
     """Iterate `step` until the first repeated element; returns that element
     and the conjugator from u to it."""
-    seen = {u: 0}
-    trail = [u]
-    prods = [GroupElement.identity(u.ctx)]
-    cur = u
-    for _ in range(_ORBIT_CAP):
-        nxt, c = step(cur, structure)
-        acc = prods[-1] * c
-        if nxt in seen:
-            j = seen[nxt]
-            return trail[j], prods[j]
-        seen[nxt] = len(trail)
-        trail.append(nxt)
-        prods.append(acc)
-        cur = nxt
-    raise GarsideError("orbit iteration exceeded its cap")
+    trail, conjs, j = _orbit(u, structure, step)
+    return trail[j], _product(u, conjs[:j])
 
 
 def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
-    cur = u
-    seen = {u}
-    for _ in range(_ORBIT_CAP):
-        cur, _ = step(cur, structure)
-        if cur == u:
-            return True
-        if cur in seen:
-            return False
-        seen.add(cur)
-    raise GarsideError("orbit iteration exceeded its cap")
+    return _orbit(u, structure, step)[2] == 0
 
 
 def sss_seed(u: GroupElement, structure: GarsideStructure):
@@ -268,7 +246,7 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
 # -------------------------------------------------------------- summit graphs
 
 
-def _structure_simples(structure: GarsideStructure, budget: int = 200_000):
+def _structure_simples(structure: GarsideStructure):
     """All non-trivial simple elements for the structure, sorted by length.
 
     For the classical structure these are the Coxeter group elements; for
@@ -278,7 +256,7 @@ def _structure_simples(structure: GarsideStructure, budget: int = 200_000):
     if n == 1:
         return [
             GroupElement.from_simple(ctx, w)
-            for w in ctx.all_elements(budget)
+            for w in ctx.all_elements()
             if w != ctx.identity
         ]
     frontier = [GroupElement.identity(ctx)]
@@ -291,9 +269,9 @@ def _structure_simples(structure: GarsideStructure, budget: int = 200_000):
                 if v not in seen and v.sup() <= n:
                     seen.add(v)
                     nxt.append(v)
-                    if len(seen) > budget:
+                    if len(seen) > ENUMERATION_BUDGET:
                         raise BudgetExceeded(
-                            f"more than {budget} simple elements for Delta^{n}"
+                            f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
                         )
         frontier = nxt
     out = [u for u in seen if not u.is_identity()]
@@ -389,14 +367,13 @@ def compute_summit_graph(
     kind: SummitKind,
     structure: GarsideStructure | None = None,
     power_bound: int = 4,
-    budget: int = 200_000,
 ) -> SummitGraph:
     """Compute the full minimal-conjugator graph of the chosen summit set."""
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
     member = summit_membership(kind, structure, seed, power_bound)
     assert member(seed), "seed must land in its own summit set"
-    simples = _structure_simples(structure, budget)
+    simples = _structure_simples(structure)
 
     witness_of = {seed: witness}
     queue = [seed]
@@ -419,7 +396,7 @@ def compute_summit_graph(
     witnesses = [witness_of[v] for v in vertices]
     for v, w in zip(vertices, witnesses):
         assert u.conjugate_by(w) == v, "witness must conjugate the base to its vertex"
-    meta = {"budget": budget}
+    meta = {"budget": ENUMERATION_BUDGET}
     if kind is SummitKind.SU:
         meta["powerBound"] = power_bound
     return SummitGraph(kind, structure, u, vertices, arrows, witnesses, meta)
@@ -428,43 +405,31 @@ def compute_summit_graph(
 # ----------------------------------------------------- intersection over N
 
 
-def element_of_i_infinity(
-    u: GroupElement,
-    kind: SummitKind = SummitKind.RSSS,
-    window: int = 3,
-    max_exponent: int = 64,
-    power_bound: int = 4,
-):
-    """Conjugate u into the summit sets of every Garside structure Delta^N
-    up to a detected stabilization index.
+def element_of_i_infinity(u: GroupElement):
+    """Conjugate u into the rigid summit sets of every Garside structure
+    Delta^N up to a detected stabilization index.
 
     Works up through N = 1, 2, ...; each pass uses only cycling/decycling
     conjugators, which preserve membership in the earlier summit sets, and
-    stops once the element has been left unchanged for `window` consecutive
-    exponents beyond its classical canonical length.  Returns the element,
-    the accumulated conjugator, and the last exponent processed.
+    stops once the element has been left unchanged for _I_INFINITY_WINDOW (3)
+    consecutive exponents beyond its classical canonical length.  That stop
+    is a heuristic, not a proven bound; past N = _I_INFINITY_CAP (64) it
+    raises.  Returns the element, the accumulated conjugator, and the last
+    exponent processed.
     """
-    if kind is SummitKind.POSITIVE_CONJUGATES:
-        raise GarsideError("stabilization over N applies to SSS/USS/RSSS/SU only")
     ctx = u.ctx
-    beta, conj = summit_seed(u, kind, GarsideStructure(ctx, 1), power_bound)
+    beta, conj = summit_seed(u, SummitKind.RSSS, GarsideStructure(ctx, 1))
     stable = 0
-    n_star = 1
-    for n in range(2, max_exponent + 1):
-        nxt, c = summit_seed(beta, kind, GarsideStructure(ctx, n), power_bound)
+    for n in range(2, _I_INFINITY_CAP + 1):
+        nxt, c = summit_seed(beta, SummitKind.RSSS, GarsideStructure(ctx, n))
         conj = conj * c
-        if nxt == beta:
-            if n > beta.canonical_length():
-                stable += 1
-        else:
-            stable = 0
-            beta = nxt
-        n_star = n
-        if stable >= window:
-            break
-    else:
-        raise GarsideError("summit stabilization did not settle within the cap")
-    return beta, conj, n_star
+        if nxt != beta:
+            beta, stable = nxt, 0
+        elif n > beta.canonical_length():
+            stable += 1
+        if stable >= _I_INFINITY_WINDOW:
+            return beta, conj, n
+    raise GarsideError("summit stabilization did not settle within the cap")
 
 
 # ------------------------------------------------------------------ transport

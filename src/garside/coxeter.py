@@ -20,6 +20,9 @@ from .errors import BudgetExceeded, NonSphericalType, ParseError
 
 GeneratorSet = frozenset[int]
 
+# Most elements of W, or simples of Delta^N, enumerated before BudgetExceeded.
+ENUMERATION_BUDGET = 200_000
+
 # Orders of the irreducible finite Coxeter groups, by family.
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -461,12 +464,12 @@ class GroupContext:
         """Letters occurring in any (hence every) reduced word for a."""
         return frozenset(self.w_word(a))
 
-    def all_elements(self, budget: int = 200_000) -> list[int]:
+    def all_elements(self) -> list[int]:
         """Every element of W, sorted by (length, word); enumeration is memoized."""
         if self._all_elements is None:
-            if self.coxeter_order > budget:
+            if self.coxeter_order > ENUMERATION_BUDGET:
                 raise BudgetExceeded(
-                    f"|W| = {self.coxeter_order} exceeds enumeration budget {budget}"
+                    f"|W| = {self.coxeter_order} exceeds enumeration budget {ENUMERATION_BUDGET}"
                 )
             seen = {0}
             frontier = [0]

@@ -298,15 +298,18 @@ def _irreducible_proper_bases(ctx: GroupContext) -> list[frozenset[int]]:
             if X and len(X) < ctx.rank and ctx.is_irreducible(X)]
 
 
-def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSubgroup]:
-    """Proper irreducible subgroups adjacent to P in the complex, among those
-    with a conjugator in the signed ball of the given radius."""
+def _neighbors_among(P: ParabolicSubgroup, candidates) -> list[ParabolicSubgroup]:
     if not P.is_proper():
         raise NotProper(f"{P!r} is the whole group")
     if not P.is_irreducible():
         raise NotIrreducible(f"{P!r} is reducible")
-    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget)
     return [Q for Q in candidates if Q != P and z_commute(P, Q)]
+
+
+def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSubgroup]:
+    """Proper irreducible subgroups adjacent to P in the complex, among those
+    with a conjugator in the signed ball of the given radius."""
+    return _neighbors_among(P, _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget))
 
 
 @dataclass
@@ -341,12 +344,13 @@ class ComplexBall:
 def complex_ball(P: ParabolicSubgroup, radius: int, budget: int = 0) -> ComplexBall:
     """Neighbors-of-neighbors exploration to the given radius; edges are all
     commuting-z pairs among the vertices collected."""
+    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget) if radius else []
     layer = [P]
     vertices = {P.z: P}
     for _ in range(radius):
         nxt = []
         for V in layer:
-            for W in complex_neighbors(V, budget):
+            for W in _neighbors_among(V, candidates):
                 if W.z not in vertices:
                     vertices[W.z] = W
                     nxt.append(W)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import GeneratorSet, GroupContext
-from .conjugacy import SummitKind, cycle_to_max_inf, element_of_i_infinity
+from .conjugacy import cycle_to_max_inf, element_of_i_infinity
 from .elements import (
     GroupElement,
     format_element,
@@ -200,7 +200,7 @@ def parabolic_closure(u: GroupElement) -> ParabolicSubgroup:
         return ParabolicSubgroup.trivial(ctx)
     beta, conj = cycle_to_max_inf(u)
     if not beta.is_positive():
-        beta, conj, _ = element_of_i_infinity(u, SummitKind.RSSS)
+        beta, conj, _ = element_of_i_infinity(u)
     return ParabolicSubgroup.from_conjugator(ctx, conj, support(beta))
 
 

@@ -1,8 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from garside import GroupElement, context_from_token, parse_word
+from garside import CoxeterSpec, GroupElement, build_context, context_from_token, parse_word
 
 
 _CTX_CACHE = {}
@@ -15,6 +16,18 @@ def ctx(token: str):
         out = context_from_token(token)
         _CTX_CACHE[token] = out
     return out
+
+
+# Every spherical family with small W, plus a reducible matrix (A2 x A1).
+FAMILIES = ("A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "A2xA1")
+
+
+@functools.cache
+def family(name):
+    if name == "A2xA1":
+        matrix = [[1, 3, 2], [3, 1, 2], [2, 2, 1]]
+        return build_context(CoxeterSpec.from_matrix(matrix, name=name))
+    return ctx(name)
 
 
 @pytest.fixture(scope="session")

@@ -221,3 +221,24 @@ def test_structure_exponent_and_power_bound_checked(capsys):
 def test_threads_flag_is_gone(capsys):
     code, _, err = invoke(capsys, "A2", "nf", "s1", "--threads", "2")
     assert code == 2 and "--threads" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        code, out, err = invoke(capsys, "A2", "closure", "s1", "--output", str(target))
+        assert_one_line_error(code, err)
+        assert out == ""
+
+
+def test_dot_format_only_for_graphs(capsys):
+    for argv in (("nf", "s1"), ("np", "s1"), ("pn", "s1"), ("supp", "s1"),
+                 ("cycle", "s1"), ("decycle", "s1"), ("twist", "s1"),
+                 ("closure", "s1"), ("phi", "s1"), ("z", "s1"), ("standardize", "s1"),
+                 ("commute-z", "s1", "s2"), ("adjacent", "s1", "s2"),
+                 ("intersect", "s1", "s2"), ("join", "s1", "s2")):
+        code, out, err = invoke(capsys, "A2", *argv, "--format", "dot")
+        assert_one_line_error(code, err)
+        assert out == ""
+    for argv in (("summit", "s1"), ("complex-ball", "s1"), ("figures",)):
+        code, out, _ = invoke(capsys, "A3", *argv, "--format", "dot")
+        assert code == 0 and out.startswith(("digraph", "graph"))

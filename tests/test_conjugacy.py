@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from garside import (
     GarsideStructure,
@@ -22,6 +24,8 @@ from garside import (
     twisted_cycling,
 )
 from garside.conjugacy import (
+    _closed_orbit,
+    _orbit_to_repeat,
     cycle_to_max_inf,
     cycling_conjugator_product,
     decycle_to_min_sup,
@@ -32,7 +36,7 @@ from garside.conjugacy import (
 )
 from garside.errors import EmptySet, NotConjugating, NotInUSS
 
-from conftest import ctx, random_element
+from conftest import FAMILIES, ctx, family, random_element
 
 
 def w(token, text):
@@ -135,19 +139,131 @@ def test_cycling_preserves_parabolic_membership():
             assert support(image) <= x_set or support(image) <= tau_x
 
 
-def test_max_inf_min_sup_are_idempotent():
-    rng = random.Random(26)
-    c = ctx("A3")
-    for _ in range(25):
-        u = random_element(c, rng, 6)
-        v, conj = cycle_to_max_inf(u)
-        assert u.conjugate_by(conj) == v
-        again, conj2 = cycle_to_max_inf(v)
-        assert again == v and conj2.is_identity()
-        s, conj3 = decycle_to_min_sup(v)
-        assert v.conjugate_by(conj3) == s
-        t, conj4 = decycle_to_min_sup(s)
-        assert t == s and conj4.is_identity()
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.sampled_from(FAMILIES), hs.integers(1, 3),
+       hs.lists(hs.tuples(hs.integers(0, 7), hs.sampled_from((1, -1))), max_size=10))
+def test_max_inf_min_sup_are_idempotent(token, n, letters):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    u = GroupElement.from_letters(c, [(s % c.rank, e) for s, e in letters])
+    v, conj = cycle_to_max_inf(u, st)
+    assert u.conjugate_by(conj) == v
+    assert st.inf(v) >= st.inf(u) and st.sup(v) <= st.sup(u)
+    again, conj2 = cycle_to_max_inf(v, st)
+    assert again == v and conj2.is_identity()
+    s, conj3 = decycle_to_min_sup(v, st)
+    assert v.conjugate_by(conj3) == s
+    assert st.inf(s) >= st.inf(v) and st.sup(s) <= st.sup(v)
+    t, conj4 = decycle_to_min_sup(s, st)
+    assert t == s and conj4.is_identity()
+
+
+# The loops that cycle_to_max_inf, decycle_to_min_sup, _orbit_to_repeat and
+# _closed_orbit ran before they shared one orbit walker: the reference.
+
+
+def _ref_cycle_to_max_inf(u, structure):
+    best, best_conj = u, GroupElement.identity(u.ctx)
+    cur, conj = best, best_conj
+    seen = {cur}
+    while structure.canonical_length(cur) > 0:
+        cur, c = cycling(cur, structure)
+        conj = conj * c
+        if structure.inf(cur) > structure.inf(best):
+            best, best_conj = cur, conj
+            seen = {cur}
+        elif cur in seen:
+            break
+        else:
+            seen.add(cur)
+    if structure.canonical_length(cur) == 0:
+        return cur, conj
+    return best, best_conj
+
+
+def _ref_decycle_to_min_sup(u, structure):
+    best, best_conj = u, GroupElement.identity(u.ctx)
+    cur, conj = best, best_conj
+    seen = {cur}
+    while structure.canonical_length(cur) > 0:
+        cur, c = decycling(cur, structure)
+        conj = conj * c
+        if structure.sup(cur) < structure.sup(best):
+            best, best_conj = cur, conj
+            seen = {cur}
+        elif cur in seen:
+            break
+        else:
+            seen.add(cur)
+    if structure.canonical_length(cur) == 0:
+        return cur, conj
+    return best, best_conj
+
+
+def _ref_orbit_to_repeat(u, structure, step):
+    seen = {u: 0}
+    trail = [u]
+    prods = [GroupElement.identity(u.ctx)]
+    cur = u
+    for _ in range(100_000):
+        nxt, c = step(cur, structure)
+        acc = prods[-1] * c
+        if nxt in seen:
+            j = seen[nxt]
+            return trail[j], prods[j]
+        seen[nxt] = len(trail)
+        trail.append(nxt)
+        prods.append(acc)
+        cur = nxt
+    raise AssertionError("orbit iteration exceeded its cap")
+
+
+def _ref_closed_orbit(u, structure, step):
+    cur = u
+    seen = {u}
+    for _ in range(100_000):
+        cur, _ = step(cur, structure)
+        if cur == u:
+            return True
+        if cur in seen:
+            return False
+        seen.add(cur)
+    raise AssertionError("orbit iteration exceeded its cap")
+
+
+def _walker_inputs(c, rng):
+    """The identity, Delta powers and 100 seeded words, every fifth of them
+    negative."""
+    out = [GroupElement.identity(c)]
+    out += [GroupElement.delta_power(c, k) for k in (-3, -1, 1, 2)]
+    for i in range(100):
+        u = random_element(c, rng, 8, signed=i % 5 != 0)
+        out.append(u.inverse() if i % 5 == 0 else u)
+    return out
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_orbit_walker_matches_reference_loops(token):
+    c = family(token)
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        st = GarsideStructure(c, n)
+        for u in _walker_inputs(c, rng):
+            a, c1 = _ref_cycle_to_max_inf(u, st)
+            assert cycle_to_max_inf(u, st) == (a, c1)
+            b, c2 = _ref_decycle_to_min_sup(a, st)
+            assert decycle_to_min_sup(a, st) == (b, c2)
+            x, c3 = _ref_orbit_to_repeat(b, st, cycling)
+            assert uss_seed(u, st) == (x, c1 * c2 * c3)
+            y, c4 = _ref_orbit_to_repeat(x, st, decycling)
+            assert rsss_seed(u, st) == (y, c1 * c2 * c3 * c4)
+            assert in_uss(u, st) == (
+                st.canonical_length(u) == st.canonical_length(b)
+                and _ref_closed_orbit(u, st, cycling)
+            )
+            for step in (cycling, decycling):
+                assert _orbit_to_repeat(u, st, step) == _ref_orbit_to_repeat(u, st, step)
+                assert _closed_orbit(u, st, step) == _ref_closed_orbit(u, st, step)
 
 
 def test_summit_graph_sss_example():
@@ -232,13 +348,13 @@ def test_i_infinity():
     beta, conj, nstar = element_of_i_infinity(d)
     assert beta == d and conj.is_identity() and nstar >= 1
     u = w("A2", "s1 s1 s2")
-    beta, conj, _ = element_of_i_infinity(u, SummitKind.RSSS)
+    beta, conj, _ = element_of_i_infinity(u)
     assert u.conjugate_by(conj) == beta
     assert beta.is_positive() and support(beta) == frozenset({0, 1})
     rng = random.Random(29)
     for _ in range(10):
         v = random_element(c, rng, 5)
-        beta, conj, _ = element_of_i_infinity(v, SummitKind.RSSS)
+        beta, conj, _ = element_of_i_infinity(v)
         assert v.conjugate_by(conj) == beta
 
 

@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -28,23 +27,11 @@ from garside import (
 from garside.elements import _normalize
 from garside.errors import ContextMismatch, NotSimple, ParseError
 
-from conftest import ctx, random_element
+from conftest import FAMILIES, ctx, family, random_element
 
 
 def w(token, text):
     return parse_word(ctx(token), text)
-
-
-# Every spherical family with small W, plus a reducible matrix (A2 x A1).
-FAMILIES = ("A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "A2xA1")
-
-
-@functools.cache
-def family(name):
-    if name == "A2xA1":
-        matrix = [[1, 3, 2], [3, 1, 2], [2, 2, 1]]
-        return build_context(CoxeterSpec.from_matrix(matrix, name=name))
-    return ctx(name)
 
 
 # ----------------------------------------------------------------- arithmetic

@@ -170,6 +170,24 @@ def test_complex_ball():
     assert neighbor_ids <= linked
 
 
+def test_complex_ball_builds_candidates_once(monkeypatch):
+    center = std("A4", {0})
+    layer, expected = [center], {center.z: center}
+    for _ in range(2):
+        layer = [W for V in layer for W in complex_neighbors(V, 1) if W.z not in expected]
+        expected.update((W.z, W) for W in layer)
+    calls = []
+    real = ParabolicSubgroup.from_conjugator
+    monkeypatch.setattr(ParabolicSubgroup, "from_conjugator",
+                        staticmethod(lambda *a: calls.append(a) or real(*a)))
+    ball = complex_ball(center, radius=2, budget=1)
+    assert [V.z for V in ball.vertices] == sorted(
+        expected, key=lambda z: expected[z].sort_key())
+    assert (len(ball.vertices), len(ball.edges)) == (27, 99)
+    # one candidate per irreducible proper base and signed word of length <= 1
+    assert len(calls) <= 81
+
+
 def test_enumerate_parabolics_dedupes():
     c = ctx("A2")
     ps = enumerate_parabolics(c, 1)
