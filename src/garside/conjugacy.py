@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
-from operator import mul
 
 from .coxeter import ENUMERATION_BUDGET
 from .elements import (
     GarsideStructure,
     GroupElement,
     _first_simple,
+    _product,
     format_element,
     format_word,
     prefix_le,
@@ -111,10 +110,6 @@ def _orbit(u: GroupElement, structure: GarsideStructure, step):
     raise GarsideError("orbit iteration exceeded its cap")
 
 
-def _product(u: GroupElement, conjs) -> GroupElement:
-    return reduce(mul, conjs, GroupElement.identity(u.ctx))
-
-
 def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated cycling until the structure infimum is maximal in the
     conjugacy class; returns (element, accumulated conjugator).
@@ -128,7 +123,7 @@ def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None)
     structure = structure or GarsideStructure(u.ctx, 1)
     trail, conjs, _ = _orbit(u, structure, cycling)
     i = max(range(len(trail)), key=lambda k: structure.inf(trail[k]))
-    return trail[i], _product(u, conjs[:i])
+    return trail[i], _product(u.ctx, conjs[:i])
 
 
 def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = None):
@@ -137,14 +132,14 @@ def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = Non
     structure = structure or GarsideStructure(u.ctx, 1)
     trail, conjs, _ = _orbit(u, structure, decycling)
     i = min(range(len(trail)), key=lambda k: structure.sup(trail[k]))
-    return trail[i], _product(u, conjs[:i])
+    return trail[i], _product(u.ctx, conjs[:i])
 
 
 def _orbit_to_repeat(u: GroupElement, structure: GarsideStructure, step):
     """Iterate `step` until the first repeated element; returns that element
     and the conjugator from u to it."""
     trail, conjs, j = _orbit(u, structure, step)
-    return trail[j], _product(u, conjs[:j])
+    return trail[j], _product(u.ctx, conjs[:j])
 
 
 def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
@@ -180,7 +175,7 @@ def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
 def su_seed(u: GroupElement, structure: GarsideStructure, power_bound: int = 4):
     """Conjugate into the stable ultra summit set, with the all-powers
     condition truncated to 0 < |m| <= power_bound."""
-    x, conj = rsss_seed(u, structure)
+    x, *conjs = rsss_seed(u, structure)
     exponents = [m for k in range(1, power_bound + 1) for m in (k, -k)]
     for _ in range(100):
         moved = False
@@ -188,10 +183,11 @@ def su_seed(u: GroupElement, structure: GarsideStructure, power_bound: int = 4):
             y = x**m
             if not in_uss(y, structure):
                 _, c = uss_seed(y, structure)
-                x, conj = x.conjugate_by(c), conj * c
+                x = x.conjugate_by(c)
+                conjs.append(c)
                 moved = True
         if not moved:
-            return x, conj
+            return x, _product(u.ctx, conjs)
     raise GarsideError("stable-set conjugation did not stabilize")
 
 
@@ -418,17 +414,17 @@ def element_of_i_infinity(u: GroupElement):
     exponent processed.
     """
     ctx = u.ctx
-    beta, conj = summit_seed(u, SummitKind.RSSS, GarsideStructure(ctx, 1))
+    beta, *conjs = summit_seed(u, SummitKind.RSSS, GarsideStructure(ctx, 1))
     stable = 0
     for n in range(2, _I_INFINITY_CAP + 1):
         nxt, c = summit_seed(beta, SummitKind.RSSS, GarsideStructure(ctx, n))
-        conj = conj * c
+        conjs.append(c)
         if nxt != beta:
             beta, stable = nxt, 0
         elif n > beta.canonical_length():
             stable += 1
         if stable >= _I_INFINITY_WINDOW:
-            return beta, conj, n
+            return beta, _product(ctx, conjs), n
     raise GarsideError("summit stabilization did not settle within the cap")
 
 
@@ -483,12 +479,11 @@ def transport_orbit(v: GroupElement, w: GroupElement, x: GroupElement,
 def cycling_conjugator_product(v: GroupElement, t: int,
                                structure: GarsideStructure) -> GroupElement:
     """Product of the conjugating elements of t consecutive cyclings of v."""
-    out = GroupElement.identity(v.ctx)
-    cur = v
+    cur, conjs = v, []
     for _ in range(t):
         cur, c = cycling(cur, structure)
-        out = out * c
-    return out
+        conjs.append(c)
+    return _product(v.ctx, conjs)
 
 
 def stable_twisted_conjugator(v: GroupElement, w: GroupElement, x: GroupElement,

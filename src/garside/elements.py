@@ -5,7 +5,8 @@ of the Garside element Delta plus a tuple of simple factors (ids of Coxeter
 group elements), consecutive factors satisfying the left-greedy condition.
 Views with respect to the derived Garside structures with Garside element
 Delta^N are computed on demand and never stored, so equality is always a
-comparison of classical forms.
+comparison of classical forms.  `_product` is the one n-ary constructor: parsed
+words, powers and conjugator products are normalized once, not once per factor.
 
 The lattice operations reduce to one primitive: the greatest common prefix,
 computed by repeatedly stripping the meet of the leading simple factors.  The
@@ -50,6 +51,17 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     return power + k, tuple(fs[k:])
 
 
+def _product(ctx: GroupContext, elements) -> "GroupElement":
+    """x_1 ... x_n from a list or tuple, with one normalization: each factor
+    list is twisted by the Delta powers to its right, as in `__mul__`."""
+    total = shift = sum(x.power for x in elements)
+    parts: list[int] = []
+    for x in elements:
+        shift -= x.power
+        parts.extend(ctx.w_tau_pow(f, shift) for f in x.factors)
+    return GroupElement(ctx, total, parts)
+
+
 class GroupElement:
     """An element of A_S in classical left normal form Delta^p x_1 ... x_r."""
 
@@ -90,11 +102,11 @@ class GroupElement:
     @staticmethod
     def from_letters(ctx: GroupContext, letters) -> "GroupElement":
         """Build from a signed word: an iterable of (generator index, +-1)."""
-        out = GroupElement.identity(ctx)
+        parts = []
         for i, sign in letters:
             g = GroupElement.generator(ctx, i)
-            out = out * (g if sign > 0 else g.inverse())
-        return out
+            parts.append(g if sign > 0 else g.inverse())
+        return _product(ctx, parts)
 
     # ------------------------------------------------------------- invariants
 
@@ -121,9 +133,7 @@ class GroupElement:
         """The Coxeter element realizing this classical simple element."""
         if not self.is_simple():
             raise NotSimple(f"{self} is not simple for the classical structure")
-        if self.power == 1:
-            return self.ctx.delta
-        return self.factors[0] if self.factors else self.ctx.identity
+        return _first_simple(self)
 
     def word_length(self) -> int:
         """Letter count of the shortest positive word (positive elements only)."""
@@ -154,10 +164,7 @@ class GroupElement:
 
     def __pow__(self, m: int) -> "GroupElement":
         base = self if m >= 0 else self.inverse()
-        out = GroupElement.identity(self.ctx)
-        for _ in range(abs(m)):
-            out = out * base
-        return out
+        return _product(self.ctx, [base] * abs(m))
 
     def conjugate_by(self, g: "GroupElement") -> "GroupElement":
         """g^-1 * self * g."""
@@ -176,9 +183,8 @@ class GroupElement:
 
     def reverse(self) -> "GroupElement":
         """The word-reversing anti-automorphism (reverse any representing word)."""
-        ctx = self.ctx
-        parts = tuple(ctx.w_inv(f) for f in reversed(self.factors))
-        return GroupElement(ctx, 0, parts) * GroupElement.delta_power(ctx, self.power)
+        ctx, p = self.ctx, self.power
+        return GroupElement(ctx, p, [ctx.w_tau_pow(ctx.w_inv(f), p) for f in self.factors[::-1]])
 
     # ------------------------------------------------------------ comparisons
 
@@ -189,9 +195,6 @@ class GroupElement:
             and self.power == other.power
             and self.factors == other.factors
         )
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -259,11 +262,10 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
     m = _DELTA_RE.match(text)
     if not m:
         return parse_word(ctx, text)
-    out = GroupElement.delta_power(ctx, int(m.group(1)))
-    rest = text[m.end():].lstrip(" ·")
-    for group in re.findall(r"\(([^()]*)\)", rest):
-        out = out * parse_word(ctx, group)
-    return out
+    pieces = re.split(r"\(([^()]*)\)", text[m.end():].lstrip(" ·"))
+    if "".join(pieces[::2]).strip():
+        raise ParseError(f"bad element {text!r} (expected 'Δ^p · (..)(..)')")
+    return parse_word(ctx, " ".join(pieces[1::2])).shift(int(m.group(1)))
 
 
 # ----------------------------------------------------------------- lattice ops
@@ -437,7 +439,8 @@ class GarsideStructure:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A printable/serializable view of a left normal form w.r.t. Delta^N."""
+    """A printable/serializable view of a left normal form w.r.t. Delta^N.  The
+    power in `text()` counts copies of Delta^N, so only N = 1 text re-parses."""
 
     exponent: int
     delta_power: int

@@ -344,6 +344,7 @@ class ComplexBall:
 def complex_ball(P: ParabolicSubgroup, radius: int, budget: int = 0) -> ComplexBall:
     """Neighbors-of-neighbors exploration to the given radius; edges are all
     commuting-z pairs among the vertices collected."""
+    _neighbors_among(P, ())  # refuses a reducible or whole-group centre at every radius
     candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget) if radius else []
     layer = [P]
     vertices = {P.z: P}

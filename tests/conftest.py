@@ -20,13 +20,13 @@ def ctx(token: str):
 
 # Every spherical family with small W, plus a reducible matrix (A2 x A1).
 FAMILIES = ("A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "A2xA1")
+A2XA1_MATRIX = [[1, 3, 2], [3, 1, 2], [2, 2, 1]]
 
 
 @functools.cache
 def family(name):
     if name == "A2xA1":
-        matrix = [[1, 3, 2], [3, 1, 2], [2, 2, 1]]
-        return build_context(CoxeterSpec.from_matrix(matrix, name=name))
+        return build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX, name=name))
     return ctx(name)
 
 

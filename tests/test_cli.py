@@ -1,6 +1,9 @@
 import json
+import random
 
 from garside.cli import run
+
+from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
 
 
 def invoke(capsys, *argv):
@@ -18,10 +21,20 @@ def test_nf(capsys):
     assert out.strip() == "Δ^1"
 
 
-def test_nf_round_trip(capsys):
+def test_nf_round_trip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "A2", "nf", "s1 s2^-1 s1 s1")
     code2, out2, _ = invoke(capsys, "A2", "nf", out.strip())
     assert code == code2 == 0 and out == out2
+    matrix_file = tmp_path / "a2xa1.json"
+    matrix_file.write_text(json.dumps({"matrix": A2XA1_MATRIX}))
+    rng = random.Random(3)
+    for token in FAMILIES:
+        group = str(matrix_file) if token == "A2xA1" else token
+        for _ in range(4):
+            word = random_word(family(token), rng, 12)
+            code, out, _ = invoke(capsys, group, "nf", word, "--N", "1")
+            code2, out2, _ = invoke(capsys, group, "nf", out.strip(), "--N", "1")
+            assert code == code2 == 0 and out == out2, (token, word)
 
 
 def test_np_pn_supp(capsys):
@@ -216,6 +229,22 @@ def test_structure_exponent_and_power_bound_checked(capsys):
         assert_one_line_error(code, err)
     code, _, err = invoke(capsys, "A2", "summit", "s1 s2", "--power-bound", "-1")
     assert_one_line_error(code, err)
+
+
+def test_stray_text_after_delta_form_exits_2(capsys):
+    for text in ("Δ^1 · (s1) s2", "Δ^1 junk", "D^0 · (s1 s2"):
+        code, out, err = invoke(capsys, "A2", "nf", text)
+        assert_one_line_error(code, err)
+        assert out == ""
+
+
+def test_complex_ball_centre_checked_at_every_radius(capsys):
+    for centre in ("s1,s3", "s1,s2,s3"):
+        for radius in ("0", "1"):
+            code, out, err = invoke(capsys, "A3", "complex-ball", centre,
+                                    "--radius", radius)
+            assert_one_line_error(code, err, expected_code=1)
+            assert out == ""
 
 
 def test_threads_flag_is_gone(capsys):

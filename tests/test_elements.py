@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -24,6 +26,7 @@ from garside import (
     suffix_le,
     support,
 )
+from garside import elements
 from garside.elements import _normalize
 from garside.errors import ContextMismatch, NotSimple, ParseError
 
@@ -153,6 +156,106 @@ def test_inverse_is_already_normal(token):
         v = random_element(c, rng, 10).inverse()
         assert _normalize(c, v.power, v.factors) == (v.power, v.factors)
         assert v * v.inverse() == GroupElement.identity(c)
+
+
+def _sample_elements(c, rng, count):
+    """Seeded elements: signed words (some inverted), Delta powers and the identity."""
+    out = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.15:
+            out.append(GroupElement.delta_power(c, rng.randint(-3, 3)))
+        elif r < 0.25:
+            out.append(GroupElement.identity(c))
+        else:
+            u = random_element(c, rng, 8)
+            out.append(u.inverse() if rng.random() < 0.3 else u)
+    return out
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_product_matches_chained_multiplication(token):
+    c = family(token)
+    identity = GroupElement.identity(c)
+    rng = random.Random(f"product/{token}")
+    assert elements._product(c, []) == identity
+    for _ in range(80):
+        xs = _sample_elements(c, rng, rng.randint(0, 7))
+        expected = reduce(mul, xs, identity)
+        assert elements._product(c, xs) == expected
+        assert elements._product(c, tuple(xs)) == expected
+
+
+def _letter_by_letter(c, letters):
+    """The product loop `from_letters` used before it normalized once."""
+    out = GroupElement.identity(c)
+    for i, sign in letters:
+        g = GroupElement.generator(c, i)
+        out = out * (g if sign > 0 else g.inverse())
+    return out
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_from_letters_matches_letter_by_letter_products(token):
+    c = family(token)
+    rng = random.Random(f"letters/{token}")
+    for _ in range(60):
+        letters = [(rng.randrange(c.rank), rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 20))]
+        expected = _letter_by_letter(c, letters)
+        assert GroupElement.from_letters(c, letters) == expected
+        assert GroupElement.from_letters(c, iter(letters)) == expected
+    for bad in (c.rank, -1):
+        with pytest.raises(ParseError):
+            GroupElement.from_letters(c, [(0, 1), (bad, 1)])
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_power_matches_repeated_products(token):
+    c = family(token)
+    identity = GroupElement.identity(c)
+    rng = random.Random(f"power/{token}")
+    for u in _sample_elements(c, rng, 30):
+        for m in range(-4, 5):
+            base = u if m >= 0 else u.inverse()
+            assert u ** m == reduce(mul, [base] * abs(m), identity)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_reverse_matches_two_step_formula(token):
+    c = family(token)
+    rng = random.Random(f"reverse/{token}")
+    xs = _sample_elements(c, rng, 60)
+    for u, v in zip(xs, xs[1:]):
+        two_step = GroupElement(
+            c, 0, tuple(c.w_inv(f) for f in reversed(u.factors))
+        ) * GroupElement.delta_power(c, u.power)
+        assert u.reverse() == two_step
+        assert u.reverse().reverse() == u
+        assert (u * v).reverse() == v.reverse() * u.reverse()
+        assert GroupElement.from_letters(c, u.as_signed_word()[::-1]) == u.reverse()
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_one_normalization_per_word_power_and_reverse(token, monkeypatch):
+    # Wraps _normalize the way perfbench/tracer.py does.
+    c = family(token)
+    calls = []
+    inner = elements._normalize
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return inner(*args)
+
+    monkeypatch.setattr(elements, "_normalize", counted)
+    rng = random.Random(f"count/{token}")
+    tokens = [f"s{i + 1}{sign}" for i in range(c.rank) for sign in ("", "^-1")]
+    u = parse_word(c, " ".join(rng.choice(tokens) for _ in range(120)))
+    assert calls == [120]
+    for op in (lambda: u ** 5, lambda: u ** -5, u.reverse):
+        calls.clear()
+        op()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("token", FAMILIES)
