@@ -10,7 +10,7 @@ dot draws the graph of summit, complex-ball and figures.
 Exit codes: 0 on success, 1 on other library errors (a non-spherical
 Coxeter matrix, a rank above the cap, ...), 2 on parse/usage errors (bad
 words, tokens, flags, group and config files or output paths), 3 when a
-bounded search gives up (the partial certificate is still emitted).
+bounded enumeration outgrows its cap (one `budget exhausted:` line on stderr).
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from .coxeter import ENUMERATION_BUDGET
 from .elements import (
     GarsideStructure,
     GroupElement,
+    _block,
     _first_simple,
     _product,
     format_element,
@@ -66,12 +67,19 @@ def initial_factor(u: GroupElement, structure: GarsideStructure | None = None) -
 
 
 def cycling(u: GroupElement, structure: GarsideStructure | None = None):
-    """Conjugate u by its initial factor; returns (result, conjugator)."""
+    """Conjugate u by its initial factor; returns (result, conjugator).
+
+    With u = Delta^(Nq) P, P the padded classical factors, the result is
+    Delta^(Nq) P[N:] tau^(-Nq)(P[:N]) and the conjugator tau^(-Nq)(P[:N]):
+    one normalization of the factor list, no inverse and no triple product.
+    """
     structure = structure or GarsideStructure(u.ctx, 1)
-    iota = initial_factor(u, structure)
-    if iota.is_identity():
-        return u, iota
-    return u.conjugate_by(iota), iota
+    ctx, n = u.ctx, structure.exponent
+    shift, padded = structure.padded(u)
+    if not padded:
+        return u, GroupElement.identity(ctx)
+    head = [ctx.w_tau_pow(f, -shift) for f in padded[:n]]
+    return GroupElement(ctx, shift, padded[n:] + head), _block(ctx, head)
 
 
 def twisted_cycling(u: GroupElement, structure: GarsideStructure | None = None):
@@ -84,13 +92,20 @@ def twisted_cycling(u: GroupElement, structure: GarsideStructure | None = None):
 
 
 def decycling(u: GroupElement, structure: GarsideStructure | None = None):
-    """Conjugate u by the inverse of its final factor; returns (result, conjugator)."""
+    """Conjugate u by the inverse of its final factor; returns (result, conjugator).
+
+    With u = Delta^(Nq) P and `last` the final block of N padded factors, the
+    result is Delta^(Nq) tau^(Nq)(last) P[:-len(last)], normalized once.
+    """
     structure = structure or GarsideStructure(u.ctx, 1)
-    blocks = structure.factors(u)
-    if not blocks:
-        return u, GroupElement.identity(u.ctx)
-    conj = blocks[-1].inverse()
-    return u.conjugate_by(conj), conj
+    ctx, n = u.ctx, structure.exponent
+    shift, padded = structure.padded(u)
+    if not padded:
+        return u, GroupElement.identity(ctx)
+    cut = (len(padded) - 1) // n * n
+    last = padded[cut:]
+    moved = [ctx.w_tau_pow(f, shift) for f in last]
+    return GroupElement(ctx, shift, moved + padded[:cut]), _block(ctx, last).inverse()
 
 
 def _orbit(u: GroupElement, structure: GarsideStructure, step):
@@ -110,6 +125,42 @@ def _orbit(u: GroupElement, structure: GarsideStructure, step):
     raise GarsideError("orbit iteration exceeded its cap")
 
 
+# Where a walk stops on an orbit's trail: pick(trail, j, structure) -> index,
+# j being the index the orbit returned to.
+def _max_inf(trail, j, structure):
+    return max(range(len(trail)), key=lambda k: structure.inf(trail[k]))
+
+
+def _min_sup(trail, j, structure):
+    return min(range(len(trail)), key=lambda k: structure.sup(trail[k]))
+
+
+def _repeat(trail, j, structure):
+    return j
+
+
+def _walk(u: GroupElement, structure: GarsideStructure, stages):
+    """Run each (step, pick) stage from where the last one stopped: walk the
+    orbit of `step` and move to the trail element `pick` chooses.  Returns that
+    element and the product of the conjugators, normalized once.
+
+    Within one call each orbit is walked once per start element and step: a
+    seed already in its summit set starts its last two walks where its first
+    two did, and reuses their trails.
+    """
+    walks: dict = {}
+    cur, conjs = u, []
+    for step, pick in stages:
+        key = (cur, step)
+        if key not in walks:
+            walks[key] = _orbit(cur, structure, step)
+        trail, cs, j = walks[key]
+        i = pick(trail, j, structure)
+        cur = trail[i]
+        conjs += cs[:i]
+    return cur, _product(u.ctx, conjs)
+
+
 def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated cycling until the structure infimum is maximal in the
     conjugacy class; returns (element, accumulated conjugator).
@@ -121,25 +172,20 @@ def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None)
     the map is the identity on elements that already realize the maximum.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
-    trail, conjs, _ = _orbit(u, structure, cycling)
-    i = max(range(len(trail)), key=lambda k: structure.inf(trail[k]))
-    return trail[i], _product(u.ctx, conjs[:i])
+    return _walk(u, structure, [(cycling, _max_inf)])
 
 
 def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated decycling until the structure supremum is minimal; identity on
     elements already realizing the minimum."""
     structure = structure or GarsideStructure(u.ctx, 1)
-    trail, conjs, _ = _orbit(u, structure, decycling)
-    i = min(range(len(trail)), key=lambda k: structure.sup(trail[k]))
-    return trail[i], _product(u.ctx, conjs[:i])
+    return _walk(u, structure, [(decycling, _min_sup)])
 
 
 def _orbit_to_repeat(u: GroupElement, structure: GarsideStructure, step):
     """Iterate `step` until the first repeated element; returns that element
     and the conjugator from u to it."""
-    trail, conjs, j = _orbit(u, structure, step)
-    return trail[j], _product(u.ctx, conjs[:j])
+    return _walk(u, structure, [(step, _repeat)])
 
 
 def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
@@ -147,21 +193,17 @@ def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
 
 
 def sss_seed(u: GroupElement, structure: GarsideStructure):
-    a, c1 = cycle_to_max_inf(u, structure)
-    b, c2 = decycle_to_min_sup(a, structure)
-    return b, c1 * c2
+    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup)])
 
 
 def uss_seed(u: GroupElement, structure: GarsideStructure):
-    a, c1 = sss_seed(u, structure)
-    b, c2 = _orbit_to_repeat(a, structure, cycling)
-    return b, c1 * c2
+    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup),
+                                (cycling, _repeat)])
 
 
 def rsss_seed(u: GroupElement, structure: GarsideStructure):
-    a, c1 = uss_seed(u, structure)
-    b, c2 = _orbit_to_repeat(a, structure, decycling)
-    return b, c1 * c2
+    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup),
+                                (cycling, _repeat), (decycling, _repeat)])
 
 
 def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:

@@ -267,12 +267,14 @@ class GroupContext:
         self._len_memo: dict[int, int] = {0: 0}
         self._ldesc_memo: dict[int, int] = {}
         self._rdesc_memo: dict[int, int] = {}
-        self._desc_sets: dict[int, frozenset[int]] = {}
+        self._supp_memo: dict[int, int] = {0: 0}
+        self._mask_sets: dict[int, frozenset[int]] = {}
         self._word_memo: dict[int, tuple[int, ...]] = {0: ()}
         self._meet_memo: dict[tuple[int, int], int] = {}
         self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
         self._all_elements: list[int] | None = None
-        # Tables of code outside the engine (the oracles), freed with the context.
+        # Tables of the layers above W (the live standard subgroups, held
+        # weakly, and the oracles' tables), freed with the context.
         self.memo: dict = {}
 
         self.delta = self.delta_of(frozenset(range(self.rank)))
@@ -389,16 +391,18 @@ class GroupContext:
             self._ldesc_memo[a] = out
         return out
 
-    def _desc_set(self, mask: int) -> frozenset[int]:
-        if mask not in self._desc_sets:
-            self._desc_sets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
-        return self._desc_sets[mask]
+    def mask_set(self, mask: int) -> GeneratorSet:
+        """The generator set of a bitmask, one interned frozenset per mask."""
+        out = self._mask_sets.get(mask)
+        if out is None:
+            out = self._mask_sets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
+        return out
 
     def w_right_descents(self, a: int) -> frozenset[int]:
-        return self._desc_set(self.w_rdesc_mask(a))
+        return self.mask_set(self.w_rdesc_mask(a))
 
     def w_left_descents(self, a: int) -> frozenset[int]:
-        return self._desc_set(self.w_ldesc_mask(a))
+        return self.mask_set(self.w_ldesc_mask(a))
 
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
@@ -460,9 +464,16 @@ class GroupContext:
             self._word_memo[a] = out
         return out
 
+    def w_supp_mask(self, a: int) -> int:
+        """Bitmask of the letters occurring in any (hence every) reduced word for a."""
+        out = self._supp_memo.get(a)
+        if out is None:
+            out = self._supp_memo[a] = sum(1 << s for s in set(self.w_word(a)))
+        return out
+
     def w_supp(self, a: int) -> GeneratorSet:
         """Letters occurring in any (hence every) reduced word for a."""
-        return frozenset(self.w_word(a))
+        return self.mask_set(self.w_supp_mask(a))
 
     def all_elements(self) -> list[int]:
         """Every element of W, sorted by (length, word); enumeration is memoized."""

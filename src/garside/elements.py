@@ -6,7 +6,8 @@ group elements), consecutive factors satisfying the left-greedy condition.
 Views with respect to the derived Garside structures with Garside element
 Delta^N are computed on demand and never stored, so equality is always a
 comparison of classical forms.  `_product` is the one n-ary constructor: parsed
-words, powers and conjugator products are normalized once, not once per factor.
+words, powers, conjugates (`conjugate_by`) and conjugator products are
+normalized once, not once per factor or operand.
 
 The lattice operations reduce to one primitive: the greatest common prefix,
 computed by repeatedly stripping the meet of the leading simple factors.  The
@@ -65,7 +66,7 @@ def _product(ctx: GroupContext, elements) -> "GroupElement":
 class GroupElement:
     """An element of A_S in classical left normal form Delta^p x_1 ... x_r."""
 
-    __slots__ = ("ctx", "power", "factors", "_hash")
+    __slots__ = ("ctx", "power", "factors")
 
     def __init__(self, ctx: GroupContext, power: int = 0, factors=(), *, normalized: bool = False):
         self.ctx = ctx
@@ -73,7 +74,6 @@ class GroupElement:
             self.power, self.factors = power, tuple(factors)
         else:
             self.power, self.factors = _normalize(ctx, power, factors)
-        self._hash = hash((self.power, self.factors))
 
     # ----------------------------------------------------------- constructors
 
@@ -167,8 +167,9 @@ class GroupElement:
         return _product(self.ctx, [base] * abs(m))
 
     def conjugate_by(self, g: "GroupElement") -> "GroupElement":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """g^-1 * self * g, normalized once."""
+        self._require_same(g)
+        return _product(self.ctx, (g.inverse(), self, g))
 
     def shift(self, k: int) -> "GroupElement":
         """Left multiplication by Delta^k (the normal form just shifts)."""
@@ -197,7 +198,7 @@ class GroupElement:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.power, self.factors))
 
     def sort_key(self):
         ctx = self.ctx
@@ -333,7 +334,8 @@ class MixedForm:
         return self.negative.inverse() * self.positive
 
     def support(self) -> GeneratorSet:
-        return positive_support(self.negative) | positive_support(self.positive)
+        ctx = self.positive.ctx
+        return ctx.mask_set(_support_mask(self.negative) | _support_mask(self.positive))
 
 
 @dataclass(frozen=True)
@@ -360,19 +362,24 @@ def np_normal_form(u: GroupElement) -> MixedForm:
 
 
 def pn_normal_form(u: GroupElement) -> PnForm:
+    if u.power >= 0:
+        return PnForm(u, GroupElement.identity(u.ctx))
     m = np_normal_form(u.reverse())
     return PnForm(m.positive.reverse(), m.negative.reverse())
 
 
-def positive_support(u: GroupElement) -> GeneratorSet:
+def _support_mask(u: GroupElement) -> int:
     ctx = u.ctx
     assert u.is_positive(), "support of a raw factor list needs a positive element"
-    out: set[int] = set()
-    if u.power > 0:
-        out.update(range(ctx.rank))
+    mask = (1 << ctx.rank) - 1 if u.power > 0 else 0
     for f in u.factors:
-        out.update(ctx.w_supp(f))
-    return frozenset(out)
+        mask |= ctx.w_supp_mask(f)
+    return mask
+
+
+def positive_support(u: GroupElement) -> GeneratorSet:
+    """Generators of a positive element; the context's one set for that support."""
+    return u.ctx.mask_set(_support_mask(u))
 
 
 def support(u: GroupElement) -> GeneratorSet:
@@ -383,6 +390,12 @@ def support(u: GroupElement) -> GeneratorSet:
 
 
 # ------------------------------------------------------------ Delta^N structures
+
+
+def _block(ctx: GroupContext, factors: list[int]) -> GroupElement:
+    """The element of consecutive normal-form factors, Delta copies first."""
+    k = factors.count(ctx.delta)
+    return GroupElement(ctx, k, factors[k:], normalized=True)
 
 
 @dataclass(frozen=True)
@@ -414,17 +427,19 @@ class GarsideStructure:
     def tau(self, u: GroupElement, k: int = 1) -> GroupElement:
         return u.tau(self.exponent * k)
 
+    def padded(self, u: GroupElement) -> tuple[int, list[int]]:
+        """u as Delta^(N inf(u)) times a list of classical simple factors: the
+        leftover leading Delta copies (fewer than N), then u's own factors.
+        Returns the Delta power N inf(u) and the list."""
+        shift = self.exponent * self.inf(u)
+        return shift, [self.ctx.delta] * (u.power - shift) + list(u.factors)
+
     def factors(self, u: GroupElement) -> list[GroupElement]:
-        """The simple factors of u for this structure: classical factors,
-        leading Delta copies included, grouped left to right in blocks of N."""
-        ctx, n = self.ctx, self.exponent
-        padded = [ctx.delta] * (u.power - n * self.inf(u)) + list(u.factors)
-        blocks = []
-        for i in range(0, len(padded), n):
-            block = padded[i:i + n]
-            k = block.count(ctx.delta)
-            blocks.append(GroupElement(ctx, k, block[k:], normalized=True))
-        return blocks
+        """The simple factors of u for this structure: the padded classical
+        factors grouped left to right in blocks of N."""
+        n = self.exponent
+        _, padded = self.padded(u)
+        return [_block(self.ctx, padded[i:i + n]) for i in range(0, len(padded), n)]
 
     def canonical_form(self, u: GroupElement) -> "CanonicalForm":
         blocks = self.factors(u)

@@ -21,6 +21,7 @@ from enum import Enum
 from .coxeter import GroupContext
 from .elements import GroupElement, format_signed_word, format_word
 from .errors import (
+    BudgetExceeded,
     ContextMismatch,
     EqualSubgroups,
     GarsideError,
@@ -126,11 +127,17 @@ class Certificate:
         }
 
 
+# Most elements a signed ball may hold before BudgetExceeded; the ball grows
+# exponentially with its radius.
+_BALL_CAP = 20_000
+
+
 def _ball_words(ctx: GroupContext, radius: int,
                 letters=None) -> dict[GroupElement, tuple[tuple[int, int], ...]]:
     """Every element given by a signed word of length <= radius over the chosen
     generators (all of them by default), mapped to its first shortest word when
-    generators come before their inverses."""
+    generators come before their inverses.  Raises BudgetExceeded past
+    _BALL_CAP elements."""
     gens = sorted(letters) if letters is not None else range(ctx.rank)
     steps = [((i, 1), GroupElement.generator(ctx, i)) for i in gens]
     steps += [((i, -1), g.inverse()) for (i, _), g in steps]
@@ -144,6 +151,10 @@ def _ball_words(ctx: GroupContext, radius: int,
                 if v not in words:
                     words[v] = words[u] + (letter,)
                     nxt.append(v)
+                    if len(words) > _BALL_CAP:
+                        raise BudgetExceeded(
+                            f"signed ball of radius {radius} holds more than {_BALL_CAP} elements"
+                        )
         frontier = nxt
     return words
 

@@ -12,6 +12,7 @@ and serialization canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .coxeter import GeneratorSet, GroupContext
 from .conjugacy import cycle_to_max_inf, element_of_i_infinity
@@ -58,7 +59,7 @@ def central_element_of_standard(ctx: GroupContext, X) -> GroupElement:
 class ParabolicSubgroup:
     """The subgroup b A_Y b^-1, stored through its minimal standardizer b."""
 
-    __slots__ = ("ctx", "standardizer", "base", "z")
+    __slots__ = ("ctx", "standardizer", "base", "z", "__weakref__")
 
     def __init__(self, ctx: GroupContext, standardizer: GroupElement,
                  base: GeneratorSet, z: GroupElement):
@@ -82,7 +83,13 @@ class ParabolicSubgroup:
         base = support(standard_z)
         if standard_z != central_element_of_standard(ctx, base):
             raise GarsideError("central element does not define a parabolic subgroup")
-        return ParabolicSubgroup(ctx, b, base, z)
+        P = ParabolicSubgroup(ctx, b, base, z)
+        if b.is_identity():
+            # One live object per standard subgroup, held weakly so that the
+            # context is still freed as soon as nothing uses it.
+            live = ctx.memo.setdefault("standard subgroups", WeakValueDictionary())
+            P = live.setdefault(base, P)
+        return P
 
     @staticmethod
     def standard(ctx: GroupContext, X) -> "ParabolicSubgroup":
@@ -123,9 +130,6 @@ class ParabolicSubgroup:
             and self.ctx is other.ctx
             and self.z == other.z
         )
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self.z)
@@ -189,16 +193,23 @@ def minimal_standardizer(P: ParabolicSubgroup) -> tuple[GroupElement, GeneratorS
 
 
 def parabolic_closure(u: GroupElement) -> ParabolicSubgroup:
-    """The smallest parabolic subgroup containing u.
+    """The smallest parabolic subgroup containing u, by the first of three paths
+    that applies:
 
-    When u has a positive conjugate the closure is read off the support of any
-    positive conjugate; otherwise the element is pushed into the summit sets
-    of every Garside structure Delta^N and the support there is used.
+    * positive: when cycling takes u to a positive conjugate beta = u^c, the
+      closure is c A_X c^-1 with X the support of beta;
+    * negative: otherwise, when cycling takes u^-1 to a positive beta, the same
+      formula holds.  This is exact because PC(u) = PC(u^-1): a subgroup
+      holds the inverse of each of its elements;
+    * i-infinity: otherwise u is pushed into the summit sets of every Garside
+      structure Delta^N (`element_of_i_infinity`) and the support there is used.
     """
     ctx = u.ctx
     if u.is_identity():
         return ParabolicSubgroup.trivial(ctx)
     beta, conj = cycle_to_max_inf(u)
+    if not beta.is_positive():
+        beta, conj = cycle_to_max_inf(u.inverse())
     if not beta.is_positive():
         beta, conj, _ = element_of_i_infinity(u)
     return ParabolicSubgroup.from_conjugator(ctx, conj, support(beta))

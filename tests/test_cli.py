@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from garside.cli import run
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
@@ -145,6 +147,18 @@ def test_budget_exhaustion_exit_code(capsys):
     # the Coxeter group of E7 is too large to enumerate simple elements
     code, _, err = invoke(capsys, "E7", "summit", "--kind", "sss", "s1")
     assert code == 3 and "budget" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ("A3", "intersect", "s1,s2", "s2,s3", "--budget", "25"),
+    ("A3", "join", "s1", "s3", "--budget", "12"),
+])
+def test_runaway_ball_budget_exits_3(capsys, argv):
+    # The signed ball grows past its element cap long before this radius.
+    code, out, err = invoke(capsys, *argv)
+    lines = err.strip().splitlines()
+    assert code == 3 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
 
 
 def test_config_budgets(tmp_path, capsys):

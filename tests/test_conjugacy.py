@@ -34,6 +34,7 @@ from garside.conjugacy import (
     summit_membership,
     uss_seed,
 )
+from garside import conjugacy
 from garside.errors import EmptySet, NotConjugating, NotInUSS
 
 from conftest import FAMILIES, ctx, family, random_element
@@ -231,6 +232,15 @@ def _ref_closed_orbit(u, structure, step):
     raise AssertionError("orbit iteration exceeded its cap")
 
 
+def _ref_rsss_seed(u, structure):
+    """rsss_seed as four separate orbit walks, before walks were shared."""
+    a, c1 = _ref_cycle_to_max_inf(u, structure)
+    b, c2 = _ref_decycle_to_min_sup(a, structure)
+    x, c3 = _ref_orbit_to_repeat(b, structure, cycling)
+    y, c4 = _ref_orbit_to_repeat(x, structure, decycling)
+    return y, c1 * c2 * c3 * c4
+
+
 def _walker_inputs(c, rng):
     """The identity, Delta powers and 100 seeded words, every fifth of them
     negative."""
@@ -257,6 +267,7 @@ def test_orbit_walker_matches_reference_loops(token):
             assert uss_seed(u, st) == (x, c1 * c2 * c3)
             y, c4 = _ref_orbit_to_repeat(x, st, decycling)
             assert rsss_seed(u, st) == (y, c1 * c2 * c3 * c4)
+            assert rsss_seed(y, st) == _ref_rsss_seed(y, st) == (y, GroupElement.identity(c))
             assert in_uss(u, st) == (
                 st.canonical_length(u) == st.canonical_length(b)
                 and _ref_closed_orbit(u, st, cycling)
@@ -264,6 +275,58 @@ def test_orbit_walker_matches_reference_loops(token):
             for step in (cycling, decycling):
                 assert _orbit_to_repeat(u, st, step) == _ref_orbit_to_repeat(u, st, step)
                 assert _closed_orbit(u, st, step) == _ref_closed_orbit(u, st, step)
+
+
+def test_seed_walks_each_orbit_once(monkeypatch):
+    """From a point of its own summit set, rsss_seed walks the cycling and the
+    decycling orbit once each and reuses them for the last two stages."""
+    c = family("B3")
+    rng = random.Random(8)
+    walks = []
+
+    def counted(u, structure, step):
+        walks.append((u, step))
+        return real(u, structure, step)
+
+    real = conjugacy._orbit
+    monkeypatch.setattr(conjugacy, "_orbit", counted)
+    for n in (1, 2):
+        st = GarsideStructure(c, n)
+        for _ in range(20):
+            y, _ = rsss_seed(random_element(c, rng, 8), st)
+            walks.clear()
+            assert rsss_seed(y, st) == (y, GroupElement.identity(c))
+            assert walks == [(y, cycling), (y, decycling)]
+
+
+def _surgery_inputs(c, rng):
+    """The identity, Delta^k for k = -3..3, canonical length 1 (a generator,
+    the longest proper simple and both times Delta powers), negative words
+    and mixed words."""
+    out = [GroupElement.delta_power(c, k) for k in range(-3, 4)]
+    simple = GroupElement.from_simple(c, c.delta_of(frozenset(range(c.rank - 1))))
+    for x in (GroupElement.generator(c, c.rank - 1), simple):
+        out += [x, x.shift(2), x.shift(-1), x.inverse()]
+    for i in range(40):
+        u = random_element(c, rng, 9, signed=i % 2 == 0)
+        out.append(u if i % 4 else u.inverse())
+    return out
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_cycling_and_decycling_are_their_conjugations(token):
+    """The factor surgery in cycling and decycling equals conjugation by the
+    initial factor and by the inverse of the last block."""
+    c = family(token)
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        st = GarsideStructure(c, n)
+        for u in _surgery_inputs(c, rng):
+            iota = initial_factor(u, st)
+            assert cycling(u, st) == (u.conjugate_by(iota), iota)
+            blocks = st.factors(u)
+            last = blocks[-1].inverse() if blocks else GroupElement.identity(c)
+            assert decycling(u, st) == (u.conjugate_by(last), last)
 
 
 def test_summit_graph_sss_example():

@@ -30,7 +30,7 @@ from garside import elements
 from garside.elements import _normalize
 from garside.errors import ContextMismatch, NotSimple, ParseError
 
-from conftest import FAMILIES, ctx, family, random_element
+from conftest import FAMILIES, ctx, family, random_element, random_word
 
 
 def w(token, text):
@@ -468,6 +468,34 @@ def test_support():
     assert support(GroupElement.delta_power(ctx("A2"), -2)) == frozenset({0, 1})
     assert support(w("A4", "s2 s2 s2^-1")) == frozenset({1})
     assert support(GroupElement.identity(ctx("A4"))) == frozenset()
+
+
+def test_equal_supports_are_one_set():
+    c = ctx("A4")
+    same = [w("A4", "s1 s3"), w("A4", "s3 s1 s1"), w("A4", "s1^-1 s3"),
+            w("A4", "s3^-1 s1^-1 s3 s3")]
+    sets = [support(u) for u in same] + [c.w_supp(c.w_mul(c.gens[0], c.gens[2]))]
+    assert all(x is sets[0] for x in sets) and sets[0] == frozenset({0, 2})
+    full = [support(GroupElement.delta_power(c, k)) for k in (1, -2)]
+    assert full[0] is full[1] is support(w("A4", "s1 s2 s3 s4"))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_equal_elements_hash_equal(token):
+    c = family(token)
+    rng = random.Random(23)
+    for _ in range(30):
+        word = random_word(c, rng, 10)
+        u = parse_word(c, word)
+        routes = [
+            parse_element(c, format_element(u)),
+            elements._product(c, [parse_word(c, t) for t in word.split()]),
+            u.inverse().inverse(),
+            u.conjugate_by(GroupElement.identity(c)),
+            GroupElement(c, u.power, u.factors),
+        ]
+        for v in routes:
+            assert v == u and hash(v) == hash(u)
 
 
 def test_np_form_is_stable_under_parabolic_restriction():

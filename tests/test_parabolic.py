@@ -1,6 +1,11 @@
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from garside import (
     GroupElement,
@@ -8,6 +13,7 @@ from garside import (
     conjugated_parabolic,
     contains_element,
     contains_subgroup,
+    context_from_token,
     format_element,
     join_prefix,
     minimal_standardizer,
@@ -20,10 +26,12 @@ from garside import (
     support,
     z_of,
 )
+from garside import parabolic
+from garside.conjugacy import element_of_i_infinity
 from garside.errors import ContextMismatch
 from garside.parabolic import central_element_of_standard
 
-from conftest import ctx, random_element
+from conftest import FAMILIES, ctx, family, random_element
 
 
 def w(token, text):
@@ -218,6 +226,119 @@ def test_closure_of_powers_small():
         P = parabolic_closure(u)
         for m in (-3, -2, -1, 2, 3):
             assert parabolic_equal(parabolic_closure(u**m), P)
+
+
+# Elements for the closure properties: a Delta power times a word of one of
+# three shapes, one per path of parabolic_closure.  A positive word closes on
+# the positive path and a negative one on the negative path; a word times the
+# inverse of a word of the same length has exponent sum 0, so neither it nor
+# its inverse has a positive conjugate unless it is trivial: the i-infinity path.
+_letters = hs.lists(hs.integers(0, 7), max_size=6)
+
+
+@hs.composite
+def closure_inputs(draw):
+    c = family(draw(hs.sampled_from(FAMILIES)))
+    shape = draw(hs.sampled_from(("positive", "negative", "exponent sum 0")))
+    first = [(s % c.rank, 1) for s in draw(_letters)]
+    u = GroupElement.from_letters(c, first)
+    if shape == "negative":
+        u = u.inverse()
+    elif shape == "exponent sum 0":
+        second = [(s % c.rank, 1) for s in draw(hs.lists(
+            hs.integers(0, 7), min_size=len(first), max_size=len(first)))]
+        u = u * GroupElement.from_letters(c, second).inverse()
+    return u.shift(draw(hs.integers(-3, 3)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(closure_inputs(), hs.sampled_from((1, 2, 3, -1, -2, -3)))
+def test_closure_of_powers_and_inverse(u, m):
+    P = parabolic_closure(u)
+    assert contains_element(P, u)
+    assert parabolic_equal(parabolic_closure(u.inverse()), P)
+    if not u.is_identity():
+        assert parabolic_equal(parabolic_closure(u**m), P)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(closure_inputs(), hs.lists(hs.tuples(hs.integers(0, 7), hs.sampled_from((1, -1))),
+                                  max_size=4))
+def test_closure_is_conjugation_equivariant(u, letters):
+    c = u.ctx
+    x = GroupElement.from_letters(c, [(s % c.rank, e) for s, e in letters])
+    P = parabolic_closure(u)
+    assert parabolic_equal(parabolic_closure(u.conjugate_by(x)), conjugated_parabolic(P, x))
+    assert contains_element(conjugated_parabolic(P, x), u.conjugate_by(x))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_closure_paths(token, monkeypatch):
+    """Each input takes the path its shape predicts, and the negative path
+    agrees with the i-infinity path it skips."""
+    c = family(token)
+    i_infinity_calls = []
+
+    def counted(u):
+        i_infinity_calls.append(u)
+        return element_of_i_infinity(u)
+
+    monkeypatch.setattr(parabolic, "element_of_i_infinity", counted)
+    cases = [
+        (parse_word(c, "s1 s2"), "positive"),
+        (GroupElement.delta_power(c, 2), "positive"),
+        (parse_word(c, "s1^-1 s2^-1 s1^-1"), "negative"),
+        (GroupElement.delta_power(c, -3), "negative"),
+        (parse_word(c, "s1 s2^-1"), "i-infinity"),
+        (parse_word(c, "s2 s1 s1 s2^-1 s1^-1 s2^-1"), "i-infinity"),
+    ]
+    for u, path in cases:
+        i_infinity_calls.clear()
+        P = parabolic_closure(u)
+        assert contains_element(P, u)
+        assert i_infinity_calls == ([u] if path == "i-infinity" else [])
+        if path == "negative":
+            beta, conj, _ = element_of_i_infinity(u)
+            assert parabolic_equal(
+                P, ParabolicSubgroup.from_conjugator(c, conj, support(beta)))
+
+
+def test_retained_closures_are_small():
+    """A non-standard closure keeps two elements and the context's interned
+    base set: 300 retained A3 closures stay under 400 bytes each.  Standard
+    closures are interned, one per base."""
+    c = ctx("A3")
+    assert parabolic_closure(w("A3", "s1 s2")) is parabolic_closure(w("A3", "s2^-1 s1^-1"))
+    rng = random.Random(9)
+    us = []
+    while len(us) < 300:
+        u = random_element(c, rng, 6).conjugate_by(random_element(c, rng, 3))
+        if not parabolic_closure(u).is_standard():  # also fills the memo tables
+            us.append(u)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [parabolic_closure(u) for u in us]
+        gc.collect()
+        per_closure = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_closure < 400, per_closure
+
+
+def test_context_is_freed_without_cycle_collection():
+    """Interned standard subgroups are held weakly: closures leave no
+    reference cycle through the context."""
+    c = context_from_token("A3")
+    ref = weakref.ref(c)
+    kept = [parabolic_closure(parse_word(c, t)) for t in ("s1 s2", "s2^-1 s1^-1", "s1 s2^-1")]
+    gc.disable()
+    try:
+        del c, kept
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_z_closure_fixed_point():
