@@ -8,15 +8,17 @@ emits machine-readable artifacts, byte-identical across runs, and --format
 dot draws the graph of summit, complex-ball and figures.
 
 Exit codes: 0 on success, 1 on other library errors (a non-spherical
-Coxeter matrix, a rank above the cap, ...), 2 on parse/usage errors (bad
-words, tokens, flags, group and config files or output paths), 3 when a
-bounded enumeration outgrows its cap (one `budget exhausted:` line on stderr).
+Coxeter matrix, a rank above the cap, ...) and on a closed stdout, 2 on
+parse/usage errors (bad words, tokens, flags, group and config files or
+output paths), 3 when a bounded enumeration outgrows its cap (one `budget
+exhausted:` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -119,6 +121,13 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _emit_as(args, payload, text: str) -> None:
+    if args.format == "json":
+        _emit_json(args, payload)
+    else:
+        _emit(args, text)
+
+
 def _structure(ctx: GroupContext, args) -> GarsideStructure:
     return GarsideStructure(ctx, getattr(args, "N", 1))
 
@@ -188,29 +197,21 @@ def _run_word_command(ctx: GroupContext, args) -> int:
     st = _structure(ctx, args)
     if args.command == "nf":
         form = st.canonical_form(u)
-        _emit(args, form.text()) if args.format == "text" else _emit_json(args, form.to_json())
+        _emit_as(args, form.to_json(), form.text())
     elif args.command in ("np", "pn"):
-        if args.command == "np":
-            f = np_normal_form(u)
-            parts = {"negative": f.negative, "positive": f.positive}
-        else:
-            f = pn_normal_form(u)
-            parts = {"positive": f.positive, "negative": f.negative}
-        if args.format == "json":
-            _emit_json(args, {k: format_element(v) for k, v in parts.items()})
-        else:
-            _emit(args, "\n".join(f"{k}: {format_element(v)}" for k, v in parts.items()))
+        f = np_normal_form(u) if args.command == "np" else pn_normal_form(u)
+        keys = ("negative", "positive") if args.command == "np" else ("positive", "negative")
+        shown = {k: format_element(getattr(f, k)) for k in keys}
+        _emit_as(args, shown, "\n".join(f"{k}: {v}" for k, v in shown.items()))
     elif args.command == "supp":
         letters = " ".join(f"s{i + 1}" for i in sorted(support(u))) or "-"
-        _emit_json(args, {"support": letters.split()}) if args.format == "json" else _emit(args, letters)
+        _emit_as(args, {"support": letters.split()}, letters)
     elif args.command in ("cycle", "decycle", "twist"):
         op = {"cycle": conjugacy.cycling, "decycle": conjugacy.decycling,
               "twist": conjugacy.twisted_cycling}[args.command]
         result, conj = op(u, st)
-        if args.format == "json":
-            _emit_json(args, {"result": format_element(result), "conjugator": format_element(conj)})
-        else:
-            _emit(args, f"result: {format_element(result)}\nconjugator: {format_element(conj)}")
+        shown = {"result": format_element(result), "conjugator": format_element(conj)}
+        _emit_as(args, shown, "\n".join(f"{k}: {v}" for k, v in shown.items()))
     elif args.command == "summit":
         graph = conjugacy.compute_summit_graph(
             u, _KINDS[args.kind], st,
@@ -229,10 +230,10 @@ def _run_word_command(ctx: GroupContext, args) -> int:
             _emit(args, "\n".join(lines))
     elif args.command == "closure":
         P = parabolic.parabolic_closure(u)
-        _emit_json(args, P.to_json()) if args.format == "json" else _emit(args, _subgroup_text(P))
+        _emit_as(args, P.to_json(), _subgroup_text(P))
     elif args.command == "phi":
         value = parabolic.phi(u)
-        _emit_json(args, {"phi": value}) if args.format == "json" else _emit(args, str(value))
+        _emit_as(args, {"phi": value}, str(value))
     return 0
 
 
@@ -253,37 +254,30 @@ def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
     Q = _parse_subgroup(ctx, args.subgroup2) if hasattr(args, "subgroup2") else None
     if args.command == "z":
         value = parabolic.z_of(P).value
-        _emit_json(args, P.to_json()["z"]) if args.format == "json" else _emit(args, format_element(value))
+        _emit_as(args, P.to_json()["z"], format_element(value))
     elif args.command == "standardize":
         data = P.to_json()
-        if args.format == "json":
-            _emit_json(args, {"standardizer": data["standardizer"], "base": data["base"]})
-        else:
-            _emit(args, _subgroup_text(P))
+        _emit_as(args, {"standardizer": data["standardizer"], "base": data["base"]},
+                 _subgroup_text(P))
     elif args.command == "commute-z":
         value = lattice.z_commute(P, Q)
-        _emit_json(args, {"commute": value}) if args.format == "json" else _emit(args, str(value).lower())
+        _emit_as(args, {"commute": value}, str(value).lower())
     elif args.command == "adjacent":
         verdict = lattice.characterize_pair(P, Q)
         payload = {
             "commute": verdict.commute,
             "condition": verdict.condition.value if verdict.condition else None,
         }
-        if args.format == "json":
-            _emit_json(args, payload)
-        else:
-            _emit(args, f"commute: {str(verdict.commute).lower()}\n"
-                        f"condition: {payload['condition'] or '-'}")
+        _emit_as(args, payload, f"commute: {str(verdict.commute).lower()}\n"
+                                f"condition: {payload['condition'] or '-'}")
     elif args.command in ("intersect", "join"):
         op = lattice.intersect if args.command == "intersect" else lattice.join
         budget = _default_budget(args, config, args.command,
                                  5 if args.command == "intersect" else 3)
         result, cert = op(P, Q, budget)
-        if args.format == "json":
-            _emit_json(args, {"subgroup": result.to_json(), "certificate": cert.to_json()})
-        else:
-            _emit(args, _subgroup_text(result) + "\ncertificate: "
-                  + json.dumps(cert.to_json(), sort_keys=True))
+        _emit_as(args, {"subgroup": result.to_json(), "certificate": cert.to_json()},
+                 _subgroup_text(result) + "\ncertificate: "
+                 + json.dumps(cert.to_json(), sort_keys=True))
     elif args.command == "complex-ball":
         ball = lattice.complex_ball(
             P, _non_negative("--radius", args.radius),
@@ -379,7 +373,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left to devnull, so that the
+        # flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,15 @@ are computed with respect to an explicit Garside structure (Delta^N for some
 N >= 1); the set of positive conjugates does not depend on N, only its arrow
 labels do.
 
-Seeds for the summit sets follow the standard recipe: iterated cycling raises
-the infimum to its conjugacy-class maximum, iterated decycling then lowers the
-supremum to its minimum, and repetition detection along the cycling (resp.
-decycling) orbit lands in the closed-orbit subsets.  "Cannot be improved any
-further" is detected by the orbit looping without a gain, which is conclusive
-because cycling trajectories live in a finite set of conjugates.
+Seeds follow the standard recipe: iterated cycling raises the infimum to its
+conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
+(the super summit set), and an orbit looping without a gain is conclusive,
+because the trajectories live in a finite set of conjugates.  `_CLOSED_STEPS`
+defines each further kind by the steps whose orbits its elements close (SU
+adds the truncated power condition); `summit_seed` and `summit_membership`
+read it.  Every stage stops at the first best element of its trail and a
+closed orbit repeats at its start, so summit_seed(u) is (u, identity) exactly
+when u lies in its set.
 """
 
 from __future__ import annotations
@@ -108,11 +111,13 @@ def decycling(u: GroupElement, structure: GarsideStructure | None = None):
     return GroupElement(ctx, shift, moved + padded[:cut]), _block(ctx, last).inverse()
 
 
-def _orbit(u: GroupElement, structure: GarsideStructure, step):
-    """Apply `step` (cycling or decycling) from u until an element repeats.
+def _orbit(u, structure: GarsideStructure, step):
+    """Apply `step` (cycling, decycling, or transport of a triple) from u until
+    an element repeats.
 
-    Returns the trail of elements visited (u first), the conjugator of each
-    step, and the index in the trail that the last step returned to.
+    Returns the trail of elements visited (u first), what each step returned
+    beside the next element, and the index in the trail that the last step
+    returned to.
     """
     index = {u: 0}
     cur, conjs = u, []
@@ -182,49 +187,46 @@ def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = Non
     return _walk(u, structure, [(decycling, _min_sup)])
 
 
-def _orbit_to_repeat(u: GroupElement, structure: GarsideStructure, step):
-    """Iterate `step` until the first repeated element; returns that element
-    and the conjugator from u to it."""
-    return _walk(u, structure, [(step, _repeat)])
-
-
 def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
     return _orbit(u, structure, step)[2] == 0
 
 
-def sss_seed(u: GroupElement, structure: GarsideStructure):
-    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup)])
-
-
-def uss_seed(u: GroupElement, structure: GarsideStructure):
-    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup),
-                                (cycling, _repeat)])
-
-
-def rsss_seed(u: GroupElement, structure: GarsideStructure):
-    return _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup),
-                                (cycling, _repeat), (decycling, _repeat)])
+# The steps whose orbits the elements of each kind close, once they have
+# maximal inf and minimal sup.
+_CLOSED_STEPS = {
+    SummitKind.SSS: (),
+    SummitKind.USS: (cycling,),
+    SummitKind.RSSS: (cycling, decycling),
+    SummitKind.SU: (cycling, decycling),
+}
 
 
 def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
     """Whether u lies in the ultra summit set of its own conjugacy class."""
-    seed, _ = sss_seed(u, structure)
-    if structure.canonical_length(u) != structure.canonical_length(seed):
-        return False
-    return _closed_orbit(u, structure, cycling)
+    return summit_seed(u, SummitKind.USS, structure)[0] == u
 
 
-def su_seed(u: GroupElement, structure: GarsideStructure, power_bound: int = 4):
-    """Conjugate into the stable ultra summit set, with the all-powers
-    condition truncated to 0 < |m| <= power_bound."""
-    x, *conjs = rsss_seed(u, structure)
+def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
+                power_bound: int = 4):
+    """Conjugate u into the summit set of `kind`; returns (element, conjugator).
+    SU then moves each power x^m, 0 < |m| <= power_bound, into its USS."""
+    if kind is SummitKind.POSITIVE_CONJUGATES:
+        v, conj = cycle_to_max_inf(u, structure)
+        if not v.is_positive():
+            raise EmptySet(f"{u} has no positive conjugate")
+        return v, conj
+    x, conj = _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup)]
+                    + [(step, _repeat) for step in _CLOSED_STEPS[kind]])
+    if kind is not SummitKind.SU:
+        return x, conj
+    conjs = [conj]
     exponents = [m for k in range(1, power_bound + 1) for m in (k, -k)]
     for _ in range(100):
         moved = False
         for m in exponents:
             y = x**m
-            if not in_uss(y, structure):
-                _, c = uss_seed(y, structure)
+            z, c = summit_seed(y, SummitKind.USS, structure)
+            if z != y:
                 x = x.conjugate_by(c)
                 conjs.append(c)
                 moved = True
@@ -233,50 +235,23 @@ def su_seed(u: GroupElement, structure: GarsideStructure, power_bound: int = 4):
     raise GarsideError("stable-set conjugation did not stabilize")
 
 
-def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
-                power_bound: int = 4):
-    if kind is SummitKind.POSITIVE_CONJUGATES:
-        v, conj = cycle_to_max_inf(u, structure)
-        if not v.is_positive():
-            raise EmptySet(f"{u} has no positive conjugate")
-        return v, conj
-    if kind is SummitKind.SSS:
-        return sss_seed(u, structure)
-    if kind is SummitKind.USS:
-        return uss_seed(u, structure)
-    if kind is SummitKind.RSSS:
-        return rsss_seed(u, structure)
-    return su_seed(u, structure, power_bound)
-
-
 def summit_membership(kind: SummitKind, structure: GarsideStructure,
                       seed: GroupElement, power_bound: int = 4):
     """Membership predicate for the summit set containing `seed`.
 
-    Callers must only apply it to conjugates of the seed.
+    Callers must only apply it to conjugates of the seed: those of its
+    canonical length have maximal inf and minimal sup.
     """
     if kind is SummitKind.POSITIVE_CONJUGATES:
         return lambda w: w.is_positive()
     target = structure.canonical_length(seed)
+    exponents = ([m for k in range(1, power_bound + 1) for m in (k, -k)]
+                 if kind is SummitKind.SU else [])
 
     def member(w: GroupElement) -> bool:
-        if structure.canonical_length(w) != target:
-            return False
-        if kind is SummitKind.SSS:
-            return True
-        if not _closed_orbit(w, structure, cycling):
-            return False
-        if kind is SummitKind.USS:
-            return True
-        if not _closed_orbit(w, structure, decycling):
-            return False
-        if kind is SummitKind.RSSS:
-            return True
-        return all(
-            in_uss(w**m, structure)
-            for k in range(1, power_bound + 1)
-            for m in (k, -k)
-        )
+        return (structure.canonical_length(w) == target
+                and all(_closed_orbit(w, structure, step) for step in _CLOSED_STEPS[kind])
+                and all(in_uss(w**m, structure) for m in exponents))
 
     return member
 
@@ -338,10 +313,7 @@ def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]
         assert found, "every atom admits a minimal conjugator (Delta^N works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
         rho.append(found[0])
-    uniq = []
-    for y in rho:
-        if y not in uniq:
-            uniq.append(y)
+    uniq = list(dict.fromkeys(rho))
     return [
         y for y in uniq
         if not any(z != y and prefix_le(z, y) for z in uniq)
@@ -487,9 +459,9 @@ class TransportRecord:
 def transport(v: GroupElement, w: GroupElement, x: GroupElement,
               structure: GarsideStructure):
     """One transport step: (c(v), c(w), iota(v)^-1 x iota(w))."""
-    iv = initial_factor(v, structure)
-    iw = initial_factor(w, structure)
-    return v.conjugate_by(iv), w.conjugate_by(iw), iv.inverse() * x * iw
+    cv, iv = cycling(v, structure)
+    cw, iw = cycling(w, structure)
+    return cv, cw, _product(v.ctx, (iv.inverse(), x, iw))
 
 
 def transport_orbit(v: GroupElement, w: GroupElement, x: GroupElement,
@@ -508,14 +480,15 @@ def transport_orbit(v: GroupElement, w: GroupElement, x: GroupElement,
         shift += (-shift) % ctx.tau_order
         x = x * GroupElement.delta_power(ctx, shift)
 
-    v0, w0, x0 = v, w, x
-    cv, cw, cx = v, w, x
-    for i in range(1, _ORBIT_CAP):
-        cv, cw, cx = transport(cv, cw, cx, structure)
+    def step(triple, structure):
+        cv, cw, cx = transport(*triple, structure)
         assert cv.conjugate_by(cx) == cw, "transports must keep conjugating"
-        if (cv, cw, cx) == (v0, w0, x0):
-            return TransportRecord(v0, w0, x0, i)
-    raise GarsideError("transport orbit exceeded its cap")
+        return (cv, cw, cx), None
+
+    trail, _, j = _orbit((v, w, x), structure, step)
+    if j != 0:
+        raise GarsideError("transport orbit does not return to its start")
+    return TransportRecord(v, w, x, len(trail))
 
 
 def cycling_conjugator_product(v: GroupElement, t: int,

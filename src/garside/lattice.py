@@ -165,6 +165,17 @@ def signed_ball(ctx: GroupContext, radius: int, letters=None) -> list[GroupEleme
     return sorted(_ball_words(ctx, radius, letters), key=GroupElement.sort_key)
 
 
+def _nested(P: ParabolicSubgroup, Q: ParabolicSubgroup):
+    """(certificate note, smaller, larger) when one of P, Q contains the other."""
+    if parabolic_equal(P, Q):
+        return "subgroups equal", P, P
+    if contains_subgroup(Q, P):
+        return "P contained in Q", P, Q
+    if contains_subgroup(P, Q):
+        return "Q contained in P", Q, P
+    return None
+
+
 def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
               budget: int = 5) -> tuple[ParabolicSubgroup, Certificate]:
     """Bounded realization of the intersection of two parabolic subgroups.
@@ -176,15 +187,9 @@ def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     """
     _require_same(P, Q)
     cert = Certificate(operation="intersect", budget=budget)
-    if parabolic_equal(P, Q):
-        cert.notes.append("subgroups equal")
-        return P, cert
-    if contains_subgroup(Q, P):
-        cert.notes.append("P contained in Q")
-        return P, cert
-    if contains_subgroup(P, Q):
-        cert.notes.append("Q contained in P")
-        return Q, cert
+    if nested := _nested(P, Q):
+        cert.notes.append(nested[0])
+        return nested[1], cert
 
     b = P.standardizer
     bi = b.inverse()
@@ -250,15 +255,9 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     _require_same(P, Q)
     ctx = P.ctx
     cert = Certificate(operation="join", budget=budget)
-    if parabolic_equal(P, Q):
-        cert.notes.append("subgroups equal")
-        return P, cert
-    if contains_subgroup(Q, P):
-        cert.notes.append("P contained in Q")
-        return Q, cert
-    if contains_subgroup(P, Q):
-        cert.notes.append("Q contained in P")
-        return P, cert
+    if nested := _nested(P, Q):
+        cert.notes.append(nested[0])
+        return nested[2], cert
 
     def is_upper(T: ParabolicSubgroup) -> bool:
         return contains_subgroup(T, P) and contains_subgroup(T, Q)

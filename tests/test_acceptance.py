@@ -34,7 +34,7 @@ from garside import (
 from garside.conjugacy import (
     cycling_conjugator_product,
     summit_membership,
-    uss_seed,
+    summit_seed,
 )
 from garside.lattice import (
     _irreducible_proper_bases,
@@ -313,7 +313,7 @@ def test_criterion_10_iterated_cycling_prefixes():
             if got >= want:
                 break
             u = random_element(c, rng, 7)
-            v, _ = uss_seed(u, st)
+            v, _ = summit_seed(u, SummitKind.USS, st)
             if v.canonical_length() <= 1 or v in seen:
                 continue
             seen.add(v)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,21 @@ def test_dot_format_only_for_graphs(capsys):
     for argv in (("summit", "s1"), ("complex-ball", "s1"), ("figures",)):
         code, out, _ = invoke(capsys, "A3", *argv, "--format", "dot")
         assert code == 0 and out.startswith(("digraph", "graph"))
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that closes the pipe before the output comes (`... | head -0`)
+    ends the CLI with exit 1 and nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from garside.cli import main; main()",
+         "A3", "summit", "-", "--kind", "su"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    # The word comes on stdin, so the CLI writes only after the pipe is closed.
+    _, err = proc.communicate(b"s1 s2^-1 s3", timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and err == b""

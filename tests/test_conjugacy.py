@@ -25,14 +25,14 @@ from garside import (
 )
 from garside.conjugacy import (
     _closed_orbit,
-    _orbit_to_repeat,
+    _repeat,
+    _walk,
     cycle_to_max_inf,
     cycling_conjugator_product,
     decycle_to_min_sup,
     in_uss,
-    rsss_seed,
     summit_membership,
-    uss_seed,
+    summit_seed,
 )
 from garside import conjugacy
 from garside.errors import EmptySet, NotConjugating, NotInUSS
@@ -159,8 +159,9 @@ def test_max_inf_min_sup_are_idempotent(token, n, letters):
     assert t == s and conj4.is_identity()
 
 
-# The loops that cycle_to_max_inf, decycle_to_min_sup, _orbit_to_repeat and
-# _closed_orbit ran before they shared one orbit walker: the reference.
+# The loops that cycle_to_max_inf, decycle_to_min_sup, the walk to the first
+# repeat and _closed_orbit ran before they shared one orbit walker, and the
+# seeds and membership tests written out per kind: the reference.
 
 
 def _ref_cycle_to_max_inf(u, structure):
@@ -232,13 +233,69 @@ def _ref_closed_orbit(u, structure, step):
     raise AssertionError("orbit iteration exceeded its cap")
 
 
-def _ref_rsss_seed(u, structure):
-    """rsss_seed as four separate orbit walks, before walks were shared."""
+def _ref_uss_seed(u, structure):
     a, c1 = _ref_cycle_to_max_inf(u, structure)
     b, c2 = _ref_decycle_to_min_sup(a, structure)
     x, c3 = _ref_orbit_to_repeat(b, structure, cycling)
+    return x, c1 * c2 * c3
+
+
+def _ref_rsss_seed(u, structure):
+    """The RSSS seed as four separate orbit walks, before walks were shared."""
+    x, c = _ref_uss_seed(u, structure)
     y, c4 = _ref_orbit_to_repeat(x, structure, decycling)
-    return y, c1 * c2 * c3 * c4
+    return y, c * c4
+
+
+def _ref_in_uss(u, structure):
+    a, _ = _ref_cycle_to_max_inf(u, structure)
+    b, _ = _ref_decycle_to_min_sup(a, structure)
+    return (structure.canonical_length(u) == structure.canonical_length(b)
+            and _ref_closed_orbit(u, structure, cycling))
+
+
+def _ref_su_seed(u, structure, power_bound):
+    """The SU seed as it was written before the kinds table: test each power
+    with in_uss, then conjugate it into the USS."""
+    x, conj = _ref_rsss_seed(u, structure)
+    exponents = [m for k in range(1, power_bound + 1) for m in (k, -k)]
+    for _ in range(100):
+        moved = False
+        for m in exponents:
+            y = x**m
+            if not _ref_in_uss(y, structure):
+                _, c = _ref_uss_seed(y, structure)
+                x = x.conjugate_by(c)
+                conj = conj * c
+                moved = True
+        if not moved:
+            return x, conj
+    raise AssertionError("stable-set conjugation did not stabilize")
+
+
+def _ref_summit_membership(kind, structure, seed, power_bound):
+    """summit_membership as the if-chain it was before the kinds table."""
+    if kind is SummitKind.POSITIVE_CONJUGATES:
+        return lambda w: w.is_positive()
+    target = structure.canonical_length(seed)
+
+    def member(w):
+        if structure.canonical_length(w) != target:
+            return False
+        if kind is SummitKind.SSS:
+            return True
+        if not _ref_closed_orbit(w, structure, cycling):
+            return False
+        if kind is SummitKind.USS:
+            return True
+        if not _ref_closed_orbit(w, structure, decycling):
+            return False
+        if kind is SummitKind.RSSS:
+            return True
+        return all(_ref_in_uss(w**m, structure)
+                   for k in range(1, power_bound + 1) for m in (k, -k))
+
+    return member
 
 
 def _walker_inputs(c, rng):
@@ -264,22 +321,24 @@ def test_orbit_walker_matches_reference_loops(token):
             b, c2 = _ref_decycle_to_min_sup(a, st)
             assert decycle_to_min_sup(a, st) == (b, c2)
             x, c3 = _ref_orbit_to_repeat(b, st, cycling)
-            assert uss_seed(u, st) == (x, c1 * c2 * c3)
+            assert summit_seed(u, SummitKind.USS, st) == (x, c1 * c2 * c3)
             y, c4 = _ref_orbit_to_repeat(x, st, decycling)
-            assert rsss_seed(u, st) == (y, c1 * c2 * c3 * c4)
-            assert rsss_seed(y, st) == _ref_rsss_seed(y, st) == (y, GroupElement.identity(c))
+            assert summit_seed(u, SummitKind.RSSS, st) == (y, c1 * c2 * c3 * c4)
+            assert summit_seed(y, SummitKind.RSSS, st) == _ref_rsss_seed(y, st) \
+                == (y, GroupElement.identity(c))
             assert in_uss(u, st) == (
                 st.canonical_length(u) == st.canonical_length(b)
                 and _ref_closed_orbit(u, st, cycling)
             )
             for step in (cycling, decycling):
-                assert _orbit_to_repeat(u, st, step) == _ref_orbit_to_repeat(u, st, step)
+                assert _walk(u, st, [(step, _repeat)]) == _ref_orbit_to_repeat(u, st, step)
                 assert _closed_orbit(u, st, step) == _ref_closed_orbit(u, st, step)
 
 
 def test_seed_walks_each_orbit_once(monkeypatch):
-    """From a point of its own summit set, rsss_seed walks the cycling and the
-    decycling orbit once each and reuses them for the last two stages."""
+    """From a point of its own summit set, the RSSS seed walks the cycling and
+    the decycling orbit once each and reuses them for the last two stages; so
+    does in_uss on a USS element."""
     c = family("B3")
     rng = random.Random(8)
     walks = []
@@ -293,10 +352,56 @@ def test_seed_walks_each_orbit_once(monkeypatch):
     for n in (1, 2):
         st = GarsideStructure(c, n)
         for _ in range(20):
-            y, _ = rsss_seed(random_element(c, rng, 8), st)
+            y, _ = summit_seed(random_element(c, rng, 8), SummitKind.RSSS, st)
             walks.clear()
-            assert rsss_seed(y, st) == (y, GroupElement.identity(c))
+            assert summit_seed(y, SummitKind.RSSS, st) == (y, GroupElement.identity(c))
             assert walks == [(y, cycling), (y, decycling)]
+            y, _ = summit_seed(random_element(c, rng, 8), SummitKind.USS, st)
+            walks.clear()
+            assert in_uss(y, st)
+            assert walks == [(y, cycling), (y, decycling)]
+
+
+_SEED_KINDS = [k for k in SummitKind if k is not SummitKind.POSITIVE_CONJUGATES]
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_every_seed_is_a_fixed_point(token):
+    """Each kind's seed returns (s, identity) on the element s it produced, so
+    membership in a summit set is the seed's fixed point."""
+    c = family(token)
+    rng = random.Random(41)
+    for n in (1, 2):
+        st = GarsideStructure(c, n)
+        for i in range(12):
+            u = random_element(c, rng, 7, signed=i % 3 != 0)
+            has_positive = cycle_to_max_inf(u, st)[0].is_positive()
+            for kind in SummitKind if has_positive else _SEED_KINDS:
+                s, _ = summit_seed(u, kind, st, power_bound=2)
+                assert summit_seed(s, kind, st, power_bound=2) == (s, GroupElement.identity(c))
+            s, _ = summit_seed(u, SummitKind.USS, st)
+            assert in_uss(s, st) and in_uss(u, st) == (s == u)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_seeds_and_membership_match_reference(token):
+    """The SU seed and every kind's membership test agree with the code they
+    replaced, on seeds and on conjugates of them in and out of the set."""
+    c = family(token)
+    rng = random.Random(43)
+    for n in (1, 2):
+        st = GarsideStructure(c, n)
+        for i in range(6):
+            u = random_element(c, rng, 7, signed=i % 3 != 0)
+            assert summit_seed(u, SummitKind.SU, st, power_bound=2) == _ref_su_seed(u, st, 2)
+            pool = [u, cycling(u, st)[0], decycling(u, st)[0]]
+            pool += [u.conjugate_by(random_element(c, rng, 3)) for _ in range(4)]
+            for kind in _SEED_KINDS:
+                seed, _ = summit_seed(u, kind, st, power_bound=2)
+                member = summit_membership(kind, st, seed, power_bound=2)
+                ref = _ref_summit_membership(kind, st, seed, 2)
+                for v in pool + [seed, cycling(seed, st)[0], decycling(seed, st)[0]]:
+                    assert member(v) == ref(v), (kind, format_element(v))
 
 
 def _surgery_inputs(c, rng):
@@ -377,7 +482,7 @@ def test_rsss_inverse_in_closed_cycling_orbit():
     seen = 0
     for _ in range(25):
         u = random_element(c, rng, 6)
-        v, _ = rsss_seed(u, GarsideStructure(c, 1))
+        v, _ = summit_seed(u, SummitKind.RSSS, GarsideStructure(c, 1))
         # inverse of an element closed under decycling is closed under cycling
         cur, start = v.inverse(), v.inverse()
         trail = {cur}
@@ -394,15 +499,19 @@ def test_rsss_inverse_in_closed_cycling_orbit():
 
 def test_su_contained_in_rsss():
     rng = random.Random(28)
-    c = ctx("A2")
-    st = GarsideStructure(c, 1)
-    for _ in range(10):
-        u = random_element(c, rng, 5)
-        g = compute_summit_graph(u, SummitKind.SU, power_bound=3)
-        rsss_member = summit_membership(
-            SummitKind.RSSS, st, rsss_seed(u, st)[0]
-        )
-        assert all(rsss_member(v) for v in g.vertices)
+    cases = [("A2", 1, 10)]
+    # F4 has more Delta^2 simples than ENUMERATION_BUDGET: no graph at N = 2.
+    cases += [(token, n, 3) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)]
+    for token, n, count in cases:
+        c = family(token)
+        st = GarsideStructure(c, n)
+        for _ in range(count):
+            u = random_element(c, rng, 5)
+            g = compute_summit_graph(u, SummitKind.SU, st, power_bound=3)
+            rsss_member = summit_membership(
+                SummitKind.RSSS, st, summit_seed(u, SummitKind.RSSS, st)[0]
+            )
+            assert all(rsss_member(v) for v in g.vertices), (token, n)
 
 
 def test_i_infinity():
@@ -474,7 +583,7 @@ def test_iterated_cycling_prefix_identity_small():
     checked = 0
     for _ in range(60):
         u = random_element(c, rng, 6)
-        v, _ = uss_seed(u, st)
+        v, _ = summit_seed(u, SummitKind.USS, st)
         if v.canonical_length() <= 1:
             continue
         p = v.inf()
