@@ -8,12 +8,12 @@ labels do.
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
 (the super summit set), and an orbit looping without a gain is conclusive,
-because the trajectories live in a finite set of conjugates.  `_CLOSED_STEPS`
-defines each further kind by the steps whose orbits its elements close (SU
-adds the truncated power condition); `summit_seed` and `summit_membership`
-read it.  Every stage stops at the first best element of its trail and a
-closed orbit repeats at its start, so summit_seed(u) is (u, identity) exactly
-when u lies in its set.
+because the trajectories live in a finite set of conjugates.  The table in
+`_seed_stages` defines each further kind by the steps whose orbits its
+elements close; SU is RSSS plus the truncated power condition, which
+`summit_seed` and `summit_membership` add.  Every stage stops at the first
+best element of its trail and a closed orbit repeats at its start, so
+summit_seed(u) is (u, identity) exactly when u lies in its set.
 """
 
 from __future__ import annotations
@@ -187,23 +187,23 @@ def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = Non
     return _walk(u, structure, [(decycling, _min_sup)])
 
 
-def _closed_orbit(u: GroupElement, structure: GarsideStructure, step) -> bool:
-    return _orbit(u, structure, step)[2] == 0
-
-
-# The steps whose orbits the elements of each kind close, once they have
-# maximal inf and minimal sup.
-_CLOSED_STEPS = {
-    SummitKind.SSS: (),
-    SummitKind.USS: (cycling,),
-    SummitKind.RSSS: (cycling, decycling),
-    SummitKind.SU: (cycling, decycling),
-}
+def _seed_stages(kind: SummitKind):
+    """The walk of a kind's seed: maximal inf, minimal sup, then a closed
+    orbit of each step that the kind's elements close.  Built per call, so it
+    holds the module's current cycling and decycling."""
+    closed = {
+        SummitKind.SSS: (),
+        SummitKind.USS: (cycling,),
+        SummitKind.RSSS: (cycling, decycling),
+        SummitKind.SU: (cycling, decycling),
+    }[kind]
+    return ([(cycling, _max_inf), (decycling, _min_sup)]
+            + [(step, _repeat) for step in closed])
 
 
 def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
     """Whether u lies in the ultra summit set of its own conjugacy class."""
-    return summit_seed(u, SummitKind.USS, structure)[0] == u
+    return _walk(u, structure, _seed_stages(SummitKind.USS))[0] == u
 
 
 def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
@@ -215,8 +215,7 @@ def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
         if not v.is_positive():
             raise EmptySet(f"{u} has no positive conjugate")
         return v, conj
-    x, conj = _walk(u, structure, [(cycling, _max_inf), (decycling, _min_sup)]
-                    + [(step, _repeat) for step in _CLOSED_STEPS[kind]])
+    x, conj = _walk(u, structure, _seed_stages(kind))
     if kind is not SummitKind.SU:
         return x, conj
     conjs = [conj]
@@ -225,7 +224,7 @@ def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
         moved = False
         for m in exponents:
             y = x**m
-            z, c = summit_seed(y, SummitKind.USS, structure)
+            z, c = _walk(y, structure, _seed_stages(SummitKind.USS))
             if z != y:
                 x = x.conjugate_by(c)
                 conjs.append(c)
@@ -245,12 +244,13 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
     if kind is SummitKind.POSITIVE_CONJUGATES:
         return lambda w: w.is_positive()
     target = structure.canonical_length(seed)
+    closed = [step for step, pick in _seed_stages(kind) if pick is _repeat]
     exponents = ([m for k in range(1, power_bound + 1) for m in (k, -k)]
                  if kind is SummitKind.SU else [])
 
     def member(w: GroupElement) -> bool:
         return (structure.canonical_length(w) == target
-                and all(_closed_orbit(w, structure, step) for step in _CLOSED_STEPS[kind])
+                and all(_orbit(w, structure, step)[2] == 0 for step in closed)
                 and all(in_uss(w**m, structure) for m in exponents))
 
     return member

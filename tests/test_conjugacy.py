@@ -24,7 +24,6 @@ from garside import (
     twisted_cycling,
 )
 from garside.conjugacy import (
-    _closed_orbit,
     _repeat,
     _walk,
     cycle_to_max_inf,
@@ -35,7 +34,7 @@ from garside.conjugacy import (
     summit_seed,
 )
 from garside import conjugacy
-from garside.errors import EmptySet, NotConjugating, NotInUSS
+from garside.errors import EmptySet, GarsideError, NotConjugating, NotInUSS
 
 from conftest import FAMILIES, ctx, family, random_element
 
@@ -160,7 +159,7 @@ def test_max_inf_min_sup_are_idempotent(token, n, letters):
 
 
 # The loops that cycle_to_max_inf, decycle_to_min_sup, the walk to the first
-# repeat and _closed_orbit ran before they shared one orbit walker, and the
+# repeat and the closed-orbit test ran before they shared one orbit walker, and the
 # seeds and membership tests written out per kind: the reference.
 
 
@@ -332,7 +331,7 @@ def test_orbit_walker_matches_reference_loops(token):
             )
             for step in (cycling, decycling):
                 assert _walk(u, st, [(step, _repeat)]) == _ref_orbit_to_repeat(u, st, step)
-                assert _closed_orbit(u, st, step) == _ref_closed_orbit(u, st, step)
+                assert (conjugacy._orbit(u, st, step)[2] == 0) == _ref_closed_orbit(u, st, step)
 
 
 def test_seed_walks_each_orbit_once(monkeypatch):
@@ -560,6 +559,22 @@ def test_transport_errors():
     with pytest.raises(NotInUSS):
         transport_orbit(bad, GroupElement.delta_power(c, 1), conj)
 
+
+def test_transport_orbit_that_misses_its_start(monkeypatch):
+    """A triple whose transports enter a cycle away from the start fails at
+    once rather than spinning to the orbit cap."""
+    c = ctx("A2")
+    d2 = GroupElement.delta_power(c, 2)
+    d4 = d2 * d2
+
+    def looping(v, w, x, structure):
+        # x: identity -> Delta^2 -> Delta^4 -> Delta^2 -> ...; Delta^2 is
+        # central, so each x still conjugates v to w.
+        return v, w, d2 if x == d4 else x * d2
+
+    monkeypatch.setattr(conjugacy, "transport", looping)
+    with pytest.raises(GarsideError, match="does not return to its start"):
+        transport_orbit(d2, d2, GroupElement.identity(c))
 
 def test_stable_twisted_conjugator_cases():
     c = ctx("A2")
