@@ -28,7 +28,7 @@ from .elements import (
     GarsideStructure,
     GroupElement,
     format_element,
-    format_word,
+    format_positive,
     np_normal_form,
     parse_element,
     parse_word,
@@ -225,8 +225,7 @@ def _run_word_command(ctx: GroupContext, args) -> int:
             lines = [f"{len(graph.vertices)} vertices, {len(graph.arrows)} arrows"]
             lines += [f"  [{i}] {format_element(v)}" for i, v in enumerate(graph.vertices)]
             for a, b, label in graph.arrows:
-                word = format_word(ctx, [s for s, _ in label.as_signed_word()])
-                lines.append(f"  [{a}] --({word})--> [{b}]")
+                lines.append(f"  [{a}] --({format_positive(label)})--> [{b}]")
             _emit(args, "\n".join(lines))
     elif args.command == "closure":
         P = parabolic.parabolic_closure(u)
@@ -320,11 +319,7 @@ def _run_figures(ctx: GroupContext, args) -> int:
     action = {
         "vertices": [format_element(z) for z in z_vertices],
         "arrows": [
-            {
-                "from": a,
-                "to": b,
-                "label": format_word(ctx, [s for s, _ in label.as_signed_word()]),
-            }
+            {"from": a, "to": b, "label": format_positive(label)}
             for a, b, label in z_arrows
         ],
     }
@@ -333,8 +328,7 @@ def _run_figures(ctx: GroupContext, args) -> int:
         for i, z in enumerate(z_vertices):
             lines.append(f'    z{i} [label="{format_element(z)}"];')
         for a, b, label in z_arrows:
-            word = format_word(ctx, [s for s, _ in label.as_signed_word()])
-            lines.append(f'    z{a} -> z{b} [label="{word}"];')
+            lines.append(f'    z{a} -> z{b} [label="{format_positive(label)}"];')
         lines.append("}")
         _emit(args, "\n".join(lines))
     else:

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .coxeter import ENUMERATION_BUDGET
 from .elements import (
     GarsideStructure,
     GroupElement,
     _block,
-    _first_simple,
     _product,
     format_element,
-    format_word,
+    format_positive,
     prefix_le,
     ribbon,
     support,
@@ -59,16 +60,6 @@ class SummitKind(Enum):
 # ------------------------------------------------------------------- cyclings
 
 
-def initial_factor(u: GroupElement, structure: GarsideStructure | None = None) -> GroupElement:
-    """The first simple factor of u pulled across Delta^(N p); identity when u
-    is a power of the Garside element."""
-    structure = structure or GarsideStructure(u.ctx, 1)
-    blocks = structure.factors(u)
-    if not blocks:
-        return GroupElement.identity(u.ctx)
-    return blocks[0].tau(-structure.exponent * structure.inf(u))
-
-
 def cycling(u: GroupElement, structure: GarsideStructure | None = None):
     """Conjugate u by its initial factor; returns (result, conjugator).
 
@@ -85,13 +76,20 @@ def cycling(u: GroupElement, structure: GarsideStructure | None = None):
     return GroupElement(ctx, shift, padded[n:] + head), _block(ctx, head)
 
 
+def initial_factor(u: GroupElement, structure: GarsideStructure | None = None) -> GroupElement:
+    """The first simple factor of u pulled across Delta^(N p), the conjugator
+    of its cycling; identity when u is a power of the Garside element."""
+    return cycling(u, structure)[1]
+
+
 def twisted_cycling(u: GroupElement, structure: GarsideStructure | None = None):
-    """Conjugate u by initial_factor(u) * Delta^-N; returns (result, conjugator)."""
+    """Conjugate u by initial_factor(u) * Delta^-N; returns (result, conjugator).
+    The result is the cycling of u conjugated by Delta^-N."""
     structure = structure or GarsideStructure(u.ctx, 1)
     if structure.canonical_length(u) == 0:
         return u, GroupElement.identity(u.ctx)
-    conj = initial_factor(u, structure) * GroupElement.delta_power(u.ctx, -structure.exponent)
-    return u.conjugate_by(conj), conj
+    c, iota = cycling(u, structure)
+    return structure.tau(c, -1), iota * GroupElement.delta_power(u.ctx, -structure.exponent)
 
 
 def decycling(u: GroupElement, structure: GarsideStructure | None = None):
@@ -260,56 +258,64 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
 
 
 def _structure_simples(structure: GarsideStructure):
-    """All non-trivial simple elements for the structure, sorted by length.
+    """For each atom s, the non-trivial simple elements of the structure that
+    s divides, in layers of equal word length, each layer in sort_key order.
 
-    For the classical structure these are the Coxeter group elements; for
-    Delta^N they are enumerated as the positive prefixes of Delta^N.
+    A simple element of Delta^N has inf >= 0 and sup <= N, so its padded normal
+    form is a left-weighted chain of at most N non-trivial classical simples
+    (El-Rifai & Morton 1994), the Delta copies leading.  The chains are grown
+    one factor at a time, each one already a normal form.  Grown from factors
+    in word order, the chains of each length and Delta power come out in
+    sort_key order, so a stable sort by word length and Delta power orders
+    them all.
     """
     ctx, n = structure.ctx, structure.exponent
-    if n == 1:
-        return [
-            GroupElement.from_simple(ctx, w)
-            for w in ctx.all_elements()
-            if w != ctx.identity
+    ldesc, rdesc = ctx.w_ldesc_mask, ctx.w_rdesc_mask
+    if "classical simples" not in ctx.memo:
+        # (word length, Delta power, chain) of each classical simple but the
+        # identity, which all_elements() lists first
+        ctx.memo["classical simples"] = [
+            (ctx.w_len(y), int(y == ctx.delta), (y,))
+            for y in sorted(ctx.all_elements()[1:], key=ctx.w_word)
         ]
-    frontier = [GroupElement.identity(ctx)]
-    seen = {frontier[0]}
-    while frontier:
+    singles = ctx.memo["classical simples"]
+    chains, level, after = list(singles), singles, {}
+    for _ in range(n - 1):
         nxt = []
-        for u in frontier:
-            for i in range(ctx.rank):
-                v = u * GroupElement.generator(ctx, i)
-                if v not in seen and v.sup() <= n:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > ENUMERATION_BUDGET:
-                        raise BudgetExceeded(
-                            f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
-                        )
-        frontier = nxt
-    out = [u for u in seen if not u.is_identity()]
-    out.sort(key=lambda u: (u.word_length(), u.sort_key()))
-    return out
+        for length, power, c in level:
+            r = rdesc(c[-1])
+            if r not in after:
+                after[r] = [t for t in singles if not ldesc(t[2][0]) & ~r]
+            nxt += [(length + y_len, power + y_pow, c + y) for y_len, y_pow, y in after[r]]
+            if len(chains) + len(nxt) >= ENUMERATION_BUDGET:
+                raise BudgetExceeded(
+                    f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
+                )
+        chains += nxt
+        level = nxt
+    chains.sort(key=itemgetter(0, 1))
+    layers: list[list[list[GroupElement]]] = [[] for _ in range(ctx.rank)]
+    for _, same_length in groupby(chains, itemgetter(0)):
+        ys = [(ldesc(c[0]), _block(ctx, c)) for _, _, c in same_length]
+        for s, atom_layers in enumerate(layers):
+            layer = [y for m, y in ys if m >> s & 1]
+            if layer:
+                atom_layers.append(layer)
+    return layers
 
 
 def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]:
     """Arrow labels out of v: for each atom s, the unique minimal simple
-    conjugator divisible by s that keeps the conjugate in the set, then the
-    minimal elements of that family."""
-    ctx = v.ctx
+    conjugator divisible by s that keeps the conjugate in the set (the members
+    of the first of s's layers that has any), then the minimal elements of
+    that family."""
     rho: list[GroupElement] = []
-    for s in range(ctx.rank):
+    for layers in simples:
         found: list[GroupElement] = []
-        found_len = None
-        for y in simples:
-            ylen = y.word_length()
-            if found_len is not None and ylen > found_len:
+        for layer in layers:
+            found = [y for y in layer if member(v.conjugate_by(y))]
+            if found:
                 break
-            if not ctx.w_ldesc_mask(_first_simple(y)) >> s & 1:
-                continue
-            if member(v.conjugate_by(y)):
-                found.append(y)
-                found_len = ylen
         assert found, "every atom admits a minimal conjugator (Delta^N works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
         rho.append(found[0])
@@ -348,13 +354,7 @@ class SummitGraph:
             "base": format_element(self.base),
             "vertices": [format_element(v) for v in self.vertices],
             "arrows": [
-                {
-                    "from": a,
-                    "to": b,
-                    "label": format_word(
-                        self.structure.ctx, [s for s, _ in label.as_signed_word()]
-                    ),
-                }
+                {"from": a, "to": b, "label": format_positive(label)}
                 for a, b, label in self.arrows
             ],
             "witnesses": [format_element(w) for w in self.witnesses],
@@ -366,8 +366,7 @@ class SummitGraph:
         for i, v in enumerate(self.vertices):
             lines.append(f'    v{i} [label="{format_element(v)}"];')
         for a, b, label in self.arrows:
-            word = format_word(self.structure.ctx, [s for s, _ in label.as_signed_word()])
-            lines.append(f'    v{a} -> v{b} [label="{word}"];')
+            lines.append(f'    v{a} -> v{b} [label="{format_positive(label)}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -54,12 +54,12 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
 
 def _product(ctx: GroupContext, elements) -> "GroupElement":
     """x_1 ... x_n from a list or tuple, with one normalization: each factor
-    list is twisted by the Delta powers to its right, as in `__mul__`."""
+    list is twisted by the Delta powers to its right."""
     total = shift = sum(x.power for x in elements)
     parts: list[int] = []
     for x in elements:
         shift -= x.power
-        parts.extend(ctx.w_tau_pow(f, shift) for f in x.factors)
+        parts.extend(map(ctx.w_tau, x.factors) if shift % ctx.tau_order else x.factors)
     return GroupElement(ctx, total, parts)
 
 
@@ -148,9 +148,7 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         self._require_same(other)
-        ctx = self.ctx
-        shifted = tuple(ctx.w_tau_pow(f, other.power) for f in self.factors)
-        return GroupElement(ctx, self.power + other.power, shifted + other.factors)
+        return _product(self.ctx, (self, other))
 
     def inverse(self) -> "GroupElement":
         # The twisted complements, reversed, are left-weighted (El-Rifai & Morton, 1994).
@@ -226,12 +224,18 @@ class GroupElement:
         return format_element(self)
 
 
-def format_word(ctx: GroupContext, word) -> str:
+def format_word(word) -> str:
     return " ".join(f"s{s + 1}" for s in word)
 
 
-def format_signed_word(ctx: GroupContext, letters) -> str:
+def format_signed_word(letters) -> str:
     return " ".join(f"s{s + 1}" if sign > 0 else f"s{s + 1}^-1" for s, sign in letters)
+
+
+def format_positive(u: GroupElement) -> str:
+    """The letters of u's signed word with the signs dropped: a positive
+    word for a positive element."""
+    return format_word(s for s, _ in u.as_signed_word())
 
 
 def format_element(u: GroupElement) -> str:
@@ -239,7 +243,7 @@ def format_element(u: GroupElement) -> str:
     head = f"Δ^{u.power}"
     if not u.factors:
         return head
-    body = "".join(f"({format_word(u.ctx, w)})" for w in u.factor_words())
+    body = "".join(f"({format_word(w)})" for w in u.factor_words())
     return f"{head} · {body}"
 
 
@@ -465,7 +469,7 @@ class CanonicalForm:
         head = f"Δ^{self.delta_power}"
         if not self.factor_words:
             return head
-        body = "".join(f"({' '.join(f's{s + 1}' for s in w)})" for w in self.factor_words)
+        body = "".join(f"({format_word(w)})" for w in self.factor_words)
         return f"{head} · {body}"
 
     def to_json(self) -> dict:

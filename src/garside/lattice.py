@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coxeter import GroupContext
-from .elements import GroupElement, format_signed_word, format_word
+from .elements import GroupElement, format_positive, format_signed_word
 from .errors import (
     BudgetExceeded,
     ContextMismatch,
@@ -210,7 +210,7 @@ def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
         return ParabolicSubgroup.trivial(P.ctx), cert
 
     result = parabolic_closure(best)
-    cert.witness = format_signed_word(P.ctx, best.as_signed_word()) or "1"
+    cert.witness = format_signed_word(best.as_signed_word()) or "1"
     for name, big in (("P", P), ("Q", Q)):
         if not contains_subgroup(big, result):
             raise GarsideError("intersection witness closure escaped the operands")
@@ -342,7 +342,7 @@ class ComplexBall:
         lines = ["graph complexball {"]
         for i, V in enumerate(self.vertices):
             base = " ".join(f"s{s + 1}" for s in sorted(V.base))
-            word = format_word(V.ctx, [s for s, _ in V.standardizer.as_signed_word()])
+            word = format_positive(V.standardizer)
             label = f"{{{base}}}" if not word else f"({word})·{{{base}}}"
             lines.append(f'    v{i} [label="{label}"];')
         for a, b in self.edges:

@@ -19,7 +19,7 @@ from .conjugacy import cycle_to_max_inf, element_of_i_infinity
 from .elements import (
     GroupElement,
     format_element,
-    format_word,
+    format_positive,
     pn_normal_form,
     ribbon,
     support,
@@ -145,9 +145,7 @@ class ParabolicSubgroup:
 
     def to_json(self) -> dict:
         return {
-            "standardizer": format_word(
-                self.ctx, [s for s, _ in self.standardizer.as_signed_word()]
-            ),
+            "standardizer": format_positive(self.standardizer),
             "base": [s + 1 for s in sorted(self.base)],
             "z": {
                 "deltaPower": self.z.power,

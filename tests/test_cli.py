@@ -147,10 +147,18 @@ def test_config_matrix_and_rank_cap(tmp_path, capsys):
     assert code == 1 and "cap" in err
 
 
-def test_budget_exhaustion_exit_code(capsys):
-    # the Coxeter group of E7 is too large to enumerate simple elements
-    code, _, err = invoke(capsys, "E7", "summit", "--kind", "sss", "s1")
+@pytest.mark.parametrize("argv", [
+    ("E7", "summit", "--kind", "sss", "s1"),
+    ("F4", "summit", "--N", "2", "s1 s2"),
+    ("E7", "summit", "--N", "2", "s1"),
+])
+def test_budget_exhaustion_exit_code(capsys, argv):
+    # The Coxeter group of E7, and the Delta^2 simples of F4, outgrow the
+    # enumeration budget.
+    code, _, err = invoke(capsys, *argv)
+    lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
+    assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
 
 
 @pytest.mark.parametrize("argv", [

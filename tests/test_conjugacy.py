@@ -18,6 +18,7 @@ from garside import (
     meet_prefix,
     np_normal_form,
     parse_word,
+    prefix_le,
     stable_twisted_conjugator,
     support,
     transport_orbit,
@@ -34,7 +35,9 @@ from garside.conjugacy import (
     summit_seed,
 )
 from garside import conjugacy
-from garside.errors import EmptySet, GarsideError, NotConjugating, NotInUSS
+from garside.coxeter import ENUMERATION_BUDGET
+from garside.errors import BudgetExceeded, EmptySet, GarsideError, NotConjugating, NotInUSS
+from garside.oracle import enumerate_simples
 
 from conftest import FAMILIES, ctx, family, random_element
 
@@ -473,6 +476,61 @@ def test_summit_graphs_for_delta_power_structures():
     member = summit_membership(SummitKind.SSS, st2, g.vertices[0])
     assert all(member(v) for v in g.vertices)
     assert all(st2.is_simple(label) for _, _, label in g.arrows)
+
+
+# The breadth-first enumeration of the Delta^N simples that _structure_simples
+# ran before it built left-weighted chains: the reference.
+
+
+def _ref_structure_simples(structure):
+    ctx, n = structure.ctx, structure.exponent
+    frontier = [GroupElement.identity(ctx)]
+    seen = {frontier[0]}
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(ctx.rank):
+                v = u * GroupElement.generator(ctx, i)
+                if v not in seen and v.sup() <= n:
+                    seen.add(v)
+                    nxt.append(v)
+                    if len(seen) > ENUMERATION_BUDGET:
+                        raise BudgetExceeded(
+                            f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
+                        )
+        frontier = nxt
+    out = [u for u in seen if not u.is_identity()]
+    out.sort(key=lambda u: (u.word_length(), u.sort_key()))
+    return out
+
+
+def _ref_atom_layers(simples, ctx, s):
+    layers = {}
+    for y in simples:
+        if prefix_le(GroupElement.generator(ctx, s), y):
+            layers.setdefault(y.word_length(), []).append(y)
+    return list(layers.values())
+
+
+@pytest.mark.parametrize("token, n", [
+    (token, n) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)
+] + [("A3", 3), ("I2(5)", 3)])
+def test_structure_simples_match_reference(token, n):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    ref = _ref_structure_simples(st)
+    layers = conjugacy._structure_simples(st)
+    assert len(layers) == c.rank
+    for s in range(c.rank):
+        assert layers[s] == _ref_atom_layers(ref, c, s), (token, n, s)
+    if n == 1 and token != "F4":  # the oracle's word rewriting outgrows its cap on F4
+        union = {y for atom_layers in layers for layer in atom_layers for y in layer}
+        assert union == set(enumerate_simples(c)) - {GroupElement.identity(c)}
+
+
+def test_structure_simples_budget():
+    with pytest.raises(BudgetExceeded, match="more than 200000 simple elements for Delta"):
+        conjugacy._structure_simples(GarsideStructure(family("F4"), 2))
 
 
 def test_rsss_inverse_in_closed_cycling_orbit():
