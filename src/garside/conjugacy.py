@@ -271,6 +271,11 @@ def _structure_simples(structure: GarsideStructure):
     """
     ctx, n = structure.ctx, structure.exponent
     ldesc, rdesc = ctx.w_ldesc_mask, ctx.w_rdesc_mask
+    too_many = f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
+    # A lower bound known before W is: x != 1, and x s ... s per s in rdesc(x) (rank |W|/2 pairs)
+    order = ctx.coxeter_order
+    if n > 1 and order - 1 + (n - 1) * ctx.rank * order // 2 >= ENUMERATION_BUDGET:
+        raise BudgetExceeded(too_many)
     if "classical simples" not in ctx.memo:
         # (word length, Delta power, chain) of each classical simple but the
         # identity, which all_elements() lists first
@@ -288,9 +293,7 @@ def _structure_simples(structure: GarsideStructure):
                 after[r] = [t for t in singles if not ldesc(t[2][0]) & ~r]
             nxt += [(length + y_len, power + y_pow, c + y) for y_len, y_pow, y in after[r]]
             if len(chains) + len(nxt) >= ENUMERATION_BUDGET:
-                raise BudgetExceeded(
-                    f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
-                )
+                raise BudgetExceeded(too_many)
         chains += nxt
         level = nxt
     chains.sort(key=itemgetter(0, 1))
@@ -416,15 +419,20 @@ def compute_summit_graph(
 
 def element_of_i_infinity(u: GroupElement):
     """Conjugate u into the rigid summit sets of every Garside structure
-    Delta^N up to a detected stabilization index.
+    Delta^N up to a detected stabilization index; returns the element, the
+    accumulated conjugator, and the last exponent processed.
 
     Works up through N = 1, 2, ...; each pass uses only cycling/decycling
     conjugators, which preserve membership in the earlier summit sets, and
-    stops once the element has been left unchanged for _I_INFINITY_WINDOW (3)
-    consecutive exponents beyond its classical canonical length.  That stop
-    is a heuristic, not a proven bound; past N = _I_INFINITY_CAP (64) it
-    raises.  Returns the element, the accumulated conjugator, and the last
-    exponent processed.
+    stops once the element beta is unchanged for _I_INFINITY_WINDOW (3)
+    exponents past its classical canonical length l; past N = _I_INFINITY_CAP
+    (64) it raises.  The stop is proven for u with no positive and no negative
+    conjugate, the only u `parabolic_closure` sends here: inf beta < 0 < sup
+    beta, so l >= M = max(-inf beta, sup beta).  For N >= M, the Delta^N
+    cycling and decycling of beta = Delta^p x_1 ... x_l move Delta^(N+p) x_1
+    ... x_-p and x_(-p+1) ... x_l, conjugations by the np parts of beta, which
+    depend on N only through a power of tau.  So whether a pass fixes beta does
+    not depend on N >= M, and the first unchanged pass past l is final.
     """
     ctx = u.ctx
     beta, *conjs = summit_seed(u, SummitKind.RSSS, GarsideStructure(ctx, 1))

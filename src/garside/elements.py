@@ -9,8 +9,9 @@ comparison of classical forms.  `_product` is the one n-ary constructor: parsed
 words, powers, conjugates (`conjugate_by`) and conjugator products are
 normalized once, not once per factor or operand.
 
-The lattice operations reduce to one primitive: the greatest common prefix,
-computed by repeatedly stripping the meet of the leading simple factors.  The
+The mixed normal forms are cuts of the left normal form.  The lattice
+operations still reduce to one primitive: the greatest common prefix, computed
+by repeatedly stripping the meet of the leading simple factors.  The
 suffix-order versions go through the word-reversing anti-automorphism, and
 joins through inversion, which exchanges the prefix and suffix orders.
 """
@@ -337,10 +338,6 @@ class MixedForm:
     def element(self) -> GroupElement:
         return self.negative.inverse() * self.positive
 
-    def support(self) -> GeneratorSet:
-        ctx = self.positive.ctx
-        return ctx.mask_set(_support_mask(self.negative) | _support_mask(self.positive))
-
 
 @dataclass(frozen=True)
 class PnForm:
@@ -355,14 +352,14 @@ class PnForm:
 
 
 def np_normal_form(u: GroupElement) -> MixedForm:
-    ctx = u.ctx
-    if u.power >= 0:
-        return MixedForm(GroupElement.identity(ctx), u)
-    beta = GroupElement.delta_power(ctx, -u.power)
-    gamma = u.shift(-u.power)
-    delta = meet_prefix(beta, gamma)
-    di = delta.inverse()
-    return MixedForm(di * beta, di * gamma)
+    """Delta^-k x_1 ... x_r, k = max(-inf, 0), cut after x_k into head and
+    tail: the negative part head^-1 begins with x_k^-1 Delta (see `inverse`),
+    whose atoms lie outside rdesc(x_k); those of x_{k+1} lie inside, (x_k,
+    x_{k+1}) being left-weighted, so the parts share no prefix."""
+    ctx, k = u.ctx, max(-u.power, 0)
+    head = GroupElement(ctx, -k, u.factors[:k], normalized=True)
+    tail = GroupElement(ctx, u.power + k, u.factors[k:], normalized=True)
+    return MixedForm(head.inverse(), tail)
 
 
 def pn_normal_form(u: GroupElement) -> PnForm:
@@ -381,16 +378,10 @@ def _support_mask(u: GroupElement) -> int:
     return mask
 
 
-def positive_support(u: GroupElement) -> GeneratorSet:
-    """Generators of a positive element; the context's one set for that support."""
-    return u.ctx.mask_set(_support_mask(u))
-
-
 def support(u: GroupElement) -> GeneratorSet:
-    """Generators occurring in the np-normal form of u."""
-    if u.is_positive():
-        return positive_support(u)
-    return np_normal_form(u).support()
+    """Generators of the np-normal form of u; the context's one set for them."""
+    m = np_normal_form(u)
+    return u.ctx.mask_set(_support_mask(m.negative) | _support_mask(m.positive))
 
 
 # ------------------------------------------------------------ Delta^N structures

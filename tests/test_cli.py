@@ -151,10 +151,11 @@ def test_config_matrix_and_rank_cap(tmp_path, capsys):
     ("E7", "summit", "--kind", "sss", "s1"),
     ("F4", "summit", "--N", "2", "s1 s2"),
     ("E7", "summit", "--N", "2", "s1"),
+    ("E6", "summit", "--N", "2", "s1 s2"),
 ])
 def test_budget_exhaustion_exit_code(capsys, argv):
-    # The Coxeter group of E7, and the Delta^2 simples of F4, outgrow the
-    # enumeration budget.
+    # The Coxeter group of E7, and the Delta^2 simples of F4, E6 and E7,
+    # outgrow the enumeration budget.
     code, _, err = invoke(capsys, *argv)
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()

@@ -10,6 +10,7 @@ from garside import (
     SummitKind,
     classify_arrow,
     compute_summit_graph,
+    context_from_token,
     cycling,
     decycling,
     element_of_i_infinity,
@@ -35,6 +36,7 @@ from garside.conjugacy import (
     summit_seed,
 )
 from garside import conjugacy
+from garside.elements import _product
 from garside.coxeter import ENUMERATION_BUDGET
 from garside.errors import BudgetExceeded, EmptySet, GarsideError, NotConjugating, NotInUSS
 from garside.oracle import enumerate_simples
@@ -533,6 +535,14 @@ def test_structure_simples_budget():
         conjugacy._structure_simples(GarsideStructure(family("F4"), 2))
 
 
+def test_structure_simples_budget_checked_before_enumerating_w():
+    # A lower bound on the Delta^2 simples of E6 already passes the budget.
+    c = context_from_token("E6")
+    with pytest.raises(BudgetExceeded, match="more than 200000 simple elements for Delta"):
+        conjugacy._structure_simples(GarsideStructure(c, 2))
+    assert c._all_elements is None
+
+
 def test_rsss_inverse_in_closed_cycling_orbit():
     rng = random.Random(27)
     c = ctx("A2")
@@ -585,6 +595,45 @@ def test_i_infinity():
         v = random_element(c, rng, 5)
         beta, conj, _ = element_of_i_infinity(v)
         assert v.conjugate_by(conj) == beta
+
+
+def _i_infinity_bound(beta):
+    """max(2, M) with M = max(-inf, sup): from N = M on, whether a Delta^N pass
+    fixes beta does not depend on N."""
+    return max(2, -beta.inf(), beta.sup())
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_i_infinity_stop_is_final(token):
+    # Elements with neither a positive nor a negative conjugate, the ones
+    # parabolic_closure sends to element_of_i_infinity.
+    c = family(token)
+    rng = random.Random(f"i-infinity/{token}")
+    identity = GroupElement.identity(c)
+    checked = 0
+    for _ in range(40):
+        base = random_element(c, rng, 12)
+        for u in (base, base ** -2, base ** 3):
+            if u.is_identity() or any(cycle_to_max_inf(v)[0].is_positive()
+                                      for v in (u, u.inverse())):
+                continue
+            beta, conj, n_star = element_of_i_infinity(u)
+            assert beta.inf() < 0 < beta.sup()
+            assert max(-beta.inf(), beta.sup()) <= beta.canonical_length()
+            for n in range(_i_infinity_bound(beta), n_star + 4):
+                st = GarsideStructure(c, n)
+                assert summit_seed(beta, SummitKind.RSSS, st) == (beta, identity), n
+            # stop at the first pass past the bound that leaves beta unchanged
+            b, *conjs = summit_seed(u, SummitKind.RSSS, GarsideStructure(c, 1))
+            for n in range(2, conjugacy._I_INFINITY_CAP + 1):
+                nxt, x = summit_seed(b, SummitKind.RSSS, GarsideStructure(c, n))
+                conjs.append(x)
+                if nxt == b and n >= _i_infinity_bound(b):
+                    break
+                b = nxt
+            assert (b, _product(c, conjs)) == (beta, conj)
+            checked += 1
+    assert checked >= 20
 
 
 def test_transport_examples():

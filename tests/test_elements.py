@@ -29,6 +29,7 @@ from garside import (
 from garside import elements
 from garside.elements import _normalize
 from garside.errors import ContextMismatch, NotSimple, ParseError
+from garside.oracle import brute_meet
 
 from conftest import FAMILIES, ctx, family, random_element, random_word
 
@@ -542,6 +543,61 @@ def test_np_form_is_stable_under_parabolic_restriction():
                     )
                 assert rebuilt == part_big
                 assert len(small_words) == len(big_words) + part_big.power
+
+
+def _ref_np_normal_form(u):
+    """np form by stripping the meet of Delta^k and Delta^k u (k = -inf u)."""
+    ctx = u.ctx
+    if u.power >= 0:
+        return GroupElement.identity(ctx), u
+    beta = GroupElement.delta_power(ctx, -u.power)
+    gamma = u.shift(-u.power)
+    di = meet_prefix(beta, gamma).inverse()
+    return di * beta, di * gamma
+
+
+def _ref_support(u):
+    """The old support: the letters of the two parts of the np form."""
+    letters = set()
+    for part in _ref_np_normal_form(u):
+        letters |= {s for s, _ in part.as_signed_word()}
+    return frozenset(letters)
+
+
+def _np_cases(c, rng):
+    """Seeded words, and seeded positive words shifted by every Delta^-k with
+    k = 0 .. r + 1 (r the canonical length): cuts before, inside, at and past
+    the last factor; plus Delta powers and the identity."""
+    cases = [GroupElement.identity(c)] + [GroupElement.delta_power(c, k) for k in (-3, -1, 2)]
+    cases += [random_element(c, rng, 10) for _ in range(30)]
+    for _ in range(10):
+        x = random_element(c, rng, 10, signed=False)
+        cases += [x.shift(-k) for k in range(x.canonical_length() + 2)]
+    return cases
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_np_cut_matches_meet_reference(token):
+    c = family(token)
+    rng = random.Random(41)
+    for u in _np_cases(c, rng):
+        m = np_normal_form(u)
+        assert (m.negative, m.positive) == _ref_np_normal_form(u), format_element(u)
+        neg, pos = _ref_np_normal_form(u.reverse())
+        f = pn_normal_form(u)
+        assert (f.positive, f.negative) == (pos.reverse(), neg.reverse())
+        assert support(u) == _ref_support(u)
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "I2(5)"])
+def test_np_cut_parts_share_no_divisor(token):
+    c = family(token)
+    rng = random.Random(42)
+    for u in _np_cases(c, rng):
+        m = np_normal_form(u)
+        assert brute_meet(m.negative, m.positive).is_identity()
+        f = pn_normal_form(u)
+        assert brute_meet(f.positive, f.negative, order="suffix").is_identity()
 
 
 # ------------------------------------------------------------------ complement
