@@ -17,6 +17,7 @@ exhausted:` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -132,7 +133,10 @@ def _structure(ctx: GroupContext, args) -> GarsideStructure:
     return GarsideStructure(ctx, getattr(args, "N", 1))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state in it, since each
+    parse_args call fills a fresh Namespace."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config file with budgets and rank cap")
@@ -337,9 +341,8 @@ def _run_figures(ctx: GroupContext, args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     for name, default in (("config", None), ("format", "text"), ("output", None)):

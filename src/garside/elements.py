@@ -380,6 +380,8 @@ def _support_mask(u: GroupElement) -> int:
 
 def support(u: GroupElement) -> GeneratorSet:
     """Generators of the np-normal form of u; the context's one set for them."""
+    if u.power >= 0:
+        return u.ctx.mask_set(_support_mask(u))
     m = np_normal_form(u)
     return u.ctx.mask_set(_support_mask(m.negative) | _support_mask(m.positive))
 

@@ -226,11 +226,21 @@ def _subsets(ctx: GroupContext) -> list[frozenset[int]]:
 
 def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup]:
     """The subgroups g A_X g^-1 with X in bases and g in the signed ball of the
-    given radius, one per central element, sorted."""
-    ball = signed_ball(ctx, radius)
+    given radius, one per central element, sorted.
+
+    g is skipped when the last letter t of its shortest word normalizes A_X
+    (t in X, or t commuting with every letter of X): then g = g' t^+-1 with g'
+    one letter shorter, also in the ball, and g A_X g^-1 = g' A_X g'^-1.  By
+    induction down to the identity, which is never skipped, every subgroup is
+    still reached."""
+    words = _ball_words(ctx, radius)
     out: dict[GroupElement, ParabolicSubgroup] = {}
     for X in bases:
-        for g in ball:
+        normalizing = {t for t in range(ctx.rank)
+                       if t in X or all(ctx.spec.m(t, s) == 2 for s in X)}
+        for g, word in words.items():
+            if word and word[-1][0] in normalizing:
+                continue
             P = ParabolicSubgroup.from_conjugator(ctx, g, X)
             out.setdefault(P.z, P)
     return sorted(out.values(), key=ParabolicSubgroup.sort_key)

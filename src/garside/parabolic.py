@@ -18,6 +18,7 @@ from .coxeter import GeneratorSet, GroupContext
 from .conjugacy import cycle_to_max_inf, element_of_i_infinity
 from .elements import (
     GroupElement,
+    _product,
     format_element,
     format_positive,
     pn_normal_form,
@@ -50,10 +51,17 @@ class CentralElement:
 
 
 def central_element_of_standard(ctx: GroupContext, X) -> GroupElement:
-    """z for the standard subgroup A_X: Delta_X if central in A_X, else its square."""
+    """z for the standard subgroup A_X: Delta_X if central in A_X, else its square.
+
+    Memoized per context as a raw (power, factors) pair: a stored element
+    would hold the context and so keep it alive until a cycle collection."""
     X = frozenset(X)
-    d = GroupElement.from_simple(ctx, ctx.delta_of(X))
-    return d ** ctx.central_exponent(X)
+    memo = ctx.memo.setdefault("standard z", {})
+    if X not in memo:
+        d = GroupElement.from_simple(ctx, ctx.delta_of(X))
+        z = d ** ctx.central_exponent(X)
+        memo[X] = (z.power, z.factors)
+    return GroupElement(ctx, *memo[X], normalized=True)
 
 
 class ParabolicSubgroup:
@@ -71,7 +79,7 @@ class ParabolicSubgroup:
     @staticmethod
     def from_conjugator(ctx: GroupContext, g: GroupElement, X) -> "ParabolicSubgroup":
         """Build g A_X g^-1 and re-base it through its minimal standardizer."""
-        z = g * central_element_of_standard(ctx, X) * g.inverse()
+        z = _product(ctx, (g, central_element_of_standard(ctx, X), g.inverse()))
         return ParabolicSubgroup.from_central_element(ctx, z)
 
     @staticmethod

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from garside.cli import run
+from garside.cli import build_parser, run
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
 
@@ -184,6 +184,34 @@ def test_config_budgets(tmp_path, capsys):
     code, out, _ = invoke(capsys, "A3", "--config", str(conf), "intersect",
                           "s1,s2", "s2,s3", "--budget", "3", "--format", "json")
     assert json.loads(out)["certificate"]["budget"] == 3
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # One parser serves every call of the process: a sequence of calls through
+    # it gives what each call gives with a parser of its own.
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"budgets": {"intersect": 4}}))
+    target = tmp_path / "out.txt"
+    calls = [
+        ("A2", "nf", "s1", "--bogus"),
+        ("A3", "intersect", "s1,s2", "s2,s3", "--format", "json"),
+        ("A2", "nf", "s1 s2", "--output", str(target)),
+        ("A3", "--config", str(conf), "intersect", "s1,s2", "s2,s3"),
+        ("A3", "intersect", "s1,s2", "s2,s3"),
+        ("A2", "np", "s1^-1 s2"),
+    ]
+
+    def outcome(argv):
+        target.unlink(missing_ok=True)
+        result = invoke(capsys, *argv)
+        return result, target.read_text() if target.exists() else None
+
+    shared = [outcome(argv) for argv in calls]
+    assert shared[0][0][0] == 2 and shared[2][1] is not None
+    for argv, seen in zip(calls, shared):
+        build_parser.cache_clear()
+        assert outcome(argv) == seen
+    assert build_parser() is build_parser()
 
 
 def assert_one_line_error(code, err, expected_code=2):

@@ -21,6 +21,7 @@ from garside import (
 )
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
 from garside.lattice import (
+    _conjugates,
     _irreducible_proper_bases,
     _subsets,
     enumerate_parabolics,
@@ -28,7 +29,7 @@ from garside.lattice import (
 )
 from garside.oracle import ball
 
-from conftest import ctx, random_element
+from conftest import FAMILIES, ctx, family, random_element
 
 
 def std(token, base):
@@ -200,6 +201,31 @@ def test_enumerate_parabolics_dedupes():
     # all standard subgroups are present
     for X in _subsets(c):
         assert ParabolicSubgroup.standard(c, X) in ps
+
+
+def _ref_conjugates(c, bases, radius):
+    """Every g A_X g^-1 over the whole signed ball, one per central element."""
+    ball = signed_ball(c, radius)
+    out = {}
+    for X in bases:
+        for g in ball:
+            P = ParabolicSubgroup.from_conjugator(c, g, X)
+            out.setdefault(P.z, P)
+    return sorted(out.values(), key=ParabolicSubgroup.sort_key)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_pruned_conjugates_match_whole_ball(token):
+    # _conjugates skips conjugators whose last letter normalizes A_X; the
+    # subgroups found must be those of every conjugator in the ball
+    c = family(token)
+    irreducible = _irreducible_proper_bases(c)
+    for radius in range(4):
+        for got, bases in ((enumerate_parabolics(c, radius), _subsets(c)),
+                           (_conjugates(c, irreducible, radius), irreducible)):
+            ref = _ref_conjugates(c, bases, radius)
+            assert [(P.z, P.standardizer, P.base) for P in got] == \
+                [(P.z, P.standardizer, P.base) for P in ref]
 
 
 def signed_words(rank, max_len):

@@ -14,6 +14,7 @@ from garside import (
     contains_element,
     contains_subgroup,
     context_from_token,
+    enumerate_parabolics,
     format_element,
     join_prefix,
     minimal_standardizer,
@@ -328,11 +329,17 @@ def test_retained_closures_are_small():
 
 
 def test_context_is_freed_without_cycle_collection():
-    """Interned standard subgroups are held weakly: closures leave no
+    """Interned standard subgroups are held weakly and standard central
+    elements are memoized as plain tuples: closures and enumerations leave no
     reference cycle through the context."""
     c = context_from_token("A3")
     ref = weakref.ref(c)
     kept = [parabolic_closure(parse_word(c, t)) for t in ("s1 s2", "s2^-1 s1^-1", "s1 s2^-1")]
+    kept += enumerate_parabolics(c, 1)
+    kept.append(ParabolicSubgroup.from_conjugator(c, parse_word(c, "s2 s3^-1"), {0, 1}))
+    memo = c.memo["standard z"]
+    assert memo and all(type(v) is tuple for v in memo.values())
+    del memo
     gc.disable()
     try:
         del c, kept
