@@ -2,11 +2,15 @@
 
 A group context holds one Coxeter presentation of spherical type together with
 tables for its finite Coxeter group W.  Elements of W are realized faithfully
-as permutations of the root system; each distinct permutation is interned once
-and afterwards referred to by a small integer id, so multiplication, inversion,
-length, descent sets and the greedy lattice operations on simple elements are
-dictionary lookups on ints.  Everything is immutable after construction apart
-from internal memo tables, and all operations are pure.
+as permutations of the root system.  An element is fixed by its images of the
+simple roots, so it is interned under that short key, its full permutation is
+built only the first time it is seen, and afterwards it is referred to by a
+small integer id; multiplication, inversion, length and descent sets are then
+dictionary lookups on ints.  Meets in the weak order are read off inversion
+sets, stored as bitmasks of positive roots: u is a prefix of w iff
+N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of Coxeter Groups,
+Prop. 3.1.3).  Everything is immutable after construction apart from internal
+memo tables, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -238,6 +242,17 @@ class GroupContext:
     normal-form engine is built from.
     """
 
+    # Slots keep the memo lookups on the hot path cheap; `__weakref__` lets
+    # callers hold a context weakly.
+    __slots__ = (
+        "spec", "rank", "components_of_s", "component_types", "coxeter_order",
+        "num_positive", "_perms", "_ids", "identity", "gens",
+        "_mul_memo", "_inv_memo", "_len_memo", "_nset_memo", "_ldesc_memo",
+        "_rdesc_memo", "_supp_memo", "_mask_sets", "_word_memo", "_meet_memo",
+        "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
+        "_tau_memo", "tau_order", "__weakref__",
+    )
+
     DEFAULT_RANK_CAP = 10
 
     def __init__(self, spec: CoxeterSpec, rank_cap: int = DEFAULT_RANK_CAP):
@@ -255,16 +270,18 @@ class GroupContext:
             lambda acc, t: acc * _component_order(*t), self.component_types, 1
         )
 
-        self._build_roots()
+        gen_perms = self._build_roots()
 
-        # Element interning: permutation tuple -> id.  Identity is id 0.
-        self._perms: list[tuple[int, ...]] = [tuple(range(2 * self.num_positive))]
-        self._ids: dict[tuple[int, ...], int] = {self._perms[0]: 0}
-        self.identity = 0
-        self.gens = [self._intern(p) for p in self._gen_perms]
+        # Element interning: images of the simple roots -> id, and id -> full
+        # permutation.  Identity is id 0.
+        self._perms: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self.identity = self._intern(tuple(range(2 * self.num_positive)))
+        self.gens = [self._intern(p) for p in gen_perms]
         self._mul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {0: 0}
         self._len_memo: dict[int, int] = {0: 0}
+        self._nset_memo: dict[int, int] = {}
         self._ldesc_memo: dict[int, int] = {}
         self._rdesc_memo: dict[int, int] = {}
         self._supp_memo: dict[int, int] = {0: 0}
@@ -286,10 +303,11 @@ class GroupContext:
 
     # ------------------------------------------------------------------ roots
 
-    def _build_roots(self) -> None:
+    def _build_roots(self) -> list[tuple[int, ...]]:
+        """Set `num_positive` and return the permutations of the generators."""
         n = self.rank
         # Gram matrix of the reflection representation, unit-length simple roots.
-        self._gram = [
+        gram = [
             [1.0 if i == j else -math.cos(math.pi / self.spec.m(i, j)) for j in range(n)]
             for i in range(n)
         ]
@@ -298,7 +316,7 @@ class GroupContext:
             return tuple(round(c, 9) for c in vec)
 
         def reflect(vec, i):
-            scale = 2.0 * sum(vec[j] * self._gram[j][i] for j in range(n))
+            scale = 2.0 * sum(vec[j] * gram[j][i] for j in range(n))
             out = list(vec)
             out[i] -= scale
             return tuple(out)
@@ -325,25 +343,22 @@ class GroupContext:
         neg_idx = [i for i, p in enumerate(positive) if not p]
         assert len(pos_idx) == len(neg_idx), "root system must split evenly"
         order = pos_idx + neg_idx
-        rank_of = {old: new for new, old in enumerate(order)}
         roots = [roots[i] for i in order]
         index = {key(v): i for i, v in enumerate(roots)}
 
+        # The simple roots keep indices 0..n-1, ahead of the other positive roots.
         self.num_positive = len(pos_idx)
-        self._roots = roots
-        self._gen_perms = []
-        for i in range(n):
-            perm = tuple(index[key(reflect(v, i))] for v in roots)
-            self._gen_perms.append(perm)
+        return [tuple(index[key(reflect(v, i))] for v in roots) for i in range(n)]
 
     # ------------------------------------------------------- W element algebra
 
     def _intern(self, perm: tuple[int, ...]) -> int:
-        eid = self._ids.get(perm)
+        """The id of a permutation, keyed by its images of the simple roots."""
+        key = perm[:self.rank]
+        eid = self._ids.get(key)
         if eid is None:
-            eid = len(self._perms)
+            eid = self._ids[key] = len(self._perms)
             self._perms.append(perm)
-            self._ids[perm] = eid
         return eid
 
     def w_mul(self, a: int, b: int) -> int:
@@ -354,7 +369,9 @@ class GroupContext:
         out = self._mul_memo.get((a, b))
         if out is None:
             pa, pb = self._perms[a], self._perms[b]
-            out = self._intern(tuple(pa[x] for x in pb))
+            out = self._ids.get(tuple(map(pa.__getitem__, pb[:self.rank])))
+            if out is None:
+                out = self._intern(tuple(map(pa.__getitem__, pb)))
             self._mul_memo[(a, b)] = out
         return out
 
@@ -367,6 +384,15 @@ class GroupContext:
                 ipm[j] = i
             out = self._intern(tuple(ipm))
             self._inv_memo[a] = out
+        return out
+
+    def w_inversions(self, a: int) -> int:
+        """N(a) as a bitmask of positive roots: those that a^-1 sends to
+        negative roots, i.e. the positive images of the negative roots."""
+        out = self._nset_memo.get(a)
+        if out is None:
+            n = self.num_positive
+            out = self._nset_memo[a] = sum(1 << r for r in self._perms[a][n:] if r < n)
         return out
 
     def w_len(self, a: int) -> int:
@@ -388,8 +414,7 @@ class GroupContext:
     def w_ldesc_mask(self, a: int) -> int:
         out = self._ldesc_memo.get(a)
         if out is None:
-            out = self.w_rdesc_mask(self.w_inv(a))
-            self._ldesc_memo[a] = out
+            out = self._ldesc_memo[a] = self.w_inversions(a) & ((1 << self.rank) - 1)
         return out
 
     def mask_set(self, mask: int) -> GeneratorSet:
@@ -407,26 +432,29 @@ class GroupContext:
 
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
-        return self.w_len(a) + self.w_len(self.w_mul(self.w_inv(a), b)) == self.w_len(b)
+        return not self.w_inversions(a) & ~self.w_inversions(b)
 
     def w_meet(self, a: int, b: int) -> int:
-        """Greatest common prefix of two simple elements (greedy on descents)."""
+        """Greatest common prefix of two simple elements.
+
+        Greedy on inversion sets: m grows by the least letter t with m(alpha_t)
+        in N(a) & N(b), which is exactly when m t is still a prefix of both,
+        since N(m t) = N(m) + {m(alpha_t)}."""
         if a == b:
             return a
         key = (a, b) if a < b else (b, a)
         out = self._meet_memo.get(key)
         if out is None:
-            m = 0
-            x, y = a, b
+            common = self.w_inversions(a) & self.w_inversions(b)
+            out, perms, letters = 0, self._perms, range(self.rank)
             while True:
-                common = self.w_ldesc_mask(x) & self.w_ldesc_mask(y)
-                if not common:
+                perm = perms[out]
+                for t in letters:
+                    if common >> perm[t] & 1:
+                        out = self.w_mul(out, self.gens[t])
+                        break
+                else:
                     break
-                s = self.gens[(common & -common).bit_length() - 1]
-                m = self.w_mul(m, s)
-                x = self.w_mul(s, x)
-                y = self.w_mul(s, y)
-            out = m
             self._meet_memo[key] = out
         return out
 

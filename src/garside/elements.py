@@ -102,12 +102,43 @@ class GroupElement:
 
     @staticmethod
     def from_letters(ctx: GroupContext, letters) -> "GroupElement":
-        """Build from a signed word: an iterable of (generator index, +-1)."""
-        parts = []
-        for i, sign in letters:
-            g = GroupElement.generator(ctx, i)
-            parts.append(g if sign > 0 else g.inverse())
-        return _product(ctx, parts)
+        """Build from a signed word: an iterable of (generator index, +-1).
+
+        Each maximal run of same-sign letters that stays reduced in W is one
+        simple: s_1 ... s_k grows by s while s is no right descent, and
+        s_1^-1 ... s_k^-1 = (s_k ... s_1)^-1 = Delta^-1 lcomp(s_k ... s_1)
+        grows while s is no left descent of s_k ... s_1.  The factors, one per
+        run, are twisted by the Delta powers to their right and normalized
+        once, as in `_product`."""
+        gens, mul, rank = ctx.gens, ctx.w_mul, ctx.rank
+        runs: list[tuple[int, int]] = []  # (sign, W element of the run)
+        sign = run = 0
+        for i, e in letters:
+            if not 0 <= i < rank:
+                GroupElement.generator(ctx, i)  # raises ParseError
+            if e > 0:
+                if sign > 0 and not ctx.w_rdesc_mask(run) >> i & 1:
+                    run = mul(run, gens[i])
+                    continue
+                e = 1
+            else:
+                if sign < 0 and not ctx.w_ldesc_mask(run) >> i & 1:
+                    run = mul(gens[i], run)
+                    continue
+                e = -1
+            if sign:
+                runs.append((sign, run))
+            sign, run = e, gens[i]
+        if sign:
+            runs.append((sign, run))
+        total = shift = -sum(1 for e, _ in runs if e < 0)
+        parts: list[int] = []
+        for e, run in runs:
+            if e < 0:
+                shift += 1
+                run = ctx.w_lcomp(run)
+            parts.append(ctx.w_tau(run) if shift % ctx.tau_order else run)
+        return GroupElement(ctx, total, parts)
 
     # ------------------------------------------------------------- invariants
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coxeter import GroupContext
-from .elements import GroupElement, format_positive, format_signed_word
+from .elements import GroupElement, _product, format_positive, format_signed_word
 from .errors import (
     BudgetExceeded,
     ContextMismatch,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .parabolic import (
     ParabolicSubgroup,
+    central_element_of_standard,
     contains_element,
     contains_subgroup,
     parabolic_closure,
@@ -232,17 +233,20 @@ def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup
     (t in X, or t commuting with every letter of X): then g = g' t^+-1 with g'
     one letter shorter, also in the ball, and g A_X g^-1 = g' A_X g'^-1.  By
     induction down to the identity, which is never skipped, every subgroup is
-    still reached."""
+    still reached.  A subgroup is built only for a central element not yet
+    found, so the first one found stays."""
     words = _ball_words(ctx, radius)
     out: dict[GroupElement, ParabolicSubgroup] = {}
     for X in bases:
         normalizing = {t for t in range(ctx.rank)
                        if t in X or all(ctx.spec.m(t, s) == 2 for s in X)}
+        z_X = central_element_of_standard(ctx, X)
         for g, word in words.items():
             if word and word[-1][0] in normalizing:
                 continue
-            P = ParabolicSubgroup.from_conjugator(ctx, g, X)
-            out.setdefault(P.z, P)
+            z = _product(ctx, (g, z_X, g.inverse()))
+            if z not in out:
+                out[z] = ParabolicSubgroup.from_central_element(ctx, z)
     return sorted(out.values(), key=ParabolicSubgroup.sort_key)
 
 

@@ -1,9 +1,12 @@
+import random
+import weakref
+
 import pytest
 
 from garside import CoxeterSpec, build_context, context_from_token
 from garside.errors import NonSphericalType, ParseError
 
-from conftest import ctx
+from conftest import FAMILIES, ctx, family
 
 
 SPHERICAL_TOKENS = [
@@ -151,3 +154,67 @@ def test_delta_conjugates_generators_to_generators():
             for s in x:
                 t = c.w_mul(c.w_mul(c.w_inv(d), c.gens[s]), d)
                 assert t in [c.gens[u] for u in x]
+
+
+def _descent_greedy_meet(c, a, b):
+    """The greatest common prefix by stripping common left descents, each
+    read off lengths: s divides x on the left iff l(s x) < l(x)."""
+    def ldesc(x):
+        return {s for s in range(c.rank) if c.w_len(c.w_mul(c.gens[s], x)) < c.w_len(x)}
+
+    m = c.identity
+    while common := ldesc(a) & ldesc(b):
+        g = c.gens[min(common)]
+        m, a, b = c.w_mul(m, g), c.w_mul(g, a), c.w_mul(g, b)
+    return m
+
+
+def _random_element(c, rng):
+    out = c.identity
+    for _ in range(rng.randint(0, 2 * c.delta_length)):
+        out = c.w_mul(out, c.gens[rng.randrange(c.rank)])
+    return out
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "H3", "I2(5)", "A2xA1"])
+def test_meet_matches_descent_greedy_on_every_pair(token):
+    c = family(token)
+    elements = c.all_elements()
+    for a in elements:
+        for b in elements:
+            assert c.w_meet(a, b) == _descent_greedy_meet(c, a, b)
+
+
+@pytest.mark.parametrize("token", ["E6", "H4"])
+def test_meet_matches_descent_greedy_on_seeded_pairs(token):
+    c = ctx(token)
+    rng = random.Random(f"meet/{token}")
+    for _ in range(2000):
+        a, b = _random_element(c, rng), _random_element(c, rng)
+        m = c.w_meet(a, b)
+        assert m == _descent_greedy_meet(c, a, b)
+        assert c.w_is_prefix(m, a) and c.w_is_prefix(m, b)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_interned_elements_are_their_words(token):
+    # Elements are keyed by their images of the simple roots; every id must
+    # still stand for one element, stored as its full permutation.
+    c = family(token)
+    ids = c.all_elements()
+    assert len(set(ids)) == c.coxeter_order
+    gen_perms = [c._perms[g] for g in c.gens]
+    perms = set()
+    for a in ids:
+        perm = tuple(range(2 * c.num_positive))
+        for s in c.w_word(a):
+            perm = tuple(perm[x] for x in gen_perms[s])
+        assert c._perms[a] == perm
+        perms.add(perm)
+    assert len(perms) == c.coxeter_order
+
+
+def test_context_has_slots_and_weak_references():
+    c = context_from_token("A2")
+    assert not hasattr(c, "__dict__")
+    assert weakref.ref(c)() is c

@@ -27,7 +27,7 @@ from garside import (
     support,
 )
 from garside import elements
-from garside.elements import _normalize
+from garside.elements import _normalize, format_signed_word
 from garside.errors import ContextMismatch, NotSimple, ParseError
 from garside.oracle import brute_meet
 
@@ -211,6 +211,48 @@ def test_from_letters_matches_letter_by_letter_products(token):
             GroupElement.from_letters(c, [(0, 1), (bad, 1)])
 
 
+def _one_factor_per_letter(c, letters):
+    """The signed word as one generator or inverse per letter, normalized
+    once by `_product`."""
+    parts = []
+    for i, sign in letters:
+        g = GroupElement.generator(c, i)
+        parts.append(g if sign > 0 else g.inverse())
+    return elements._product(c, parts)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_parse_word_matches_one_factor_per_letter(token):
+    c = family(token)
+    rng = random.Random(f"runs/{token}")
+    delta_word = [(s, 1) for s in c.w_word(c.delta)]
+    inverse_delta_word = [(s, -1) for s, _ in delta_word[::-1]]
+    words = [
+        [], [(0, 1), (0, 1)], [(0, -1), (0, -1)], [(0, 1), (0, -1)], [(0, -1), (0, 1)],
+        [(1, 1), (0, 1), (0, -1), (1, -1)],
+        delta_word, delta_word * 2, inverse_delta_word, inverse_delta_word * 2,
+        delta_word + inverse_delta_word, inverse_delta_word + [(0, 1)] + delta_word,
+    ]
+    for _ in range(60):
+        words.append([(rng.randrange(c.rank), rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, 40))])
+        # Long same-sign stretches, so that runs end at descents.
+        sign = rng.choice((1, -1))
+        words.append([(rng.randrange(c.rank), sign) for _ in range(rng.randint(1, 30))])
+    for letters in words:
+        expected = _one_factor_per_letter(c, letters)
+        assert parse_word(c, format_signed_word(letters)) == expected, letters
+        assert GroupElement.from_letters(c, letters) == expected, letters
+    assert parse_word(c, "") == GroupElement.identity(c)
+    assert parse_word(c, "s1 s1^-1") == GroupElement.identity(c)
+    for text in (f"s{c.rank + 1}", f"s1 s{c.rank + 1}^-1", "s0"):
+        with pytest.raises(ParseError):
+            parse_word(c, text)
+    for bad in (c.rank, -1):
+        with pytest.raises(ParseError):
+            GroupElement.from_letters(c, [(0, -1), (bad, -1)])
+
+
 @pytest.mark.parametrize("token", FAMILIES)
 def test_power_matches_repeated_products(token):
     c = family(token)
@@ -237,9 +279,24 @@ def test_reverse_matches_two_step_formula(token):
         assert GroupElement.from_letters(c, u.as_signed_word()[::-1]) == u.reverse()
 
 
+def _reduced_runs(c, letters):
+    """How many maximal same-sign runs that stay reduced in W a signed word
+    splits into, read greedily from the left by lengths."""
+    runs, sign, run = 0, 0, c.identity
+    for i, e in letters:
+        g = c.gens[i]
+        longer = c.w_mul(run, g) if e > 0 else c.w_mul(g, run)
+        if e == sign and c.w_len(longer) > c.w_len(run):
+            run = longer
+        else:
+            runs, sign, run = runs + 1, e, g
+    return runs
+
+
 @pytest.mark.parametrize("token", FAMILIES)
 def test_one_normalization_per_word_power_and_reverse(token, monkeypatch):
-    # Wraps _normalize the way perfbench/tracer.py does.
+    # Wraps _normalize the way perfbench/tracer.py does.  A parsed word
+    # reaches it as one simple factor per reduced same-sign run.
     c = family(token)
     calls = []
     inner = elements._normalize
@@ -250,9 +307,11 @@ def test_one_normalization_per_word_power_and_reverse(token, monkeypatch):
 
     monkeypatch.setattr(elements, "_normalize", counted)
     rng = random.Random(f"count/{token}")
-    tokens = [f"s{i + 1}{sign}" for i in range(c.rank) for sign in ("", "^-1")]
-    u = parse_word(c, " ".join(rng.choice(tokens) for _ in range(120)))
-    assert calls == [120]
+    letters = [(rng.randrange(c.rank), rng.choice((1, -1))) for _ in range(120)]
+    u = parse_word(c, format_signed_word(letters))
+    runs = _reduced_runs(c, letters)
+    assert runs < 120
+    assert calls == [runs]
     for op in (lambda: u ** 5, lambda: u ** -5, u.reverse):
         calls.clear()
         op()
