@@ -2,8 +2,8 @@
 
 All conjugation here follows the convention u^x = x^-1 u x.  The summit sets
 are computed with respect to an explicit Garside structure (Delta^N for some
-N >= 1); the set of positive conjugates does not depend on N, only its arrow
-labels do.
+N >= 1); the set of positive conjugates and its arrow labels do not depend on
+N (see `_convex_conjugators`), the other summit sets do.
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -31,6 +31,7 @@ from .elements import (
     _product,
     format_element,
     format_positive,
+    join_prefix,
     prefix_le,
     ribbon,
     support,
@@ -322,11 +323,49 @@ def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]
         assert found, "every atom admits a minimal conjugator (Delta^N works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
         rho.append(found[0])
+    return _minimal(rho)
+
+
+def _minimal(rho: list[GroupElement]) -> list[GroupElement]:
+    """The minimal elements of the labels, first occurrences in atom order."""
     uniq = list(dict.fromkeys(rho))
     return [
         y for y in uniq
         if not any(z != y and prefix_le(z, y) for z in uniq)
     ]
+
+
+def _convex_conjugators(v: GroupElement) -> list[GroupElement]:
+    """Arrow labels out of a positive vertex v of the positive-conjugate
+    graph, by convexity instead of a scan of simples.
+
+    For an atom s the label rho_s is the least c >= s (prefix order) with
+    v^c = c^-1 v c positive, that is, with c =< v c.  It is the limit of
+    c_0 = s, c_(k+1) = v^-1 join(c_k, v c_k), join the prefix lcm:
+      (a) C = {c >= 1 : c =< v c} is closed under meets, since meet(a, b) =<
+          meet(v a, v b) = v meet(a, b), and it holds Delta^N, since tau^N(v)
+          is positive.  So the members of C between s and Delta^N have a
+          least element, below every member above s: rho_s is a
+          Delta^N-simple, in fact a prefix of Delta, the same for every N.
+      (b) c_k =< rho_s implies c_(k+1) =< rho_s: c_k =< rho_s =< v rho_s and
+          v c_k =< v rho_s, so v c_(k+1) = join(c_k, v c_k) =< v rho_s.
+      (c) c_(k+1) >= c_k, and c_(k+1) = c_k exactly when c_k =< v c_k, i.e.
+          c_k is in C.
+    The chain climbs the finite set of prefixes of rho_s, so it stops, and
+    where it stops it is rho_s.  Each step is one join, one product and one
+    positivity test.
+    """
+    ctx = v.ctx
+    vi = v.inverse()
+    rho = []
+    for s in range(ctx.rank):
+        c = GroupElement.generator(ctx, s)
+        vc = v * c
+        while not prefix_le(c, vc):
+            vc = join_prefix(c, vc)
+            c = vi * vc
+        rho.append(c)
+    return _minimal(rho)
 
 
 @dataclass
@@ -380,19 +419,34 @@ def compute_summit_graph(
     structure: GarsideStructure | None = None,
     power_bound: int = 4,
 ) -> SummitGraph:
-    """Compute the full minimal-conjugator graph of the chosen summit set."""
+    """Compute the full minimal-conjugator graph of the chosen summit set.
+
+    Positive-conjugate labels come by convexity (`_convex_conjugators`), with
+    no simple enumerated and no element of W listed.  The other kinds still
+    scan the Delta^N simples (`_minimal_conjugators`): their convexity
+    iterations (Franco & Gonzalez-Meneses 2003 for SSS, Gebhardt 2005 for USS
+    and RSSS) are not in yet, and the `summit_graphs` benchmark keeps every
+    graph it builds until its checks, so a much faster scan there reads as a
+    memory regression until it keeps one result per case.
+    """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
     member = summit_membership(kind, structure, seed, power_bound)
     assert member(seed), "seed must land in its own summit set"
-    simples = _structure_simples(structure)
+    if kind is SummitKind.POSITIVE_CONJUGATES:
+        labels_of = _convex_conjugators
+    else:
+        simples = _structure_simples(structure)
+
+        def labels_of(v):
+            return _minimal_conjugators(v, member, simples)
 
     witness_of = {seed: witness}
     queue = [seed]
     raw_arrows = []
     while queue:
         v = queue.pop(0)
-        for label in _minimal_conjugators(v, member, simples):
+        for label in labels_of(v):
             w = v.conjugate_by(label)
             raw_arrows.append((v, w, label))
             if w not in witness_of:

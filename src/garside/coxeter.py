@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 from .errors import BudgetExceeded, NonSphericalType, ParseError
 
@@ -304,51 +305,54 @@ class GroupContext:
     # ------------------------------------------------------------------ roots
 
     def _build_roots(self) -> list[tuple[int, ...]]:
-        """Set `num_positive` and return the permutations of the generators."""
+        """Set `num_positive` and return the permutations of the generators.
+
+        One depth-first pass over the roots, from the simple roots, fills the
+        table of their images under the generators as it finds them: s_i moves
+        only coordinate i, so only that entry of the rounded key changes, and
+        s_i fixes the root when that entry stays."""
         n = self.rank
-        # Gram matrix of the reflection representation, unit-length simple roots.
-        gram = [
-            [1.0 if i == j else -math.cos(math.pi / self.spec.m(i, j)) for j in range(n)]
+        # Columns of the Gram matrix of the reflection representation,
+        # unit-length simple roots.
+        cols = [
+            [1.0 if i == j else -math.cos(math.pi / self.spec.m(j, i)) for j in range(n)]
             for i in range(n)
         ]
-
-        def key(vec):
-            return tuple(round(c, 9) for c in vec)
-
-        def reflect(vec, i):
-            scale = 2.0 * sum(vec[j] * gram[j][i] for j in range(n))
-            out = list(vec)
-            out[i] -= scale
-            return tuple(out)
-
-        simple = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
-        index: dict[tuple, int] = {}
-        roots: list[tuple] = []
-        frontier = []
-        for v in simple:
-            index[key(v)] = len(roots)
-            roots.append(v)
-            frontier.append(v)
+        roots = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+        keys = [tuple(round(c, 9) for c in v) for v in roots]
+        index = {k: r for r, k in enumerate(keys)}
+        images = [[0] * n for _ in roots]  # images[r][i]: the root s_i(root r)
+        frontier = list(range(n))
         while frontier:
-            v = frontier.pop()
+            r = frontier.pop()
+            v, k, row = roots[r], keys[r], images[r]
             for i in range(n):
-                w = reflect(v, i)
-                if key(w) not in index:
-                    index[key(w)] = len(roots)
+                c = v[i] - 2.0 * sum(map(mul, v, cols[i]))
+                ci = round(c, 9)
+                if ci == k[i]:
+                    row[i] = r
+                    continue
+                wk = k[:i] + (ci,) + k[i + 1:]
+                j = index.get(wk)
+                if j is None:
+                    j = index[wk] = len(roots)
+                    w = list(v)
+                    w[i] = c
                     roots.append(w)
-                    frontier.append(w)
+                    keys.append(wk)
+                    images.append([0] * n)
+                    frontier.append(j)
+                row[i] = j
 
         positive = [all(c >= -1e-7 for c in v) for v in roots]
-        pos_idx = [i for i, p in enumerate(positive) if p]
-        neg_idx = [i for i, p in enumerate(positive) if not p]
-        assert len(pos_idx) == len(neg_idx), "root system must split evenly"
-        order = pos_idx + neg_idx
-        roots = [roots[i] for i in order]
-        index = {key(v): i for i, v in enumerate(roots)}
-
+        order = sorted(range(len(roots)), key=lambda r: not positive[r])
+        self.num_positive = sum(positive)
+        assert 2 * self.num_positive == len(roots), "root system must split evenly"
         # The simple roots keep indices 0..n-1, ahead of the other positive roots.
-        self.num_positive = len(pos_idx)
-        return [tuple(index[key(reflect(v, i))] for v in roots) for i in range(n)]
+        new = [0] * len(roots)
+        for p, r in enumerate(order):
+            new[r] = p
+        return [tuple(new[images[r][i]] for r in order) for i in range(n)]
 
     # ------------------------------------------------------- W element algebra
 

@@ -32,6 +32,7 @@ from .errors import (
 from .parabolic import (
     ParabolicSubgroup,
     central_element_of_standard,
+    conjugated_parabolic,
     contains_element,
     contains_subgroup,
     parabolic_closure,
@@ -192,17 +193,20 @@ def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
         cert.notes.append(nested[0])
         return nested[1], cert
 
+    # b w b^-1 lies in Q iff w lies in b^-1 Q b: one conjugation per call,
+    # and a product only for the members.
     b = P.standardizer
+    Qb = conjugated_parabolic(Q, b)
     bi = b.inverse()
     best = None
     best_key = (0, 0)
     for w in signed_ball(P.ctx, budget, P.base):
         if w.is_identity():
             continue
-        cand = b * w * bi
         cert.candidates_examined += 1
-        if not contains_element(Q, cand):
+        if not contains_element(Qb, w):
             continue
+        cand = _product(P.ctx, (b, w, bi))
         key = (phi(cand), -len(cand.as_signed_word()))
         if key > best_key:
             best, best_key = cand, key

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from garside import SummitKind, compute_summit_graph, context_from_token, parse_word
 from garside.cli import build_parser, run
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
@@ -160,6 +161,31 @@ def test_budget_exhaustion_exit_code(capsys, argv):
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
     assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("E6", "summit", "--kind", "pos", "--N", "2", "s1 s2"),
+    ("F4", "summit", "--kind", "pos", "--N", "2", "s1 s2"),
+    ("A6", "summit", "--kind", "pos", "--N", "2", "s1 s2 s4 s5"),
+    ("E7", "summit", "--kind", "pos", "s1 s2 s3"),
+])
+def test_positive_conjugate_graphs_enumerate_nothing(capsys, argv):
+    # Their labels come by convexity: neither W nor the Delta^N simples are
+    # listed, so no enumeration budget applies.  The labels do not depend on N.
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    graph = json.loads(out)
+    code, out1, _ = invoke(capsys, *[a for a in argv if a not in ("--N", "2")],
+                           "--format", "json")
+    assert code == 0 and {**json.loads(out1), "structureExponent": 2} == \
+        {**graph, "structureExponent": 2}
+
+
+def test_e7_positive_conjugates_leave_w_unlisted():
+    c = context_from_token("E7")
+    graph = compute_summit_graph(parse_word(c, "s1 s2 s3"), SummitKind.POSITIVE_CONJUGATES)
+    assert (len(graph.vertices), len(graph.arrows)) == (24, 126)
+    assert c._all_elements is None
 
 
 @pytest.mark.parametrize("argv", [

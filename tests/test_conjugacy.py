@@ -543,6 +543,34 @@ def test_structure_simples_budget_checked_before_enumerating_w():
     assert c._all_elements is None
 
 
+# Positive-conjugate labels come by convexity; the scan of the Delta^N simples
+# that found them before is the oracle.
+
+
+@pytest.mark.parametrize("token, n", [
+    (token, n) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)
+])
+def test_convex_labels_match_scan(token, n, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    simples = conjugacy._structure_simples(st)
+    rng = random.Random(100 * FAMILIES.index(token) + n)
+    for _ in range(4):
+        u = random_element(c, rng, 6, signed=False)
+        graph = compute_summit_graph(u, SummitKind.POSITIVE_CONJUGATES, st)
+        member = summit_membership(SummitKind.POSITIVE_CONJUGATES, st, graph.vertices[0])
+
+        def scan(v):
+            return conjugacy._minimal_conjugators(v, member, simples)
+
+        for v in graph.vertices:
+            assert conjugacy._convex_conjugators(v) == scan(v), (token, n, v)
+        with monkeypatch.context() as m:
+            m.setattr(conjugacy, "_convex_conjugators", scan)
+            scanned = compute_summit_graph(u, SummitKind.POSITIVE_CONJUGATES, st)
+        assert graph.to_json() == scanned.to_json(), (token, n, u)
+
+
 def test_rsss_inverse_in_closed_cycling_orbit():
     rng = random.Random(27)
     c = ctx("A2")

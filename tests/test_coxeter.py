@@ -1,3 +1,4 @@
+import math
 import random
 import weakref
 
@@ -6,7 +7,7 @@ import pytest
 from garside import CoxeterSpec, build_context, context_from_token
 from garside.errors import NonSphericalType, ParseError
 
-from conftest import FAMILIES, ctx, family
+from conftest import A2XA1_MATRIX, FAMILIES, ctx, family
 
 
 SPHERICAL_TOKENS = [
@@ -218,3 +219,58 @@ def test_context_has_slots_and_weak_references():
     c = context_from_token("A2")
     assert not hasattr(c, "__dict__")
     assert weakref.ref(c)() is c
+
+
+def _ref_build_roots(spec):
+    """The float BFS over the roots that the context ran before it filled the
+    generator table in the same pass: (num_positive, generator permutations)."""
+    n = spec.rank
+    gram = [
+        [1.0 if i == j else -math.cos(math.pi / spec.m(i, j)) for j in range(n)]
+        for i in range(n)
+    ]
+
+    def key(vec):
+        return tuple(round(c, 9) for c in vec)
+
+    def reflect(vec, i):
+        scale = 2.0 * sum(vec[j] * gram[j][i] for j in range(n))
+        out = list(vec)
+        out[i] -= scale
+        return tuple(out)
+
+    simple = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
+    index, roots, frontier = {}, [], []
+    for v in simple:
+        index[key(v)] = len(roots)
+        roots.append(v)
+        frontier.append(v)
+    while frontier:
+        v = frontier.pop()
+        for i in range(n):
+            w = reflect(v, i)
+            if key(w) not in index:
+                index[key(w)] = len(roots)
+                roots.append(w)
+                frontier.append(w)
+    positive = [all(c >= -1e-7 for c in v) for v in roots]
+    order = [i for i, p in enumerate(positive) if p] + [i for i, p in enumerate(positive) if not p]
+    roots = [roots[i] for i in order]
+    index = {key(v): i for i, v in enumerate(roots)}
+    perms = [tuple(index[key(reflect(v, i))] for v in roots) for i in range(n)]
+    return sum(positive), perms
+
+
+@pytest.mark.parametrize("token", [
+    "A1", "A4", "B4", "D5", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(8)", "A2xA1",
+])
+def test_root_table_matches_float_bfs(token):
+    # One pass fills the generator table; the root numbering, and so every
+    # permutation, must be the one the two-pass BFS gave.
+    if token == "A2xA1":
+        c = build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX, name=token))
+    else:
+        c = context_from_token(token)
+    num_positive, gen_perms = _ref_build_roots(c.spec)
+    assert c.num_positive == num_positive
+    assert c._perms[:c.rank + 1] == [tuple(range(2 * num_positive))] + gen_perms

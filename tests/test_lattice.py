@@ -11,18 +11,24 @@ from garside import (
     complex_ball,
     complex_neighbors,
     conjugated_parabolic,
+    contains_element,
     contains_subgroup,
     intersect,
     join,
+    parabolic_closure,
     parabolic_equal,
     parse_word,
+    phi,
     subsequence_invariance_check,
     z_commute,
 )
+from garside.elements import format_signed_word
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
 from garside.lattice import (
+    Certificate,
     _conjugates,
     _irreducible_proper_bases,
+    _nested,
     _subsets,
     enumerate_parabolics,
     signed_ball,
@@ -96,6 +102,52 @@ def test_intersect_respects_nesting():
     R, cert = intersect(P, Q, budget=3)
     assert parabolic_equal(R, P) and parabolic_equal(R, Q)
 
+
+
+def _ref_intersect(P, Q, budget):
+    """The candidate loop intersect ran before it conjugated Q once per call:
+    each ball element w of P's base gives b w b^-1, tested against Q."""
+    cert = Certificate(operation="intersect", budget=budget)
+    if nested := _nested(P, Q):
+        cert.notes.append(nested[0])
+        return nested[1], cert
+    b = P.standardizer
+    bi = b.inverse()
+    best, best_key = None, (0, 0)
+    for w in signed_ball(P.ctx, budget, P.base):
+        if w.is_identity():
+            continue
+        cand = b * w * bi
+        cert.candidates_examined += 1
+        if not contains_element(Q, cand):
+            continue
+        key = (phi(cand), -len(cand.as_signed_word()))
+        if key > best_key:
+            best, best_key = cand, key
+    if best is None:
+        cert.notes.append("no nontrivial common element within budget")
+        return ParabolicSubgroup.trivial(P.ctx), cert
+    cert.witness = format_signed_word(best.as_signed_word()) or "1"
+    cert.verified_inclusions += ["z(R) in P", "z(R) in Q"]
+    return parabolic_closure(best), cert
+
+
+def test_intersect_matches_candidate_loop_reference():
+    rng = random.Random(52)
+    pairs = 0
+    for token in ("A3", "A4", "B3"):
+        c = ctx(token)
+        bases = [X for X in _subsets(c) if X and len(X) < c.rank]
+        for _ in range(70):
+            P = ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3), rng.choice(bases))
+            Q = ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3), rng.choice(bases))
+            for budget in (3, 4):
+                R, cert = intersect(P, Q, budget)
+                ref, ref_cert = _ref_intersect(P, Q, budget)
+                assert R.to_json() == ref.to_json(), (token, P, Q, budget)
+                assert cert.to_json() == ref_cert.to_json(), (token, P, Q, budget)
+                pairs += 1
+    assert pairs == 420
 
 def test_join_examples():
     R, cert = join(std("A3", {0}), std("A3", {1}), budget=2)
