@@ -31,7 +31,7 @@ from .elements import (
     _product,
     format_element,
     format_positive,
-    join_prefix,
+    pn_normal_form,
     prefix_le,
     ribbon,
     support,
@@ -271,7 +271,7 @@ def _structure_simples(structure: GarsideStructure):
     them all.
     """
     ctx, n = structure.ctx, structure.exponent
-    ldesc, rdesc = ctx.w_ldesc_mask, ctx.w_rdesc_mask
+    ldesc, rdesc = ctx.ldescs, ctx.rdescs
     too_many = f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
     # A lower bound known before W is: x != 1, and x s ... s per s in rdesc(x) (rank |W|/2 pairs)
     order = ctx.coxeter_order
@@ -281,7 +281,7 @@ def _structure_simples(structure: GarsideStructure):
         # (word length, Delta power, chain) of each classical simple but the
         # identity, which all_elements() lists first
         ctx.memo["classical simples"] = [
-            (ctx.w_len(y), int(y == ctx.delta), (y,))
+            (ctx.lengths[y], int(y == ctx.delta), (y,))
             for y in sorted(ctx.all_elements()[1:], key=ctx.w_word)
         ]
     singles = ctx.memo["classical simples"]
@@ -289,9 +289,9 @@ def _structure_simples(structure: GarsideStructure):
     for _ in range(n - 1):
         nxt = []
         for length, power, c in level:
-            r = rdesc(c[-1])
+            r = rdesc[c[-1]]
             if r not in after:
-                after[r] = [t for t in singles if not ldesc(t[2][0]) & ~r]
+                after[r] = [t for t in singles if not ldesc[t[2][0]] & ~r]
             nxt += [(length + y_len, power + y_pow, c + y) for y_len, y_pow, y in after[r]]
             if len(chains) + len(nxt) >= ENUMERATION_BUDGET:
                 raise BudgetExceeded(too_many)
@@ -300,7 +300,7 @@ def _structure_simples(structure: GarsideStructure):
     chains.sort(key=itemgetter(0, 1))
     layers: list[list[list[GroupElement]]] = [[] for _ in range(ctx.rank)]
     for _, same_length in groupby(chains, itemgetter(0)):
-        ys = [(ldesc(c[0]), _block(ctx, c)) for _, _, c in same_length]
+        ys = [(ldesc[c[0]], _block(ctx, c)) for _, _, c in same_length]
         for s, atom_layers in enumerate(layers):
             layer = [y for m, y in ys if m >> s & 1]
             if layer:
@@ -352,18 +352,20 @@ def _convex_conjugators(v: GroupElement) -> list[GroupElement]:
       (c) c_(k+1) >= c_k, and c_(k+1) = c_k exactly when c_k =< v c_k, i.e.
           c_k is in C.
     The chain climbs the finite set of prefixes of rho_s, so it stops, and
-    where it stops it is rho_s.  Each step is one join, one product and one
-    positivity test.
+    where it stops it is rho_s.  A step needs no join: with v^(c_k) = P N^-1
+    in pn-normal form, c_k P = v c_k N is a common multiple of c_k and v c_k,
+    and the least one, since any common multiple c_k x = v c_k y writes v^c_k
+    as x y^-1, and x = P d, y = N d for a positive d (P and N share no
+    suffix).  So join(c_k, v c_k) = v c_k N and c_(k+1) = c_k N: each step is
+    one conjugation and one pn cut, and the chain stops when v^c_k is
+    positive.
     """
     ctx = v.ctx
-    vi = v.inverse()
     rho = []
     for s in range(ctx.rank):
         c = GroupElement.generator(ctx, s)
-        vc = v * c
-        while not prefix_le(c, vc):
-            vc = join_prefix(c, vc)
-            c = vi * vc
+        while not (x := v.conjugate_by(c)).is_positive():
+            c = c * pn_normal_form(x).negative
         rho.append(c)
     return _minimal(rho)
 

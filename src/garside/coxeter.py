@@ -5,12 +5,14 @@ tables for its finite Coxeter group W.  Elements of W are realized faithfully
 as permutations of the root system.  An element is fixed by its images of the
 simple roots, so it is interned under that short key, its full permutation is
 built only the first time it is seen, and afterwards it is referred to by a
-small integer id; multiplication, inversion, length and descent sets are then
-dictionary lookups on ints.  Meets in the weak order are read off inversion
-sets, stored as bitmasks of positive roots: u is a prefix of w iff
-N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of Coxeter Groups,
-Prop. 3.1.3).  Everything is immutable after construction apart from internal
-memo tables, and all operations are pure.
+small integer id.  Interning a new element fills, in one pass over its images
+of the negative roots, the tables of its inversion set, length, left and right
+descents and support, lists indexed by id; products, meets, inverses and
+reduced words are memoized as they are asked for.  Meets in the weak order
+are read off inversion sets, stored as bitmasks of positive roots: u is a
+prefix of w iff N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of
+Coxeter Groups, Prop. 3.1.3).  Everything is immutable after construction
+apart from the tables, which only grow, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -238,18 +240,24 @@ class GroupContext:
     """Shared read-only data for one Artin-Tits group of spherical type.
 
     Holds the root system of the Coxeter group W, the interned permutation
-    table for elements of W (grown lazily), the Garside element of every
+    table for elements of W (grown as elements are met), the tables of facts
+    about each element that interning fills, the Garside element of every
     standard parabolic subgroup, and the memoized W-level operations that the
     normal-form engine is built from.
+
+    The tables, lists indexed by element id, hold bitmasks: `nsets[a]` is the
+    inversion set N(a) over the positive roots, `ldescs[a]`, `rdescs[a]` and
+    `supps[a]` the left descents, right descents and support over the
+    generators; `lengths[a]` is the length of a.
     """
 
-    # Slots keep the memo lookups on the hot path cheap; `__weakref__` lets
+    # Slots keep the table lookups on the hot path cheap; `__weakref__` lets
     # callers hold a context weakly.
     __slots__ = (
         "spec", "rank", "components_of_s", "component_types", "coxeter_order",
-        "num_positive", "_perms", "_ids", "identity", "gens",
-        "_mul_memo", "_inv_memo", "_len_memo", "_nset_memo", "_ldesc_memo",
-        "_rdesc_memo", "_supp_memo", "_mask_sets", "_word_memo", "_meet_memo",
+        "num_positive", "_root_supps", "_perms", "_ids", "identity", "gens",
+        "nsets", "lengths", "ldescs", "rdescs", "supps",
+        "_mul_memo", "_inv_memo", "_mask_sets", "_word_memo", "_meet_memo",
         "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
         "_tau_memo", "tau_order", "__weakref__",
     )
@@ -274,18 +282,18 @@ class GroupContext:
         gen_perms = self._build_roots()
 
         # Element interning: images of the simple roots -> id, and id -> full
-        # permutation.  Identity is id 0.
+        # permutation and the tables.  Identity is id 0.
         self._perms: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
+        self.nsets: list[int] = []
+        self.lengths: list[int] = []
+        self.ldescs: list[int] = []
+        self.rdescs: list[int] = []
+        self.supps: list[int] = []
         self.identity = self._intern(tuple(range(2 * self.num_positive)))
         self.gens = [self._intern(p) for p in gen_perms]
         self._mul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {0: 0}
-        self._len_memo: dict[int, int] = {0: 0}
-        self._nset_memo: dict[int, int] = {}
-        self._ldesc_memo: dict[int, int] = {}
-        self._rdesc_memo: dict[int, int] = {}
-        self._supp_memo: dict[int, int] = {0: 0}
         self._mask_sets: dict[int, frozenset[int]] = {}
         self._word_memo: dict[int, tuple[int, ...]] = {0: ()}
         self._meet_memo: dict[tuple[int, int], int] = {}
@@ -297,7 +305,7 @@ class GroupContext:
         self.memo: dict = {}
 
         self.delta = self.delta_of(frozenset(range(self.rank)))
-        self.delta_length = self.w_len(self.delta)
+        self.delta_length = self.lengths[self.delta]
         self._tau_memo: dict[int, int] = {}
         tau_on_s = self.delta_permutation(frozenset(range(self.rank)))
         self.tau_order = 1 if all(tau_on_s[s] == s for s in tau_on_s) else 2
@@ -305,7 +313,8 @@ class GroupContext:
     # ------------------------------------------------------------------ roots
 
     def _build_roots(self) -> list[tuple[int, ...]]:
-        """Set `num_positive` and return the permutations of the generators.
+        """Set `num_positive` and the supports of the positive roots, as
+        bitmasks of generators, and return the permutations of the generators.
 
         One depth-first pass over the roots, from the simple roots, fills the
         table of their images under the generators as it finds them: s_i moves
@@ -348,6 +357,9 @@ class GroupContext:
         order = sorted(range(len(roots)), key=lambda r: not positive[r])
         self.num_positive = sum(positive)
         assert 2 * self.num_positive == len(roots), "root system must split evenly"
+        self._root_supps = [
+            sum(1 << i for i, c in enumerate(keys[r]) if c) for r in order[:self.num_positive]
+        ]
         # The simple roots keep indices 0..n-1, ahead of the other positive roots.
         new = [0] * len(roots)
         for p, r in enumerate(order):
@@ -357,12 +369,33 @@ class GroupContext:
     # ------------------------------------------------------- W element algebra
 
     def _intern(self, perm: tuple[int, ...]) -> int:
-        """The id of a permutation, keyed by its images of the simple roots."""
+        """The id of a permutation, keyed by its images of the simple roots.
+
+        A new element a gets its table entries from its images of the
+        negative roots, whose positive ones make up N(a): the roots that a^-1
+        sends to negative roots.  l(a) = |N(a)|; s is a left descent iff
+        alpha_s is in N(a), a right descent iff a(alpha_s) < 0.  The support
+        of a is the union of the supports of the roots in N(a): N(a) lies in
+        the root subsystem of W_supp(a), which permutes the other positive
+        roots, and if s first occurs at place i of a reduced word s_1 ... s_k,
+        then s_1 ... s_(i-1)(alpha_s), a root of N(a), has alpha_s-coefficient
+        1, since no s_j with j < i changes it."""
         key = perm[:self.rank]
         eid = self._ids.get(key)
         if eid is None:
             eid = self._ids[key] = len(self._perms)
             self._perms.append(perm)
+            n, root_supps = self.num_positive, self._root_supps
+            nset = supp = 0
+            for r in perm[n:]:
+                if r < n:
+                    nset |= 1 << r
+                    supp |= root_supps[r]
+            self.nsets.append(nset)
+            self.lengths.append(nset.bit_count())
+            self.ldescs.append(nset & ((1 << self.rank) - 1))
+            self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
+            self.supps.append(supp)
         return eid
 
     def w_mul(self, a: int, b: int) -> int:
@@ -390,37 +423,6 @@ class GroupContext:
             self._inv_memo[a] = out
         return out
 
-    def w_inversions(self, a: int) -> int:
-        """N(a) as a bitmask of positive roots: those that a^-1 sends to
-        negative roots, i.e. the positive images of the negative roots."""
-        out = self._nset_memo.get(a)
-        if out is None:
-            n = self.num_positive
-            out = self._nset_memo[a] = sum(1 << r for r in self._perms[a][n:] if r < n)
-        return out
-
-    def w_len(self, a: int) -> int:
-        out = self._len_memo.get(a)
-        if out is None:
-            perm, n = self._perms[a], self.num_positive
-            out = sum(1 for i in range(n) if perm[i] >= n)
-            self._len_memo[a] = out
-        return out
-
-    def w_rdesc_mask(self, a: int) -> int:
-        out = self._rdesc_memo.get(a)
-        if out is None:
-            perm, n = self._perms[a], self.num_positive
-            out = sum(1 << s for s in range(self.rank) if perm[s] >= n)
-            self._rdesc_memo[a] = out
-        return out
-
-    def w_ldesc_mask(self, a: int) -> int:
-        out = self._ldesc_memo.get(a)
-        if out is None:
-            out = self._ldesc_memo[a] = self.w_inversions(a) & ((1 << self.rank) - 1)
-        return out
-
     def mask_set(self, mask: int) -> GeneratorSet:
         """The generator set of a bitmask, one interned frozenset per mask."""
         out = self._mask_sets.get(mask)
@@ -429,14 +431,14 @@ class GroupContext:
         return out
 
     def w_right_descents(self, a: int) -> frozenset[int]:
-        return self.mask_set(self.w_rdesc_mask(a))
+        return self.mask_set(self.rdescs[a])
 
     def w_left_descents(self, a: int) -> frozenset[int]:
-        return self.mask_set(self.w_ldesc_mask(a))
+        return self.mask_set(self.ldescs[a])
 
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
-        return not self.w_inversions(a) & ~self.w_inversions(b)
+        return not self.nsets[a] & ~self.nsets[b]
 
     def w_meet(self, a: int, b: int) -> int:
         """Greatest common prefix of two simple elements.
@@ -449,7 +451,7 @@ class GroupContext:
         key = (a, b) if a < b else (b, a)
         out = self._meet_memo.get(key)
         if out is None:
-            common = self.w_inversions(a) & self.w_inversions(b)
+            common = self.nsets[a] & self.nsets[b]
             out, perms, letters = 0, self._perms, range(self.rank)
             while True:
                 perm = perms[out]
@@ -497,16 +499,9 @@ class GroupContext:
             self._word_memo[a] = out
         return out
 
-    def w_supp_mask(self, a: int) -> int:
-        """Bitmask of the letters occurring in any (hence every) reduced word for a."""
-        out = self._supp_memo.get(a)
-        if out is None:
-            out = self._supp_memo[a] = sum(1 << s for s in set(self.w_word(a)))
-        return out
-
     def w_supp(self, a: int) -> GeneratorSet:
         """Letters occurring in any (hence every) reduced word for a."""
-        return self.mask_set(self.w_supp_mask(a))
+        return self.mask_set(self.supps[a])
 
     def all_elements(self) -> list[int]:
         """Every element of W, sorted by (length, word); enumeration is memoized."""
@@ -526,7 +521,7 @@ class GroupContext:
                             seen.add(b)
                             nxt.append(b)
                 frontier = nxt
-            self._all_elements = sorted(seen, key=lambda e: (self.w_len(e), self.w_word(e)))
+            self._all_elements = sorted(seen, key=lambda e: (self.lengths[e], self.w_word(e)))
             assert len(self._all_elements) == self.coxeter_order
         return self._all_elements
 
@@ -554,7 +549,7 @@ class GroupContext:
         return out
 
     def delta_length_of(self, X: GeneratorSet) -> int:
-        return self.w_len(self.delta_of(X))
+        return self.lengths[self.delta_of(X)]
 
     def delta_permutation(self, X: GeneratorSet) -> dict[int, int]:
         """The permutation s -> Delta_X^-1 s Delta_X of the letters of X."""

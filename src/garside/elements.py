@@ -33,14 +33,14 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     each factor, then left-weight pairs from the right end up to the first pair
     (x, y) already left-weighted, i.e. with ldesc(y) inside rdesc(x).  Trailing
     identities drop; leading Delta factors join the power."""
-    e, ldesc, rdesc = ctx.identity, ctx.w_ldesc_mask, ctx.w_rdesc_mask
+    e, ldesc, rdesc = ctx.identity, ctx.ldescs, ctx.rdescs
     fs: list[int] = []
     for f in factors:
         if f == e:
             continue
         fs.append(f)
         i = len(fs) - 1
-        while i > 0 and ldesc(fs[i]) & ~rdesc(fs[i - 1]):
+        while i > 0 and ldesc[fs[i]] & ~rdesc[fs[i - 1]]:
             x, y = fs[i - 1], fs[i]
             d = ctx.w_meet(ctx.w_rcomp(x), y)
             fs[i - 1], fs[i] = ctx.w_mul(x, d), ctx.w_mul(ctx.w_inv(d), y)
@@ -110,19 +110,19 @@ class GroupElement:
         grows while s is no left descent of s_k ... s_1.  The factors, one per
         run, are twisted by the Delta powers to their right and normalized
         once, as in `_product`."""
-        gens, mul, rank = ctx.gens, ctx.w_mul, ctx.rank
+        gens, mul, rank, ldesc, rdesc = ctx.gens, ctx.w_mul, ctx.rank, ctx.ldescs, ctx.rdescs
         runs: list[tuple[int, int]] = []  # (sign, W element of the run)
         sign = run = 0
         for i, e in letters:
             if not 0 <= i < rank:
                 GroupElement.generator(ctx, i)  # raises ParseError
             if e > 0:
-                if sign > 0 and not ctx.w_rdesc_mask(run) >> i & 1:
+                if sign > 0 and not rdesc[run] >> i & 1:
                     run = mul(run, gens[i])
                     continue
                 e = 1
             else:
-                if sign < 0 and not ctx.w_ldesc_mask(run) >> i & 1:
+                if sign < 0 and not ldesc[run] >> i & 1:
                     run = mul(gens[i], run)
                     continue
                 e = -1
@@ -170,7 +170,7 @@ class GroupElement:
     def word_length(self) -> int:
         """Letter count of the shortest positive word (positive elements only)."""
         ctx = self.ctx
-        return self.power * ctx.delta_length + sum(ctx.w_len(f) for f in self.factors)
+        return self.power * ctx.delta_length + sum(ctx.lengths[f] for f in self.factors)
 
     # ------------------------------------------------------------- arithmetic
 
@@ -405,7 +405,7 @@ def _support_mask(u: GroupElement) -> int:
     assert u.is_positive(), "support of a raw factor list needs a positive element"
     mask = (1 << ctx.rank) - 1 if u.power > 0 else 0
     for f in u.factors:
-        mask |= ctx.w_supp_mask(f)
+        mask |= ctx.supps[f]
     return mask
 
 

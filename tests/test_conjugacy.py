@@ -18,6 +18,8 @@ from garside import (
     initial_factor,
     meet_prefix,
     np_normal_form,
+    parabolic_closure,
+    parse_element,
     parse_word,
     prefix_le,
     stable_twisted_conjugator,
@@ -631,13 +633,38 @@ def _i_infinity_bound(beta):
     return max(2, -beta.inf(), beta.sup())
 
 
+def _check_i_infinity_stop(u):
+    """element_of_i_infinity(u) against the proven stop, run here pass by pass;
+    returns the passes N >= 2 that moved the RSSS seed."""
+    c = u.ctx
+    identity = GroupElement.identity(c)
+    beta, conj, n_star = element_of_i_infinity(u)
+    assert beta.inf() < 0 < beta.sup()
+    assert max(-beta.inf(), beta.sup()) <= beta.canonical_length()
+    for n in range(_i_infinity_bound(beta), n_star + 4):
+        st = GarsideStructure(c, n)
+        assert summit_seed(beta, SummitKind.RSSS, st) == (beta, identity), n
+    # stop at the first pass past the bound that leaves beta unchanged
+    b, *conjs = summit_seed(u, SummitKind.RSSS, GarsideStructure(c, 1))
+    moved = []
+    for n in range(2, conjugacy._I_INFINITY_CAP + 1):
+        nxt, x = summit_seed(b, SummitKind.RSSS, GarsideStructure(c, n))
+        conjs.append(x)
+        if nxt == b and n >= _i_infinity_bound(b):
+            break
+        if nxt != b:
+            moved.append(n)
+        b = nxt
+    assert (b, _product(c, conjs)) == (beta, conj)
+    return moved
+
+
 @pytest.mark.parametrize("token", FAMILIES)
 def test_i_infinity_stop_is_final(token):
     # Elements with neither a positive nor a negative conjugate, the ones
     # parabolic_closure sends to element_of_i_infinity.
     c = family(token)
     rng = random.Random(f"i-infinity/{token}")
-    identity = GroupElement.identity(c)
     checked = 0
     for _ in range(40):
         base = random_element(c, rng, 12)
@@ -645,23 +672,34 @@ def test_i_infinity_stop_is_final(token):
             if u.is_identity() or any(cycle_to_max_inf(v)[0].is_positive()
                                       for v in (u, u.inverse())):
                 continue
-            beta, conj, n_star = element_of_i_infinity(u)
-            assert beta.inf() < 0 < beta.sup()
-            assert max(-beta.inf(), beta.sup()) <= beta.canonical_length()
-            for n in range(_i_infinity_bound(beta), n_star + 4):
-                st = GarsideStructure(c, n)
-                assert summit_seed(beta, SummitKind.RSSS, st) == (beta, identity), n
-            # stop at the first pass past the bound that leaves beta unchanged
-            b, *conjs = summit_seed(u, SummitKind.RSSS, GarsideStructure(c, 1))
-            for n in range(2, conjugacy._I_INFINITY_CAP + 1):
-                nxt, x = summit_seed(b, SummitKind.RSSS, GarsideStructure(c, n))
-                conjs.append(x)
-                if nxt == b and n >= _i_infinity_bound(b):
-                    break
-                b = nxt
-            assert (b, _product(c, conjs)) == (beta, conj)
+            _check_i_infinity_stop(u)
             checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("token,text,moved,seed_support,closure_base", [
+    # g a b^-1 g^-1 with a, b, g positive words, found by a seeded search; in
+    # rank >= 4 the N = 1 seed can move at a later pass
+    ("A5", "Δ^-2 · (s3 s2 s4 s3 s2 s1 s5 s4 s3 s2 s1)(s1 s4 s3 s2 s1 s5 s4)"
+           "(s1 s2 s1 s4 s3 s2 s1 s5)(s3 s2 s4)",
+     [2], {0, 1, 2, 3, 4}, {0, 2, 4}),
+    ("A5", "Δ^-3 · (s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2 s1)"
+           "(s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3)(s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2)"
+           "(s2 s1 s4 s5)(s5)(s5 s4)(s4 s5)",
+     [3], {0, 1, 3, 4}, {0, 3, 4}),
+])
+def test_i_infinity_stop_is_final_when_the_seed_moves(token, text, moved, seed_support,
+                                                       closure_base):
+    # Returning the N = 1 seed, or stopping after the N = 2 pass, fails here.
+    # Stopping at the first unchanged pass past the canonical length does not:
+    # by the proof in element_of_i_infinity, it is the same stop.
+    c = ctx(token)
+    u = parse_element(c, text)
+    assert not any(cycle_to_max_inf(v)[0].is_positive() for v in (u, u.inverse()))
+    assert _check_i_infinity_stop(u) == moved
+    seed, _ = summit_seed(u, SummitKind.RSSS, GarsideStructure(c, 1))
+    assert support(seed) == seed_support
+    assert parabolic_closure(u).base == closure_base
 
 
 def test_transport_examples():

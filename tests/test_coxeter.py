@@ -84,7 +84,7 @@ def test_longest_elements_in_a4():
     c = ctx("A4")
     assert c.w_word(c.delta_of(frozenset({0, 1}))) == (0, 1, 0)
     d123 = c.delta_of(frozenset({0, 1, 2}))
-    assert c.w_len(d123) == 6
+    assert c.lengths[d123] == 6
     # frozen from the brute-force join of the three generators
     assert c.w_word(d123) == (0, 1, 0, 2, 1, 0)
     assert c.delta_of(frozenset()) == c.identity
@@ -161,7 +161,7 @@ def _descent_greedy_meet(c, a, b):
     """The greatest common prefix by stripping common left descents, each
     read off lengths: s divides x on the left iff l(s x) < l(x)."""
     def ldesc(x):
-        return {s for s in range(c.rank) if c.w_len(c.w_mul(c.gens[s], x)) < c.w_len(x)}
+        return {s for s in range(c.rank) if c.lengths[c.w_mul(c.gens[s], x)] < c.lengths[x]}
 
     m = c.identity
     while common := ldesc(a) & ldesc(b):
@@ -195,6 +195,67 @@ def test_meet_matches_descent_greedy_on_seeded_pairs(token):
         m = c.w_meet(a, b)
         assert m == _descent_greedy_meet(c, a, b)
         assert c.w_is_prefix(m, a) and c.w_is_prefix(m, b)
+
+
+def _check_tables(c, a, word):
+    """The table entries of a against references read off its permutation,
+    and a reduced word for a built without the tables.
+
+    The support reference is the letters of that word.  The tables read it
+    off N(a) instead, as the union of the supports of its roots, which is
+    supp(a): a lies in W_J for J = supp(a), which sends a positive root
+    outside the root subsystem of J to a positive root (its coefficients
+    outside J do not change), so N(a) lies in that subsystem; and if s first
+    occurs at place i of a reduced word s_1 ... s_k, the root
+    s_1 ... s_(i-1)(alpha_s) of N(a) has alpha_s-coefficient 1, since no s_j
+    with j < i changes it.  N(a) on the simple roots alone is only the left
+    descent set, which misses letters of most supports."""
+    perm, n = c._perms[a], c.num_positive
+    inverse = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inverse[j] = i
+    length = sum(1 for i in range(n) if perm[i] >= n)
+    assert c.lengths[a] == length == len(word)
+    assert c.rdescs[a] == sum(1 << s for s in range(c.rank) if perm[s] >= n)
+    assert c.ldescs[a] == sum(1 << s for s in range(c.rank) if inverse[s] >= n)
+    assert c.nsets[a] == sum(1 << r for r in perm[n:] if r < n)
+    assert c.supps[a] == sum(1 << s for s in set(word))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_element_tables_match_references_on_all_of_w(token):
+    c = family(token)
+    words = {c.identity: ()}
+    frontier = [c.identity]
+    while frontier:  # breadth first, so each word found first is a shortest one
+        nxt = []
+        for a in frontier:
+            for s, g in enumerate(c.gens):
+                b = c.w_mul(a, g)
+                if b not in words:
+                    words[b] = words[a] + (s,)
+                    nxt.append(b)
+        frontier = nxt
+    assert len(words) == c.coxeter_order
+    for a, word in words.items():
+        _check_tables(c, a, word)
+
+
+@pytest.mark.parametrize("token", ["E6", "H4"])
+def test_element_tables_match_references_on_seeded_elements(token):
+    c = ctx(token)
+    n = c.num_positive
+    rng = random.Random(f"tables/{token}")
+    for _ in range(2000):
+        a = _random_element(c, rng)
+        # a reduced word, by stripping right descents read off the permutation
+        word, x = [], a
+        while descents := [s for s in range(c.rank) if c._perms[x][s] >= n]:
+            s = rng.choice(descents)
+            word.append(s)
+            x = c.w_mul(x, c.gens[s])
+        assert x == c.identity
+        _check_tables(c, a, word[::-1])
 
 
 @pytest.mark.parametrize("token", FAMILIES)

@@ -286,7 +286,7 @@ def _reduced_runs(c, letters):
     for i, e in letters:
         g = c.gens[i]
         longer = c.w_mul(run, g) if e > 0 else c.w_mul(g, run)
-        if e == sign and c.w_len(longer) > c.w_len(run):
+        if e == sign and c.lengths[longer] > c.lengths[run]:
             run = longer
         else:
             runs, sign, run = runs + 1, e, g
