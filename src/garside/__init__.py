@@ -48,16 +48,13 @@ from .conjugacy import (
     twisted_cycling,
 )
 from .parabolic import (
-    CentralElement,
     ParabolicSubgroup,
     conjugated_parabolic,
     contains_element,
     contains_subgroup,
-    minimal_standardizer,
     parabolic_closure,
     parabolic_equal,
     phi,
-    z_of,
 )
 from .lattice import (
     AdjacencyVerdict,

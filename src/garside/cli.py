@@ -70,8 +70,6 @@ def _load_context(token: str, config: dict) -> GroupContext:
         if not isinstance(data, dict) or "matrix" not in data:
             raise ParseError(f"group file {token} has no \"matrix\" entry")
         spec = CoxeterSpec.from_matrix(data["matrix"], name=data.get("name"))
-    elif "matrix" in config and token == "config":
-        spec = CoxeterSpec.from_matrix(config["matrix"], name=config.get("name"))
     else:
         spec = CoxeterSpec.from_token(token)
     return build_context(spec, rank_cap=rank_cap)
@@ -256,8 +254,7 @@ def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
     P = _parse_subgroup(ctx, args.subgroup)
     Q = _parse_subgroup(ctx, args.subgroup2) if hasattr(args, "subgroup2") else None
     if args.command == "z":
-        value = parabolic.z_of(P).value
-        _emit_as(args, P.to_json()["z"], format_element(value))
+        _emit_as(args, P.to_json()["z"], format_element(P.z))
     elif args.command == "standardize":
         data = P.to_json()
         _emit_as(args, {"standardizer": data["standardizer"], "base": data["base"]},

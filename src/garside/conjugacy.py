@@ -582,7 +582,7 @@ def stable_twisted_conjugator(v: GroupElement, w: GroupElement, x: GroupElement,
     cv = cycling_conjugator_product(v, m, structure) * shift
     cw = cycling_conjugator_product(w, m, structure) * shift
     x = record.x
-    assert x.inverse() * cv * x == cw, "stable conjugator must transport exactly"
+    assert cv.conjugate_by(x) == cw, "stable conjugator must transport exactly"
     assert cv * v == v * cv, "stable conjugator must commute with its base"
     assert cw * w == w * cw, "stable conjugator must commute with its base"
     return m, cv, cw

@@ -46,6 +46,14 @@ def _require_same(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> None:
         raise ContextMismatch("subgroups belong to different group contexts")
 
 
+def _require_vertex(P: ParabolicSubgroup) -> None:
+    """Refuse P unless it is a vertex of the complex: proper and irreducible."""
+    if not P.is_proper():
+        raise NotProper(f"{P!r} is the whole group")
+    if not P.is_irreducible():
+        raise NotIrreducible(f"{P!r} is reducible")
+
+
 def z_commute(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     """Adjacency test for the complex: do the central elements commute?"""
     _require_same(P, Q)
@@ -75,22 +83,16 @@ def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     distinct proper irreducible parabolic subgroups, and check that the answer
     matches commutation of the central elements."""
     _require_same(P, Q)
-    for sub in (P, Q):
-        if not sub.is_proper():
-            raise NotProper(f"{sub!r} is the whole group")
-        if not sub.is_irreducible():
-            raise NotIrreducible(f"{sub!r} is reducible")
+    _require_vertex(P)
+    _require_vertex(Q)
     if parabolic_equal(P, Q):
         raise EqualSubgroups("the characterization needs distinct subgroups")
 
     commute = z_commute(P, Q)
-    p_in_q = contains_subgroup(Q, P)
-    q_in_p = contains_subgroup(P, Q)
     condition: PairCondition | None = None
-    if p_in_q:
-        condition = PairCondition.PROPER_SUBSET_PQ
-    elif q_in_p:
-        condition = PairCondition.PROPER_SUBSET_QP
+    if nested := _nested(P, Q):
+        condition = (PairCondition.PROPER_SUBSET_PQ if nested[1] is P
+                     else PairCondition.PROPER_SUBSET_QP)
     elif _pairwise_commuting(P, Q):
         result, _ = intersect(P, Q, budget)
         if not result.is_trivial():
@@ -282,7 +284,7 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
 
     candidates: list[ParabolicSubgroup] = [ParabolicSubgroup.full(ctx)]
     for k in (1, 2, 3):
-        T = parabolic_closure(P.z * Q.z**k)
+        T = parabolic_closure(_product(ctx, (P.z,) + (Q.z,) * k))
         cert.candidates_examined += 1
         if is_upper(T) and T not in candidates:
             candidates.append(T)
@@ -326,18 +328,12 @@ def _irreducible_proper_bases(ctx: GroupContext) -> list[frozenset[int]]:
             if X and len(X) < ctx.rank and ctx.is_irreducible(X)]
 
 
-def _neighbors_among(P: ParabolicSubgroup, candidates) -> list[ParabolicSubgroup]:
-    if not P.is_proper():
-        raise NotProper(f"{P!r} is the whole group")
-    if not P.is_irreducible():
-        raise NotIrreducible(f"{P!r} is reducible")
-    return [Q for Q in candidates if Q != P and z_commute(P, Q)]
-
-
 def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSubgroup]:
     """Proper irreducible subgroups adjacent to P in the complex, among those
     with a conjugator in the signed ball of the given radius."""
-    return _neighbors_among(P, _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget))
+    _require_vertex(P)
+    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget)
+    return [Q for Q in candidates if Q != P and z_commute(P, Q)]
 
 
 @dataclass
@@ -372,15 +368,15 @@ class ComplexBall:
 def complex_ball(P: ParabolicSubgroup, radius: int, budget: int = 0) -> ComplexBall:
     """Neighbors-of-neighbors exploration to the given radius; edges are all
     commuting-z pairs among the vertices collected."""
-    _neighbors_among(P, ())  # refuses a reducible or whole-group centre at every radius
+    _require_vertex(P)
     candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget) if radius else []
     layer = [P]
     vertices = {P.z: P}
     for _ in range(radius):
         nxt = []
         for V in layer:
-            for W in _neighbors_among(V, candidates):
-                if W.z not in vertices:
+            for W in candidates:
+                if W.z not in vertices and z_commute(V, W):
                     vertices[W.z] = W
                     nxt.append(W)
         layer = nxt

@@ -1,14 +1,17 @@
 """Brute-force oracles used to validate the engines on small groups.
 
-Everything here recomputes its answers from first principles at the level of
-words: multiplication is concatenation, two positive words are compared by
+The oracles recompute their answers at the level of words wherever they can:
+multiplication is concatenation, two positive words are compared by
 exhaustively applying defining relations, divisibility is a search for a
 rewriting that starts (or ends) with a given letter, and normal forms are
 rebuilt by greedy letter-by-letter extraction.  The search spaces (signed
 balls and conjugate parabolic subgroups) come from lattice's enumerator, which
-a test checks against the word-by-word definition; otherwise the engines serve
-only as the final equality comparator, and no normal-form, closure or lattice
-algorithm is shared.  Tables are kept in the context's memo and die with it.
+a test checks against the word-by-word definition.  A few engine pieces are
+shared: `closure_oracle` and `intersect_oracle` decide membership with
+`contains_element` (the np cut plus `support`), `brute_meet` and
+`enumerate_simples` multiply through the engine's normal form, and
+`brute_meet` orders divisors with `prefix_le` / `suffix_le`.  Tables are kept
+in the context's memo and die with it.
 
 The word searches are budget-bounded and raise BudgetExceeded rather than guess.
 """
@@ -310,7 +313,10 @@ def brute_meet(u: GroupElement, v: GroupElement, order: str = "prefix",
 
 def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupElement]:
     """All divisors of the Garside element, grown letter by letter through
-    word-level division; the element engine only deduplicates."""
+    word-level division; the element engine only deduplicates.
+
+    F4 is out of reach although |W| = 1152: the rewriting class of its
+    24-letter Delta word outgrows _CLOSURE_CAP, and BudgetExceeded is raised."""
     if ctx.coxeter_order > budget:
         raise BudgetExceeded(f"|W| = {ctx.coxeter_order} exceeds budget {budget}")
     ws = word_system(ctx)
@@ -335,7 +341,11 @@ def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupEle
 
 def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgroup:
     """The unique minimal enumerated parabolic subgroup containing u; raises
-    NoMinimumFound when the bounded enumeration has no single minimum."""
+    NoMinimumFound when the bounded enumeration has no single minimum.
+
+    The answer is exact only when PC(u) = g A_X g^-1 for some g of signed
+    length <= conjugator_bound; otherwise it can return a larger subgroup as
+    the unique minimum, with nothing to tell the two cases apart."""
     ctx = u.ctx
     containing = [
         P for P in _memo(ctx, ("parabolics", conjugator_bound),

@@ -11,7 +11,6 @@ and serialization canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
 from .coxeter import GeneratorSet, GroupContext
@@ -22,32 +21,20 @@ from .elements import (
     format_element,
     format_positive,
     pn_normal_form,
-    ribbon,
     support,
 )
 from .errors import ContextMismatch, GarsideError
 
 __all__ = [
-    "CentralElement",
     "ParabolicSubgroup",
     "central_element_of_standard",
-    "minimal_standardizer",
     "parabolic_closure",
     "parabolic_equal",
     "conjugated_parabolic",
     "contains_element",
     "contains_subgroup",
     "phi",
-    "ribbon",
-    "z_of",
 ]
-
-
-@dataclass(frozen=True)
-class CentralElement:
-    """Canonical central element z of a parabolic subgroup, in normal form."""
-
-    value: GroupElement
 
 
 def central_element_of_standard(ctx: GroupContext, X) -> GroupElement:
@@ -84,6 +71,8 @@ class ParabolicSubgroup:
 
     @staticmethod
     def from_central_element(ctx: GroupContext, z: GroupElement) -> "ParabolicSubgroup":
+        """The subgroup with central element z; every constructor ends here.
+        Raises GarsideError when z is not such a central element."""
         b = pn_normal_form(z).negative
         standard_z = z.conjugate_by(b)
         if not standard_z.is_positive():
@@ -101,7 +90,7 @@ class ParabolicSubgroup:
 
     @staticmethod
     def standard(ctx: GroupContext, X) -> "ParabolicSubgroup":
-        return ParabolicSubgroup.from_conjugator(ctx, GroupElement.identity(ctx), X)
+        return ParabolicSubgroup.from_central_element(ctx, central_element_of_standard(ctx, X))
 
     @staticmethod
     def trivial(ctx: GroupContext) -> "ParabolicSubgroup":
@@ -126,11 +115,10 @@ class ParabolicSubgroup:
         return len(self.ctx.components(self.base)) == 1
 
     def generators(self) -> list[GroupElement]:
-        b = self.standardizer
-        return [
-            b * GroupElement.generator(self.ctx, s) * b.inverse()
-            for s in sorted(self.base)
-        ]
+        b, ctx = self.standardizer, self.ctx
+        bi = b.inverse()
+        return [_product(ctx, (b, GroupElement.generator(ctx, s), bi))
+                for s in sorted(self.base)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,10 +153,6 @@ class ParabolicSubgroup:
 # --------------------------------------------------------- subgroup operations
 
 
-def z_of(P: ParabolicSubgroup) -> CentralElement:
-    return CentralElement(P.z)
-
-
 def parabolic_equal(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     if P.ctx is not Q.ctx:
         raise ContextMismatch("subgroups belong to different group contexts")
@@ -176,10 +160,8 @@ def parabolic_equal(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
 
 
 def conjugated_parabolic(P: ParabolicSubgroup, x: GroupElement) -> ParabolicSubgroup:
-    """x^-1 P x."""
-    return ParabolicSubgroup.from_conjugator(
-        P.ctx, x.inverse() * P.standardizer, P.base
-    )
+    """x^-1 P x, the subgroup with central element x^-1 z x."""
+    return ParabolicSubgroup.from_central_element(P.ctx, P.z.conjugate_by(x))
 
 
 def contains_element(P: ParabolicSubgroup, u: GroupElement) -> bool:
@@ -191,11 +173,6 @@ def contains_element(P: ParabolicSubgroup, u: GroupElement) -> bool:
 def contains_subgroup(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     """Q subseteq P, tested through the central element of Q."""
     return contains_element(P, Q.z)
-
-
-def minimal_standardizer(P: ParabolicSubgroup) -> tuple[GroupElement, GeneratorSet]:
-    """The smallest positive b with b^-1 P b standard, and the standard base."""
-    return P.standardizer, P.base
 
 
 def parabolic_closure(u: GroupElement) -> ParabolicSubgroup:

@@ -260,6 +260,12 @@ def test_bad_group_files_exit_2(tmp_path, capsys):
     assert_one_line_error(code, err)
     code, _, err = invoke(capsys, "A2", "--config", str(bad_json), "nf", "s1")
     assert_one_line_error(code, err)
+    # a config file names no group, even when it holds a matrix
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"matrix": [[1, 3], [3, 1]]}))
+    code, _, err = invoke(capsys, "config", "--config", str(conf), "nf", "s1")
+    assert_one_line_error(code, err)
+    assert "unrecognized group token 'config'" in err
     for matrix in ([[1, "x"], ["x", 1]], 5, [[1, 3], None]):
         bad_matrix = tmp_path / "bad_matrix.json"
         bad_matrix.write_text(json.dumps({"matrix": matrix}))

@@ -85,6 +85,37 @@ def test_characterize_pair_is_conjugation_invariant():
         assert verdict.commute == z_commute(P, Q)
 
 
+def _nesting_by_two_tests(P, Q):
+    """The nesting classification characterize_pair made before it used
+    _nested: both containment tests, P < Q read first."""
+    p_in_q = contains_subgroup(Q, P)
+    q_in_p = contains_subgroup(P, Q)
+    if p_in_q:
+        return PairCondition.PROPER_SUBSET_PQ
+    if q_in_p:
+        return PairCondition.PROPER_SUBSET_QP
+    return None
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_characterize_pair_matches_two_test_nesting(token):
+    vertices = [P for P in enumerate_parabolics(family(token), 1)
+                if P.is_proper() and P.is_irreducible()]
+    nested = 0
+    for P, Q in product(vertices, repeat=2):
+        if P == Q:
+            continue
+        condition = characterize_pair(P, Q).condition
+        expected = _nesting_by_two_tests(P, Q)
+        if expected is None:
+            assert condition in (None, PairCondition.DISJOINT_COMMUTING)
+        else:
+            assert condition is expected
+            nested += 1
+    # nested pairs are there unless every vertex has one generator (I2(m))
+    assert nested or all(len(P.base) == 1 for P in vertices)
+
+
 def test_intersect_examples():
     R, cert = intersect(std("A3", {0, 1}), std("A3", {1, 2}), budget=5)
     assert parabolic_equal(R, std("A3", {1}))

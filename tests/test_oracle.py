@@ -9,6 +9,7 @@ from garside import (
     GroupElement,
     ParabolicSubgroup,
     contains_element,
+    contains_subgroup,
     format_element,
     join_prefix,
     join_suffix,
@@ -17,6 +18,7 @@ from garside import (
     np_normal_form,
     parabolic_closure,
     parabolic_equal,
+    parse_element,
     parse_word,
     pn_normal_form,
 )
@@ -188,6 +190,19 @@ def test_closure_oracle_agrees_with_engine_sampled():
     for _ in range(40):
         u = random_element(c, rng, 5)
         assert parabolic_equal(closure_oracle(u, 3), parabolic_closure(u))
+
+
+def test_closure_oracle_past_its_conjugator_bound():
+    # The closure needs an 8-letter standardizer, beyond the oracle's ball of
+    # radius 3: the oracle answers a larger subgroup as the unique minimum.
+    c = ctx("A5")
+    u = parse_element(c, "Δ^-2 · (s3 s2 s4 s3 s2 s1 s5 s4 s3 s2 s1)(s1 s4 s3 s2 s1 s5 s4)"
+                         "(s1 s2 s1 s4 s3 s2 s1 s5)(s3 s2 s4)")
+    P = parabolic_closure(u)
+    assert P.base == frozenset({0, 2, 4}) and len(P.standardizer.as_signed_word()) == 8
+    answer = closure_oracle(u, 3)
+    assert answer.base == frozenset({0, 2, 3, 4})
+    assert contains_subgroup(answer, P) and not parabolic_equal(answer, P)
 
 
 def test_enumerate_parabolics_oracle():

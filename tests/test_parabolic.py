@@ -17,7 +17,6 @@ from garside import (
     enumerate_parabolics,
     format_element,
     join_prefix,
-    minimal_standardizer,
     parabolic_closure,
     parabolic_equal,
     parse_word,
@@ -25,7 +24,6 @@ from garside import (
     prefix_le,
     ribbon,
     support,
-    z_of,
 )
 from garside import parabolic
 from garside.conjugacy import element_of_i_infinity
@@ -90,7 +88,6 @@ def test_z_examples():
     g = w("A4", "s3")
     P = ParabolicSubgroup.from_conjugator(ctx("A4"), g, {0, 1})
     assert P.z == g * w("A4", "s1 s2 s1") ** 2 * g.inverse()
-    assert z_of(P).value == P.z
 
 
 def test_z_is_conjugation_invariant_key():
@@ -149,10 +146,10 @@ def test_contains_element():
 def test_minimal_standardizer_examples():
     a2 = ctx("A2")
     P = ParabolicSubgroup.from_conjugator(a2, w("A2", "s1"), {1})
-    b, base = minimal_standardizer(P)
+    b, base = P.standardizer, P.base
     assert b == w("A2", "s1") and base == frozenset({1})
     P = std("A3", {0, 2})
-    assert minimal_standardizer(P) == (GroupElement.identity(ctx("A3")), frozenset({0, 2}))
+    assert (P.standardizer, P.base) == (GroupElement.identity(ctx("A3")), frozenset({0, 2}))
 
 
 def test_minimal_standardizer_is_minimal():
@@ -165,7 +162,7 @@ def test_minimal_standardizer_is_minimal():
                 i for i in range(c.rank) if rng.random() < 0.5
             ) or frozenset({rng.randrange(c.rank)})
             P = ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3), x_set)
-            b, base = minimal_standardizer(P)
+            b, base = P.standardizer, P.base
             assert conjugated_parabolic(P, b).is_standard()
             assert conjugated_parabolic(P, b).base == base
             # walk all strictly smaller positive prefixes
@@ -445,3 +442,55 @@ def test_reducible_central_element():
     z2 = central_element_of_standard(c, frozenset({0, 2}))
     d2 = GroupElement.from_simple(c, c.delta_of(frozenset({0, 2})))
     assert z2 == d2
+
+
+# --------------------------------- constructors from z, against the code before
+# Each subgroup is now built from its central element; the helpers below are
+# the builds they replaced, through the conjugator and one product per step.
+
+
+def _conjugated_by_conjugator(P, x):
+    return ParabolicSubgroup.from_conjugator(P.ctx, x.inverse() * P.standardizer, P.base)
+
+
+def _generators_by_products(P):
+    b = P.standardizer
+    return [b * GroupElement.generator(P.ctx, s) * b.inverse() for s in sorted(P.base)]
+
+
+def _fields(P):
+    return P.z, P.standardizer, P.base
+
+
+def _seeded_subgroups(c, rng, n):
+    for _ in range(n):
+        X = frozenset(i for i in range(c.rank) if rng.random() < 0.5)
+        yield ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3), X)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_conjugated_parabolic_matches_conjugator_build(token):
+    c = family(token)
+    rng = random.Random(49)
+    for P in _seeded_subgroups(c, rng, 25):
+        x = random_element(c, rng, 3)
+        assert _fields(conjugated_parabolic(P, x)) == _fields(_conjugated_by_conjugator(P, x))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_standard_matches_identity_conjugator_build(token):
+    c = family(token)
+    one = GroupElement.identity(c)
+    for mask in range(1 << c.rank):
+        X = frozenset(i for i in range(c.rank) if mask >> i & 1)
+        P = ParabolicSubgroup.standard(c, X)
+        assert ParabolicSubgroup.from_conjugator(c, one, X) is P
+        assert _fields(P) == (central_element_of_standard(c, X), one, X)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_generators_match_two_products(token):
+    c = family(token)
+    rng = random.Random(51)
+    for P in _seeded_subgroups(c, rng, 25):
+        assert P.generators() == _generators_by_products(P)
