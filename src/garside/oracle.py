@@ -1,19 +1,21 @@
 """Brute-force oracles used to validate the engines on small groups.
 
-The oracles recompute their answers at the level of words wherever they can:
-multiplication is concatenation, two positive words are compared by
-exhaustively applying defining relations, divisibility is a search for a
-rewriting that starts (or ends) with a given letter, and normal forms are
-rebuilt by greedy letter-by-letter extraction.  The search spaces (signed
-balls and conjugate parabolic subgroups) come from lattice's enumerator, which
-a test checks against the word-by-word definition.  A few engine pieces are
-shared: `closure_oracle` and `intersect_oracle` decide membership with
-`contains_element` (the np cut plus `support`), `brute_meet` and
-`enumerate_simples` multiply through the engine's normal form, and
-`brute_meet` orders divisors with `prefix_le` / `suffix_le`.  Tables are kept
-in the context's memo and die with it.
-
-The word searches are budget-bounded and raise BudgetExceeded rather than guess.
+The oracles recompute their answers at the level of words wherever they can,
+with one primitive: subword reversing.  Right reversing rewrites s^-1 t to
+f(s,t) f(t,s)^-1, where s f(s,t) = t f(t,s) is the alternating lcm that the
+Coxeter matrix gives, and s^-1 s to the empty word, until the word reads
+p n^-1.  Artin-Tits presentations are complete for reversing (Dehornoy,
+J. Algebra 268 (2003)) and reversing terminates in spherical type (Dehornoy
+et al., Foundations of Garside Theory, EMS Tracts 22 (2015), ch. II), so
+reversing u^-1 v ends in v' u'^-1 with u v' = v u' the least common right
+multiple of u and v.  Equality, division, the Garside word, np / pn forms and
+membership in a parabolic subgroup all come from it; normal forms are rebuilt
+by greedy letter-by-letter extraction.  The search spaces (signed balls and
+conjugate parabolic subgroups) come from lattice's enumerator, which a test
+checks against the word-by-word definition.  The engine stays in two places:
+`brute_meet` and `enumerate_simples` deduplicate and order elements through
+its normal form, and `brute_meet` orders divisors with `prefix_le` /
+`suffix_le`.  Tables are kept in the context's memo and die with it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .coxeter import GroupContext
 from .elements import GroupElement, prefix_le, suffix_le
 from .errors import BudgetExceeded, NoMinimumFound
 from .lattice import _ball_words, enumerate_parabolics
-from .parabolic import ParabolicSubgroup, contains_element, contains_subgroup
-
-_CLOSURE_CAP = 500_000
+from .parabolic import ParabolicSubgroup
 
 SignedWord = tuple[tuple[int, int], ...]
 PositiveWord = tuple[int, ...]
@@ -36,86 +36,80 @@ def _alternating(s: int, t: int, m: int) -> PositiveWord:
     return tuple(s if i % 2 == 0 else t for i in range(m))
 
 
+def _signed(word: PositiveWord) -> SignedWord:
+    return tuple((s, 1) for s in word)
+
+
+def _inverse(word: SignedWord) -> SignedWord:
+    return tuple((s, -e) for s, e in reversed(word))
+
+
 class WordSystem:
-    """Positive-word combinatorics for one presentation: rewriting, equality,
-    division and greedy normal forms, all independent of the element engine."""
+    """Word combinatorics for one presentation, all by subword reversing and
+    independent of the element engine: equality, division, np / pn forms and
+    greedy normal forms."""
 
     def __init__(self, ctx: GroupContext):
         self.ctx = ctx
-        self.rules: list[tuple[PositiveWord, PositiveWord]] = []
-        for s in range(ctx.rank):
-            for t in range(s + 1, ctx.rank):
-                m = ctx.spec.m(s, t)
-                self.rules.append((_alternating(s, t, m), _alternating(t, s, m)))
-                self.rules.append((_alternating(t, s, m), _alternating(s, t, m)))
-        self.delta_word: PositiveWord = ctx.w_word(ctx.delta)
+        # f(s, t) with s f(s,t) = t f(t,s) = lcm(s, t); m(s, s) = 1 makes
+        # f(s, s) empty, so s^-1 s reverses to nothing.
+        f = [[_alternating(t, s, ctx.spec.m(s, t) - 1) for t in range(ctx.rank)]
+             for s in range(ctx.rank)]
+        # s^-1 t -> f(s,t) f(t,s)^-1 as pushed on reverse's stack of letters
+        # still to read, last letter read first; ~x encodes x^-1.
+        self._rewrite = [[tuple(~x for x in f[t][s]) + f[s][t][::-1]
+                          for t in range(ctx.rank)] for s in range(ctx.rank)]
+        delta: PositiveWord = ()
+        for s in range(ctx.rank):  # Delta is the lcm of the atoms
+            delta += self.reverse(_inverse(_signed(delta)) + ((s, 1),))[0]
+        self.delta_word = delta
         self._tau_letter: dict[int, int] = {}
         self._lambda_word: dict[int, PositiveWord] = {}
 
-    def neighbors(self, word: PositiveWord):
-        for lhs, rhs in self.rules:
-            k = len(lhs)
-            for i in range(len(word) - k + 1):
-                if word[i:i + k] == lhs:
-                    yield word[:i] + rhs + word[i + k:]
+    def reverse(self, word: SignedWord) -> tuple[PositiveWord, PositiveWord]:
+        """Right reversing: positive words (p, n) with word = p n^-1."""
+        rewrite = self._rewrite
+        p: list[int] = []
+        n: list[int] = []  # the letters of n^-1 read so far, as letters of n
+        todo = [s if e > 0 else ~s for s, e in reversed(word)]
+        while todo:
+            x = todo.pop()
+            if x < 0:
+                n.append(~x)
+            elif n:
+                todo.extend(rewrite[n.pop()][x])
+            else:
+                p.append(x)
+        return tuple(p), tuple(reversed(n))
 
-    def _search(self, word: PositiveWord, goal, cap: int = _CLOSURE_CAP):
-        """BFS over the rewriting class of `word` until `goal` hits."""
-        hit = goal(word)
-        if hit is not None:
-            return hit
-        seen = {word}
-        frontier = [word]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for w2 in self.neighbors(w):
-                    if w2 in seen:
-                        continue
-                    hit = goal(w2)
-                    if hit is not None:
-                        return hit
-                    seen.add(w2)
-                    nxt.append(w2)
-                    if len(seen) > cap:
-                        raise BudgetExceeded("word rewriting closure outgrew its cap")
-            frontier = nxt
-        return None
+    def reverse_left(self, word: SignedWord) -> tuple[PositiveWord, PositiveWord]:
+        """Left reversing, the mirror of right reversing: (n, p) with
+        word = n^-1 p."""
+        p, n = self.reverse(tuple(reversed(word)))
+        return n[::-1], p[::-1]
 
     def equal_positive(self, w1: PositiveWord, w2: PositiveWord) -> bool:
-        """Word problem in the positive monoid, solved by exhaustive rewriting."""
-        w1, w2 = tuple(w1), tuple(w2)
-        if len(w1) != len(w2):
-            return False
-        return self._search(w1, lambda w: True if w == w2 else None) is True
+        """Word problem in the positive monoid: w1^-1 w2 reverses to nothing."""
+        return self.reverse(_inverse(_signed(w1)) + _signed(w2)) == ((), ())
 
-    def divide_left(self, word: PositiveWord, s: int):
-        """A word for s^-1 * word if s divides word on the left, else None."""
-        return self._search(
-            tuple(word), lambda w: w[1:] if w and w[0] == s else None
-        )
+    def divide_left(self, word: PositiveWord, prefix: PositiveWord):
+        """A word for prefix^-1 * word if prefix divides word on the left, else None."""
+        p, n = self.reverse(_inverse(_signed(prefix)) + _signed(word))
+        return None if n else p
 
-    def divide_right(self, word: PositiveWord, s: int):
-        return self._search(
-            tuple(word), lambda w: w[:-1] if w and w[-1] == s else None
-        )
-
-    def divide_left_by_word(self, word: PositiveWord, prefix: PositiveWord):
-        rest = tuple(word)
-        for s in prefix:
-            rest = self.divide_left(rest, s)
-            if rest is None:
-                return None
-        return rest
+    def divide_right(self, word: PositiveWord, suffix: PositiveWord):
+        """A word for word * suffix^-1 if suffix divides word on the right, else None."""
+        rest = self.divide_left(tuple(word)[::-1], tuple(suffix)[::-1])
+        return None if rest is None else rest[::-1]
 
     def first_letters(self, word: PositiveWord) -> set[int]:
-        return {s for s in range(self.ctx.rank) if self.divide_left(word, s) is not None}
+        return {s for s in range(self.ctx.rank) if self.divide_left(word, (s,)) is not None}
 
     def tau_letter(self, s: int) -> int:
         """The letter t with s * Delta = Delta * t."""
         out = self._tau_letter.get(s)
         if out is None:
-            rest = self.divide_left_by_word((s,) + self.delta_word, self.delta_word)
+            rest = self.divide_left((s,) + self.delta_word, self.delta_word)
             assert rest is not None and len(rest) == 1
             out = rest[0]
             self._tau_letter[s] = out
@@ -125,7 +119,7 @@ class WordSystem:
         """A word for Delta * s^-1."""
         out = self._lambda_word.get(s)
         if out is None:
-            out = self.divide_right(self.delta_word, s)
+            out = self.divide_right(self.delta_word, (s,))
             assert out is not None
             self._lambda_word[s] = out
         return out
@@ -133,12 +127,8 @@ class WordSystem:
     # ------------------------------------------------- normal forms by words
 
     def signed_to_pair(self, word: SignedWord) -> tuple[int, PositiveWord]:
-        """Rewrite a signed word as Delta^-k * (positive word), with k as
-        small as word-level division can make it.
-
-        The positive part is kept short by stripping Delta divisors as they
-        appear; otherwise its rewriting class quickly becomes too large to
-        search."""
+        """Rewrite a signed word as Delta^-k * (positive word); Delta divisors
+        are stripped as they appear, which keeps the positive part short."""
         k = 0
         w: tuple[int, ...] = ()
         for s, sign in word:
@@ -148,14 +138,14 @@ class WordSystem:
                 w = tuple(self.tau_letter(x) for x in w) + self.lambda_word(s)
                 k += 1
             while k > 0:
-                rest = self.divide_left_by_word(w, self.delta_word)
+                rest = self.divide_left(w, self.delta_word)
                 if rest is None:
                     break
                 w, k = rest, k - 1
         return k, w
 
     def is_simple_word(self, word: PositiveWord) -> bool:
-        return self.divide_left_by_word(self.delta_word, word) is not None
+        return self.divide_left(self.delta_word, word) is not None
 
     def greatest_simple_prefix(self, word: PositiveWord):
         """Greedy extraction of the maximal simple prefix; returns (prefix, rest)."""
@@ -167,7 +157,7 @@ class WordSystem:
             for s in range(self.ctx.rank):
                 if not self.is_simple_word(tuple(f) + (s,)):
                     continue
-                nxt = self.divide_left(rest, s)
+                nxt = self.divide_left(rest, (s,))
                 if nxt is not None:
                     f.append(s)
                     rest = nxt
@@ -189,29 +179,16 @@ class WordSystem:
         return p, factors
 
     def np_form(self, word: SignedWord) -> tuple[PositiveWord, PositiveWord]:
-        """(negative part, positive part) as words, by middle cancellation."""
-        k, y = self.signed_to_pair(word)
-        x = self.delta_word * k
-        stripped = True
-        while stripped:
-            stripped = False
-            for s in range(self.ctx.rank):
-                y2 = self.divide_left(y, s)  # probe the short side first
-                if y2 is None:
-                    continue
-                x2 = self.divide_left(x, s)
-                if x2 is None:
-                    continue
-                x, y = x2, y2
-                stripped = True
-                break
-        return x, y
+        """(negative part, positive part) as words: right reversing gives
+        p n^-1, and left reversing that gives x^-1 y with x y left-coprime,
+        since x p = y n is the least common left multiple."""
+        p, n = self.reverse(word)
+        return self.reverse_left(_signed(p) + _inverse(_signed(n)))
 
     def pn_form(self, word: SignedWord) -> tuple[PositiveWord, PositiveWord]:
-        """(positive part, negative part) as words, via word reversal."""
-        rev = tuple(reversed(word))
-        x, y = self.np_form(rev)
-        return tuple(reversed(y)), tuple(reversed(x))
+        """(positive part, negative part) as words: left, then right reversing."""
+        n, p = self.reverse_left(word)
+        return self.reverse(_inverse(_signed(n)) + _signed(p))
 
 
 def _memo(ctx: GroupContext, key, build):
@@ -313,30 +290,41 @@ def brute_meet(u: GroupElement, v: GroupElement, order: str = "prefix",
 
 def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupElement]:
     """All divisors of the Garside element, grown letter by letter through
-    word-level division; the element engine only deduplicates.
-
-    F4 is out of reach although |W| = 1152: the rewriting class of its
-    24-letter Delta word outgrows _CLOSURE_CAP, and BudgetExceeded is raised."""
+    word-level division of the Delta word; the element engine only
+    deduplicates and orders.  Raises BudgetExceeded when |W| passes budget."""
     if ctx.coxeter_order > budget:
         raise BudgetExceeded(f"|W| = {ctx.coxeter_order} exceeds budget {budget}")
     ws = word_system(ctx)
-    identity = GroupElement.identity(ctx)
-    out: dict[GroupElement, PositiveWord] = {identity: ()}
-    queue: list[tuple[GroupElement, PositiveWord, PositiveWord]] = [
-        (identity, (), ws.delta_word)
-    ]
+    seen = {GroupElement.identity(ctx)}
+    queue = [(GroupElement.identity(ctx), ws.delta_word)]
     while queue:
-        elt, prefix, rest = queue.pop()
-        for s in ws.first_letters(rest):
+        elt, rest = queue.pop()
+        for s in range(ctx.rank):
             nxt = elt * GroupElement.generator(ctx, s)
-            if nxt in out:
+            if nxt in seen:
                 continue
-            out[nxt] = prefix + (s,)
-            queue.append((nxt, prefix + (s,), ws.divide_left(rest, s)))
-    return sorted(out, key=GroupElement.sort_key)
+            quotient = ws.divide_left(rest, (s,))
+            if quotient is not None:
+                seen.add(nxt)
+                queue.append((nxt, quotient))
+    return sorted(seen, key=GroupElement.sort_key)
 
 
 # ------------------------------------------------------------------ subgroups
+
+
+def _contains(P: ParabolicSubgroup, word: SignedWord) -> bool:
+    """word lies in P = b A_X b^-1 iff the reduced np form of b^-1 word b,
+    found by reversing, uses only letters of X."""
+    b = tuple(P.standardizer.as_signed_word())
+    x, y = word_system(P.ctx).np_form(_inverse(b) + tuple(word) + b)
+    return P.base.issuperset(x + y)
+
+
+def _includes(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
+    """Q subseteq P, tested on the generators b_Q s b_Q^-1 of Q."""
+    b = tuple(Q.standardizer.as_signed_word())
+    return all(_contains(P, b + ((s, 1),) + _inverse(b)) for s in Q.base)
 
 
 def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgroup:
@@ -347,14 +335,17 @@ def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgr
     length <= conjugator_bound; otherwise it can return a larger subgroup as
     the unique minimum, with nothing to tell the two cases apart."""
     ctx = u.ctx
+    # u is conjugated by every listed standardizer: reduce its word once
+    x, y = word_system(ctx).np_form(tuple(u.as_signed_word()))
+    word = _inverse(_signed(x)) + _signed(y)
     containing = [
         P for P in _memo(ctx, ("parabolics", conjugator_bound),
                          lambda: enumerate_parabolics(ctx, conjugator_bound))
-        if contains_element(P, u)
+        if _contains(P, word)
     ]
     minimal = [
         P for P in containing
-        if not any(Q is not P and P != Q and contains_subgroup(P, Q) for Q in containing)
+        if not any(Q is not P and _includes(P, Q) for Q in containing)
     ]
     if len(minimal) != 1:
         raise NoMinimumFound(
@@ -364,8 +355,9 @@ def closure_oracle(u: GroupElement, conjugator_bound: int = 3) -> ParabolicSubgr
 
 
 def _ball_membership(P: ParabolicSubgroup, radius: int) -> list[bool]:
+    b = ball(P.ctx, radius)
     return _memo(P.ctx, ("membership", radius, P.z),
-                 lambda: [contains_element(P, u) for u in ball(P.ctx, radius).elements])
+                 lambda: [_contains(P, b.words[u]) for u in b.elements])
 
 
 def intersect_oracle(P: ParabolicSubgroup, Q: ParabolicSubgroup,

@@ -527,7 +527,7 @@ def test_structure_simples_match_reference(token, n):
     assert len(layers) == c.rank
     for s in range(c.rank):
         assert layers[s] == _ref_atom_layers(ref, c, s), (token, n, s)
-    if n == 1 and token != "F4":  # the oracle's word rewriting outgrows its cap on F4
+    if n == 1:
         union = {y for atom_layers in layers for layer in atom_layers for y in layer}
         assert union == set(enumerate_simples(c)) - {GroupElement.identity(c)}
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -25,6 +26,8 @@ from garside import (
 from garside.errors import BudgetExceeded
 from garside.lattice import enumerate_parabolics
 from garside.oracle import (
+    _ball_membership,
+    _includes,
     ball,
     brute_meet,
     closure_oracle,
@@ -34,7 +37,7 @@ from garside.oracle import (
     word_system,
 )
 
-from conftest import ctx, random_element
+from conftest import FAMILIES, ctx, family, random_element
 
 
 def w(token, text):
@@ -82,35 +85,110 @@ def test_word_equality_matches_engine():
 
 def test_word_division():
     ws = word_system(ctx("A2"))
-    assert ws.divide_left((0, 1, 0), 1) == (0, 1)
-    assert ws.divide_left((0, 0), 1) is None
-    assert ws.divide_right((0, 1, 0), 0) == (0, 1)
+    assert ws.divide_left((0, 1, 0), (1,)) == (0, 1)
+    assert ws.divide_left((0, 0), (1,)) is None
+    assert ws.divide_left((0, 1, 0, 1), (1, 0)) == (1, 1)
+    assert ws.divide_right((0, 1, 0), (0,)) == (0, 1)
     assert ws.first_letters((0, 1, 0)) == {0, 1}
     assert ws.first_letters((0, 0)) == {0}
 
 
-def test_oracle_normal_forms_match_engine():
-    rng = random.Random(61)
-    for token in ("A2", "A3", "B2"):
+def _rewriting_class(c, word):
+    """Every positive word equal to `word`, by breadth-first application of
+    the braid relations: the word problem as the oracle decided it before
+    subword reversing."""
+    rules = []
+    for s in range(c.rank):
+        for t in range(s + 1, c.rank):
+            m = c.spec.m(s, t)
+            lhs = tuple(s if i % 2 == 0 else t for i in range(m))
+            rhs = tuple(t if i % 2 == 0 else s for i in range(m))
+            rules += [(lhs, rhs), (rhs, lhs)]
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for lhs, rhs in rules:
+                k = len(lhs)
+                for i in range(len(v) - k + 1):
+                    if v[i:i + k] == lhs:
+                        v2 = v[:i] + rhs + v[i + k:]
+                        if v2 not in seen:
+                            seen.add(v2)
+                            nxt.append(v2)
+        frontier = nxt
+    return seen
+
+
+def test_reversing_equality_matches_rewriting():
+    for token in ("A2", "B2", "I2(5)"):
+        c = ctx(token)
+        ws = word_system(c)
+        for n in range(6):
+            words = list(itertools.product(range(c.rank), repeat=n))
+            for w1 in words:
+                cls = _rewriting_class(c, w1)
+                for w2 in words:
+                    assert ws.equal_positive(w1, w2) == (w2 in cls), (token, w1, w2)
+    rng = random.Random(64)
+    for token in ("A3", "H3"):
         c = ctx(token)
         ws = word_system(c)
         for _ in range(60):
-            word = signed(rng, c.rank, 5)
+            w1 = tuple(rng.randrange(c.rank) for _ in range(rng.randint(0, 8)))
+            cls = _rewriting_class(c, w1)
+            # half the partners are equal to w1, half are random
+            w2 = rng.choice(sorted(cls)) if rng.random() < 0.5 else \
+                tuple(rng.randrange(c.rank) for _ in w1)
+            assert ws.equal_positive(w1, w2) == (w2 in cls), (token, w1, w2)
+            assert not ws.equal_positive(w1, w1 + (0,))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_delta_word_is_the_engine_delta(token):
+    c = family(token)
+    ws = word_system(c)
+    assert len(ws.delta_word) == c.delta_length
+    assert GroupElement.from_letters(c, [(s, 1) for s in ws.delta_word]) == \
+        GroupElement.delta_power(c, 1)
+
+
+def test_reversing_membership_matches_contains_element():
+    for token, radius in (("A2", 4), ("B2", 4), ("A3", 3)):
+        c = ctx(token)
+        elements = ball(c, radius).elements
+        listing = enumerate_parabolics(c, 2)
+        for P in listing:
+            assert _ball_membership(P, radius) == \
+                [contains_element(P, u) for u in elements], (token, P)
+            for Q in listing:
+                assert _includes(P, Q) == contains_subgroup(P, Q), (token, P, Q)
+
+
+def _positive(c, word):
+    return GroupElement.from_letters(c, [(s, 1) for s in word])
+
+
+def test_oracle_normal_forms_match_engine():
+    rng = random.Random(61)
+    for token in FAMILIES:
+        c = family(token)
+        ws = word_system(c)
+        for _ in range(40):
+            word = signed(rng, c.rank, 10)
             u = GroupElement.from_letters(c, word)
             p, factors = ws.left_normal_form(word)
-            assert p == u.power
+            assert p == u.power, (token, word)
             assert len(factors) == u.canonical_length()
             for fw, fe in zip(factors, u.factor_words()):
-                assert GroupElement.from_letters(c, [(s, 1) for s in fw]) == \
-                    GroupElement.from_letters(c, [(s, 1) for s in fe])
+                assert _positive(c, fw) == _positive(c, fe)
             x, y = ws.np_form(word)
             m = np_normal_form(u)
-            assert GroupElement.from_letters(c, [(s, 1) for s in x]) == m.negative
-            assert GroupElement.from_letters(c, [(s, 1) for s in y]) == m.positive
+            assert _positive(c, x) == m.negative and _positive(c, y) == m.positive
             a, b = ws.pn_form(word)
             f = pn_normal_form(u)
-            assert GroupElement.from_letters(c, [(s, 1) for s in a]) == f.positive
-            assert GroupElement.from_letters(c, [(s, 1) for s in b]) == f.negative
+            assert _positive(c, a) == f.positive and _positive(c, b) == f.negative
 
 
 def test_enumerate_simples_counts():
@@ -119,6 +197,9 @@ def test_enumerate_simples_counts():
     assert len(enumerate_simples(ctx("B2"))) == 8
     assert len(enumerate_simples(ctx("A3"))) == 24
     assert len(enumerate_simples(ctx("I2(5)"))) == 10
+    assert len(enumerate_simples(ctx("D4"))) == 192
+    assert len(enumerate_simples(ctx("H3"))) == 120
+    assert len(enumerate_simples(ctx("F4"))) == 1152
     # they are exactly the Coxeter-group count and all divide Delta
     for token in ("A2", "B2"):
         c = ctx(token)
