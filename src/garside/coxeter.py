@@ -299,9 +299,9 @@ class GroupContext:
         self._meet_memo: dict[tuple[int, int], int] = {}
         self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
         self._all_elements: list[int] | None = None
-        # Tables of the layers above W (the live standard subgroups, held
-        # weakly, the classical simples in word order for the summit graphs,
-        # and the oracles' tables), freed with the context.
+        # Tables of the layers above W (the live subgroups by central
+        # element, held weakly, the classical simples in word order for the
+        # summit graphs, and the oracles' tables), freed with the context.
         self.memo: dict = {}
 
         self.delta = self.delta_of(frozenset(range(self.rank)))

@@ -4,8 +4,8 @@ Containment between parabolic subgroups reduces to one membership test: Q is
 contained in P exactly when the central element of Q lies in P, because Q is
 the parabolic closure of its own central element.  Adjacency in the complex is
 commutation of the central elements; the three-way characterization (nested or
-disjoint-commuting) is decided through those membership tests plus a budgeted
-intersection search.
+disjoint-commuting) is decided through those membership tests plus commutation
+of the generators, with the centre proving the intersection trivial.
 
 The existence results behind intersections and joins are not effective, so
 both are bounded searches that return a certificate recording the witness and
@@ -31,13 +31,11 @@ from .errors import (
 )
 from .parabolic import (
     ParabolicSubgroup,
-    central_element_of_standard,
     conjugated_parabolic,
     contains_element,
     contains_subgroup,
     parabolic_closure,
     parabolic_equal,
-    phi,
 )
 
 
@@ -77,11 +75,18 @@ def _pairwise_commuting(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     return all(a * b == b * a for a in gp for b in gq)
 
 
-def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup,
-                      budget: int = 4) -> AdjacencyVerdict:
+def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> AdjacencyVerdict:
     """Decide which of the three adjacency conditions holds for a pair of
     distinct proper irreducible parabolic subgroups, and check that the answer
-    matches commutation of the central elements."""
+    matches commutation of the central elements.
+
+    Disjoint-commuting needs no search for a common element.  Let P and Q be
+    distinct, irreducible, not nested, with pairwise commuting generators.  An
+    x in P ∩ Q commutes with all of P and all of Q, so it lies in
+    Z(P) ∩ Z(Q) = <z_P> ∩ <z_Q>: the centre of an irreducible spherical
+    Artin-Tits group is cyclic, generated by its z (Brieskorn & Saito, 1972).
+    If x != 1 then x = z_P^m = z_Q^n with m, n != 0, and since PC(x^m) =
+    PC(x), P = PC(z_P) = PC(x) = PC(z_Q) = Q, a contradiction."""
     _require_same(P, Q)
     _require_vertex(P)
     _require_vertex(Q)
@@ -94,12 +99,6 @@ def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup,
         condition = (PairCondition.PROPER_SUBSET_PQ if nested[1] is P
                      else PairCondition.PROPER_SUBSET_QP)
     elif _pairwise_commuting(P, Q):
-        result, _ = intersect(P, Q, budget)
-        if not result.is_trivial():
-            raise GarsideError(
-                "commuting pair with nontrivial bounded intersection: "
-                "budget too small or internal inconsistency"
-            )
         condition = PairCondition.DISJOINT_COMMUTING
     if commute != (condition is not None):
         raise GarsideError("adjacency characterization disagrees with z-commutation")
@@ -197,26 +196,26 @@ def intersect(P: ParabolicSubgroup, Q: ParabolicSubgroup,
 
     # b w b^-1 lies in Q iff w lies in b^-1 Q b: one conjugation per call,
     # and a product only for the members.
-    b = P.standardizer
+    ctx, b = P.ctx, P.standardizer
     Qb = conjugated_parabolic(Q, b)
     bi = b.inverse()
-    best = None
+    best = result = None
     best_key = (0, 0)
-    for w in signed_ball(P.ctx, budget, P.base):
+    for w in signed_ball(ctx, budget, P.base):
         if w.is_identity():
             continue
         cert.candidates_examined += 1
         if not contains_element(Qb, w):
             continue
-        cand = _product(P.ctx, (b, w, bi))
-        key = (phi(cand), -len(cand.as_signed_word()))
+        cand = _product(ctx, (b, w, bi))
+        closure = parabolic_closure(cand)
+        key = (ctx.delta_length_of(closure.base), -len(cand.as_signed_word()))
         if key > best_key:
-            best, best_key = cand, key
+            best, best_key, result = cand, key, closure
     if best is None:
         cert.notes.append("no nontrivial common element within budget")
-        return ParabolicSubgroup.trivial(P.ctx), cert
+        return ParabolicSubgroup.trivial(ctx), cert
 
-    result = parabolic_closure(best)
     cert.witness = format_signed_word(best.as_signed_word()) or "1"
     for name, big in (("P", P), ("Q", Q)):
         if not contains_subgroup(big, result):
@@ -239,21 +238,16 @@ def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup
     (t in X, or t commuting with every letter of X): then g = g' t^+-1 with g'
     one letter shorter, also in the ball, and g A_X g^-1 = g' A_X g'^-1.  By
     induction down to the identity, which is never skipped, every subgroup is
-    still reached.  A subgroup is built only for a central element not yet
-    found, so the first one found stays."""
+    still reached.  A repeat is a read of the context's live subgroups."""
     words = _ball_words(ctx, radius)
-    out: dict[GroupElement, ParabolicSubgroup] = {}
+    found: set[ParabolicSubgroup] = set()
     for X in bases:
         normalizing = {t for t in range(ctx.rank)
                        if t in X or all(ctx.spec.m(t, s) == 2 for s in X)}
-        z_X = central_element_of_standard(ctx, X)
-        for g, word in words.items():
-            if word and word[-1][0] in normalizing:
-                continue
-            z = _product(ctx, (g, z_X, g.inverse()))
-            if z not in out:
-                out[z] = ParabolicSubgroup.from_central_element(ctx, z)
-    return sorted(out.values(), key=ParabolicSubgroup.sort_key)
+        found.update(ParabolicSubgroup.from_conjugator(ctx, g, X)
+                     for g, word in words.items()
+                     if not word or word[-1][0] not in normalizing)
+    return sorted(found, key=ParabolicSubgroup.sort_key)
 
 
 def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[ParabolicSubgroup]:
@@ -371,16 +365,16 @@ def complex_ball(P: ParabolicSubgroup, radius: int, budget: int = 0) -> ComplexB
     _require_vertex(P)
     candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget) if radius else []
     layer = [P]
-    vertices = {P.z: P}
+    vertices = {P}
     for _ in range(radius):
         nxt = []
         for V in layer:
             for W in candidates:
-                if W.z not in vertices and z_commute(V, W):
-                    vertices[W.z] = W
+                if W not in vertices and z_commute(V, W):
+                    vertices.add(W)
                     nxt.append(W)
         layer = nxt
-    verts = sorted(vertices.values(), key=ParabolicSubgroup.sort_key)
+    verts = sorted(vertices, key=ParabolicSubgroup.sort_key)
     edges = [
         (i, j)
         for i in range(len(verts))

@@ -2,11 +2,13 @@
 
 A parabolic subgroup g A_X g^-1 is pinned down by one element: the canonical
 generator z of (the relevant power of) its center, conjugate of Delta_X or
-Delta_X^2.  Conjugation moves z exactly as it moves the subgroup, so z is a
-perfect dictionary key, and the negative part of its pn-normal form is the
-minimal positive element standardizing the subgroup.  Every subgroup is
-re-based through that standardizer at construction time, which makes equality
-and serialization canonical.
+Delta_X^2.  Conjugation moves z exactly as it moves the subgroup, and the
+subgroup is the parabolic closure of z, so z is its identity: each context
+keeps one live object per central element, and every constructor looks z up
+there before any work.  On a miss, the negative part of the pn-normal form of
+z is the minimal positive element standardizing the subgroup, and the
+subgroup is stored re-based through it, which makes equality and
+serialization canonical.
 """
 
 from __future__ import annotations
@@ -72,20 +74,23 @@ class ParabolicSubgroup:
     @staticmethod
     def from_central_element(ctx: GroupContext, z: GroupElement) -> "ParabolicSubgroup":
         """The subgroup with central element z; every constructor ends here.
-        Raises GarsideError when z is not such a central element."""
-        b = pn_normal_form(z).negative
-        standard_z = z.conjugate_by(b)
-        if not standard_z.is_positive():
-            raise GarsideError("standardized central element must be positive")
-        base = support(standard_z)
-        if standard_z != central_element_of_standard(ctx, base):
-            raise GarsideError("central element does not define a parabolic subgroup")
-        P = ParabolicSubgroup(ctx, b, base, z)
-        if b.is_identity():
-            # One live object per standard subgroup, held weakly so that the
-            # context is still freed as soon as nothing uses it.
-            live = ctx.memo.setdefault("standard subgroups", WeakValueDictionary())
-            P = live.setdefault(base, P)
+        Raises GarsideError when z is not such a central element.  The context
+        keeps one live object per z, held weakly under z's raw (power, factors)
+        pair so that the context is still freed as soon as nothing uses it."""
+        live = ctx.memo.get("subgroups")
+        if live is None:
+            live = ctx.memo["subgroups"] = WeakValueDictionary()
+        key = (z.power, z.factors)
+        P = live.get(key)
+        if P is None:
+            b = pn_normal_form(z).negative
+            standard_z = z.conjugate_by(b)
+            if not standard_z.is_positive():
+                raise GarsideError("standardized central element must be positive")
+            base = support(standard_z)
+            if standard_z != central_element_of_standard(ctx, base):
+                raise GarsideError("central element does not define a parabolic subgroup")
+            P = live[key] = ParabolicSubgroup(ctx, b, base, z)
         return P
 
     @staticmethod

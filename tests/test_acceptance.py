@@ -278,7 +278,6 @@ def test_criterion_09_adjacency_biconditional():
             verdict = characterize_pair(
                 ParabolicSubgroup.standard(c, X),
                 ParabolicSubgroup.standard(c, Y),
-                budget=4,
             )
             assert verdict.commute == (verdict.condition is not None)
             standard_pairs += 1
@@ -291,7 +290,7 @@ def test_criterion_09_adjacency_biconditional():
             c, random_element(c, rng, 3), rng.choice(bases))
         if parabolic_equal(P, Q):
             continue
-        verdict = characterize_pair(P, Q, budget=4)
+        verdict = characterize_pair(P, Q)
         assert verdict.commute == (verdict.condition is not None)
         conjugated_pairs += 1
     elapsed = time.time() - t0

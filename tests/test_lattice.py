@@ -26,6 +26,7 @@ from garside.elements import format_signed_word
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
 from garside.lattice import (
     Certificate,
+    _ball_words,
     _conjugates,
     _irreducible_proper_bases,
     _nested,
@@ -34,6 +35,7 @@ from garside.lattice import (
     signed_ball,
 )
 from garside.oracle import ball
+from garside.parabolic import central_element_of_standard
 
 from conftest import FAMILIES, ctx, family, random_element
 
@@ -311,6 +313,33 @@ def test_pruned_conjugates_match_whole_ball(token):
                 [(P.z, P.standardizer, P.base) for P in ref]
 
 
+def _z_keyed_conjugates(c, bases, radius):
+    """A reference for `_conjugates` with a dictionary of its own, keyed by
+    central element: a subgroup is built only for a z not yet found."""
+    words = _ball_words(c, radius)
+    out = {}
+    for X in bases:
+        normalizing = {t for t in range(c.rank)
+                       if t in X or all(c.spec.m(t, s) == 2 for s in X)}
+        z_X = central_element_of_standard(c, X)
+        for g, word in words.items():
+            if word and word[-1][0] in normalizing:
+                continue
+            z = z_X.conjugate_by(g.inverse())
+            if z not in out:
+                out[z] = ParabolicSubgroup.from_central_element(c, z)
+    return sorted(out.values(), key=ParabolicSubgroup.sort_key)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_enumeration_matches_z_keyed_reference(token):
+    c = family(token)
+    got = enumerate_parabolics(c, 1)
+    ref = _z_keyed_conjugates(c, _subsets(c), 1)
+    assert [(P.z, P.standardizer, P.base) for P in got] == \
+        [(P.z, P.standardizer, P.base) for P in ref]
+
+
 def signed_words(rank, max_len):
     """Every signed word of length <= max_len: shortest first, then in
     lexicographic order with generators before their inverses."""
@@ -375,6 +404,23 @@ def test_adjacency_biconditional_standard_pairs_a3_b3():
                     continue
                 P = ParabolicSubgroup.standard(c, X)
                 Q = ParabolicSubgroup.standard(c, Y)
-                verdict = characterize_pair(P, Q, budget=4)
+                verdict = characterize_pair(P, Q)
                 assert verdict.commute == (verdict.condition is not None)
                 assert verdict.commute == z_commute(P, Q)
+
+
+@pytest.mark.parametrize("token", ("A3", "A4", "B3"))
+def test_disjoint_commuting_pairs_intersect_trivially(token):
+    """characterize_pair proves a disjoint-commuting pair's intersection
+    trivial through the centre; the bounded search finds nothing either."""
+    c = ctx(token)
+    vertices = [P for P in enumerate_parabolics(c, 1)
+                if P.is_proper() and P.is_irreducible()]
+    pairs = 0
+    for P in vertices:
+        for Q in vertices:
+            if P != Q and characterize_pair(P, Q).condition is \
+                    PairCondition.DISJOINT_COMMUTING:
+                assert intersect(P, Q, 4)[0].is_trivial()
+                pairs += 1
+    assert pairs

@@ -10,6 +10,7 @@ from hypothesis import strategies as hs
 from garside import (
     GroupElement,
     ParabolicSubgroup,
+    build_context,
     conjugated_parabolic,
     contains_element,
     contains_subgroup,
@@ -21,13 +22,15 @@ from garside import (
     parabolic_equal,
     parse_word,
     phi,
+    pn_normal_form,
     prefix_le,
     ribbon,
     support,
 )
 from garside import parabolic
 from garside.conjugacy import element_of_i_infinity
-from garside.errors import ContextMismatch
+from garside.errors import ContextMismatch, GarsideError
+from garside.lattice import _subsets
 from garside.parabolic import central_element_of_standard
 
 from conftest import FAMILIES, ctx, family, random_element
@@ -303,8 +306,8 @@ def test_closure_paths(token, monkeypatch):
 
 def test_retained_closures_are_small():
     """A non-standard closure keeps two elements and the context's interned
-    base set: 300 retained A3 closures stay under 400 bytes each.  Standard
-    closures are interned, one per base."""
+    base set: 300 retained A3 closures stay under 400 bytes each.  Closures
+    are interned, one live object per central element."""
     c = ctx("A3")
     assert parabolic_closure(w("A3", "s1 s2")) is parabolic_closure(w("A3", "s2^-1 s1^-1"))
     rng = random.Random(9)
@@ -326,9 +329,9 @@ def test_retained_closures_are_small():
 
 
 def test_context_is_freed_without_cycle_collection():
-    """Interned standard subgroups are held weakly and standard central
-    elements are memoized as plain tuples: closures and enumerations leave no
-    reference cycle through the context."""
+    """Interned subgroups are held weakly under plain-tuple keys and standard
+    central elements are memoized as plain tuples: closures and enumerations
+    leave no reference cycle through the context."""
     c = context_from_token("A3")
     ref = weakref.ref(c)
     kept = [parabolic_closure(parse_word(c, t)) for t in ("s1 s2", "s2^-1 s1^-1", "s1 s2^-1")]
@@ -336,13 +339,93 @@ def test_context_is_freed_without_cycle_collection():
     kept.append(ParabolicSubgroup.from_conjugator(c, parse_word(c, "s2 s3^-1"), {0, 1}))
     memo = c.memo["standard z"]
     assert memo and all(type(v) is tuple for v in memo.values())
-    del memo
+    live = c.memo["subgroups"]
+    assert len(live) == len(set(kept))
+    assert all(type(k) is tuple and type(k[1]) is tuple
+               and {type(x) for x in (k[0], *k[1])} == {int} for k in live.keys())
+    del memo, live
     gc.disable()
     try:
         del c, kept
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _build(z):
+    """The fields of the subgroup with central element z, computed without
+    the live table: the pn cut b, the support of b^-1 z b, and z."""
+    b = pn_normal_form(z).negative
+    return b, support(z.conjugate_by(b)), z
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_interned_subgroups_match_a_fresh_build(token):
+    c = family(token)
+    rng = random.Random(71)
+    bases = _subsets(c)
+    kept = []  # every subgroup stays live, so later builds can hit the table
+    for _ in range(80):
+        z = central_element_of_standard(c, rng.choice(bases)).conjugate_by(
+            random_element(c, rng, 4))
+        P = ParabolicSubgroup.from_central_element(c, z)
+        kept.append(P)
+        assert (P.standardizer, P.base, P.z) == _build(z)
+    assert len({P.base for P in kept}) < len(set(kept))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_conjugators_of_one_subgroup_give_one_object(token):
+    """g A_X g^-1 = (g t) A_X (g t)^-1 when t normalizes A_X: the second
+    build, and every other route to the subgroup, returns the same object."""
+    c = family(token)
+    rng = random.Random(72)
+    for X in _subsets(c):
+        normalizing = [t for t in range(c.rank)
+                       if t in X or all(c.spec.m(t, s) == 2 for s in X)]
+        for _ in range(4):
+            g = random_element(c, rng, 4)
+            t = GroupElement.from_letters(
+                c, [(rng.choice(normalizing), rng.choice((1, -1))) for _ in range(3)])
+            P = ParabolicSubgroup.from_conjugator(c, g, X)
+            assert ParabolicSubgroup.from_conjugator(c, g * t, X) is P
+            assert ParabolicSubgroup.from_central_element(
+                c, GroupElement(c, P.z.power, P.z.factors, normalized=True)) is P
+            x = random_element(c, rng, 3)
+            assert conjugated_parabolic(P, x) is ParabolicSubgroup.from_conjugator(
+                c, x.inverse() * g, X)
+            if X:
+                assert parabolic_closure(P.z) is P
+        assert ParabolicSubgroup.from_conjugator(c, GroupElement.identity(c), X) \
+            is ParabolicSubgroup.standard(c, X)
+    assert ParabolicSubgroup.trivial(c) is ParabolicSubgroup.standard(c, ())
+    assert ParabolicSubgroup.full(c) is ParabolicSubgroup.standard(c, range(c.rank))
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_invalid_central_elements_raise(token):
+    """z_X s (s in X), z_X^2 and their conjugates define no subgroup, whether
+    or not a valid subgroup of the same base is live.  (A generator s is the
+    valid central element of A_{s}.)"""
+    c = build_context(family(token).spec)  # fresh: nothing is live yet
+    rng = random.Random(73)
+    invalid = []
+    for X in _subsets(c)[1:]:
+        z_X = central_element_of_standard(c, X)
+        g = random_element(c, rng, 3)
+        for z in [z_X * GroupElement.generator(c, s) for s in sorted(X)] + [z_X * z_X]:
+            invalid += [z, z.conjugate_by(g)]
+
+    def all_raise():
+        for z in invalid:
+            with pytest.raises(GarsideError):
+                ParabolicSubgroup.from_central_element(c, z)
+
+    all_raise()
+    held = [ParabolicSubgroup.from_conjugator(c, g, X) for X in _subsets(c)
+            for g in (GroupElement.identity(c), random_element(c, rng, 3))]
+    all_raise()
+    assert len(c.memo["subgroups"]) == len(set(held))
 
 
 def test_z_closure_fixed_point():
