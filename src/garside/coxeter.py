@@ -2,10 +2,13 @@
 
 A group context holds one Coxeter presentation of spherical type together with
 tables for its finite Coxeter group W.  Elements of W are realized faithfully
-as permutations of the root system.  An element is fixed by its images of the
-simple roots, so it is interned under that short key, its full permutation is
-built only the first time it is seen, and afterwards it is referred to by a
-small integer id.  Interning a new element fills, in one pass over its images
+as permutations of the root system.  With at most 256 roots (every irreducible
+type but I2(m) for m > 128) a permutation is a bytes: a product is
+bytes.translate, an inverse bytes.maketrans, both in C; above 256 roots it is
+a tuple of ints.  An element is fixed by its images of the simple roots, so
+it is interned under that short key, its full permutation is built only the
+first time it is seen, and afterwards it is referred to by a small integer
+id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
 descents and support, lists indexed by id; products, meets, inverses and
 reduced words are memoized as they are asked for.  Meets in the weak order
@@ -23,22 +26,25 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .errors import BudgetExceeded, NonSphericalType, ParseError
+from .errors import BudgetExceeded, GarsideError, NonSphericalType, ParseError
 
 GeneratorSet = frozenset[int]
 
 # Most elements of W, or simples of Delta^N, enumerated before BudgetExceeded.
 ENUMERATION_BUDGET = 200_000
 
-# Orders of the irreducible finite Coxeter groups, by family.
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("H", 3): 120,
-    ("H", 4): 14400,
+# (Order, Coxeter number) of the exceptional irreducible finite Coxeter groups.
+_EXCEPTIONAL = {
+    ("E", 6): (51840, 12),
+    ("E", 7): (2903040, 18),
+    ("E", 8): (696729600, 30),
+    ("F", 4): (1152, 12),
+    ("H", 3): (120, 10),
+    ("H", 4): (14400, 30),
 }
+
+# Target of bytes.maketrans when it inverts a permutation stored as bytes.
+_BYTE_RANGE = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,23 @@ def _component_order(kind: str, n: int, label: int) -> int:
         return (2 ** (n - 1)) * math.factorial(n)
     if kind == "I2":
         return 2 * label
-    return _EXCEPTIONAL_ORDERS[(kind, n)]
+    return _EXCEPTIONAL[(kind, n)][0]
+
+
+def _component_roots(kind: str, n: int, label: int) -> int:
+    """Number of roots of an irreducible component: its rank times its
+    Coxeter number h (Humphreys, Reflection Groups and Coxeter Groups, 3.18)."""
+    if kind == "A":
+        h = n + 1
+    elif kind == "B":
+        h = 2 * n
+    elif kind == "D":
+        h = 2 * n - 2
+    elif kind == "I2":
+        h = label
+    else:
+        h = _EXCEPTIONAL[(kind, n)][1]
+    return n * h
 
 
 def _classify_component(vertices: tuple[int, ...], spec: CoxeterSpec) -> tuple[str, int, int]:
@@ -236,6 +258,66 @@ def _connected_components(vertices, spec: CoxeterSpec) -> list[tuple[int, ...]]:
     return out
 
 
+def _build_roots(spec: CoxeterSpec, num_roots: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The supports of the positive roots, as bitmasks of generators, and the
+    permutations of all the roots by the generators; `num_roots` is the size
+    of the root system.
+
+    One depth-first pass over the roots, from the simple roots, fills the
+    table of their images under the generators as it finds them: s_i moves
+    only coordinate i, so only that entry of the rounded key changes, and
+    s_i fixes the root when that entry stays.  The pass stops once it finds
+    more roots than there are: past about I2(10000) the rounded keys of one
+    root stop matching and it would grow without end."""
+    n = spec.rank
+    # Columns of the Gram matrix of the reflection representation,
+    # unit-length simple roots.
+    cols = [
+        [1.0 if i == j else -math.cos(math.pi / spec.m(j, i)) for j in range(n)]
+        for i in range(n)
+    ]
+    roots = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+    keys = [tuple(round(c, 9) for c in v) for v in roots]
+    index = {k: r for r, k in enumerate(keys)}
+    images = [[0] * n for _ in roots]  # images[r][i]: the root s_i(root r)
+    frontier = list(range(n))
+    while frontier:
+        r = frontier.pop()
+        v, k, row = roots[r], keys[r], images[r]
+        for i in range(n):
+            c = v[i] - 2.0 * sum(map(mul, v, cols[i]))
+            ci = round(c, 9)
+            if ci == k[i]:
+                row[i] = r
+                continue
+            wk = k[:i] + (ci,) + k[i + 1:]
+            j = index.get(wk)
+            if j is None:
+                j = index[wk] = len(roots)
+                if j == num_roots:
+                    raise GarsideError(
+                        f"{spec.name or f'rank-{n} matrix'}: root enumeration passed the "
+                        f"{num_roots} roots of the group; floating-point keys no longer match"
+                    )
+                w = list(v)
+                w[i] = c
+                roots.append(w)
+                keys.append(wk)
+                images.append([0] * n)
+                frontier.append(j)
+            row[i] = j
+
+    positive = [all(c >= -1e-7 for c in v) for v in roots]
+    assert len(roots) == num_roots == 2 * sum(positive), "root system must have its size"
+    order = sorted(range(num_roots), key=lambda r: not positive[r])
+    root_supps = [sum(1 << i for i, c in enumerate(keys[r]) if c) for r in order[:num_roots // 2]]
+    # The simple roots keep indices 0..n-1, ahead of the other positive roots.
+    new = [0] * num_roots
+    for p, r in enumerate(order):
+        new[r] = p
+    return root_supps, [tuple(new[images[r][i]] for r in order) for i in range(n)]
+
+
 class GroupContext:
     """Shared read-only data for one Artin-Tits group of spherical type.
 
@@ -244,6 +326,13 @@ class GroupContext:
     about each element that interning fills, the Garside element of every
     standard parabolic subgroup, and the memoized W-level operations that the
     normal-form engine is built from.
+
+    `_perms[a]` is the permutation of the 2N roots (N = `num_positive`, the
+    positive roots first, the simple roots at 0..rank-1) by element a: a bytes
+    of length 2N when 2N <= 256, a tuple otherwise.  With `_pad` the bytes
+    2N..255, `pa + _pad` is a 256-entry translation table, so a * b is
+    `pb.translate(pa + _pad)` and a^-1 is the first 2N bytes of
+    `bytes.maketrans(pa + _pad, range(256))`.  `_pad` is None for tuples.
 
     The tables, lists indexed by element id, hold bitmasks: `nsets[a]` is the
     inversion set N(a) over the positive roots, `ldescs[a]`, `rdescs[a]` and
@@ -255,7 +344,7 @@ class GroupContext:
     # callers hold a context weakly.
     __slots__ = (
         "spec", "rank", "components_of_s", "component_types", "coxeter_order",
-        "num_positive", "_root_supps", "_perms", "_ids", "identity", "gens",
+        "num_positive", "_root_supps", "_pad", "_perms", "_ids", "identity", "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
         "_mul_memo", "_inv_memo", "_mask_sets", "_word_memo", "_meet_memo",
         "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
@@ -279,19 +368,23 @@ class GroupContext:
             lambda acc, t: acc * _component_order(*t), self.component_types, 1
         )
 
-        gen_perms = self._build_roots()
+        num_roots = sum(_component_roots(*t) for t in self.component_types)
+        self.num_positive = num_roots // 2
+        self._root_supps, gen_perms = _build_roots(spec, num_roots)
+        self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
+        perm_type = tuple if self._pad is None else bytes
 
         # Element interning: images of the simple roots -> id, and id -> full
         # permutation and the tables.  Identity is id 0.
-        self._perms: list[tuple[int, ...]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
+        self._perms: list[bytes | tuple[int, ...]] = []
+        self._ids: dict[bytes | tuple[int, ...], int] = {}
         self.nsets: list[int] = []
         self.lengths: list[int] = []
         self.ldescs: list[int] = []
         self.rdescs: list[int] = []
         self.supps: list[int] = []
-        self.identity = self._intern(tuple(range(2 * self.num_positive)))
-        self.gens = [self._intern(p) for p in gen_perms]
+        self.identity = self._intern(perm_type(range(num_roots)))
+        self.gens = [self._intern(perm_type(p)) for p in gen_perms]
         self._mul_memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {0: 0}
         self._mask_sets: dict[int, frozenset[int]] = {}
@@ -310,65 +403,9 @@ class GroupContext:
         tau_on_s = self.delta_permutation(frozenset(range(self.rank)))
         self.tau_order = 1 if all(tau_on_s[s] == s for s in tau_on_s) else 2
 
-    # ------------------------------------------------------------------ roots
-
-    def _build_roots(self) -> list[tuple[int, ...]]:
-        """Set `num_positive` and the supports of the positive roots, as
-        bitmasks of generators, and return the permutations of the generators.
-
-        One depth-first pass over the roots, from the simple roots, fills the
-        table of their images under the generators as it finds them: s_i moves
-        only coordinate i, so only that entry of the rounded key changes, and
-        s_i fixes the root when that entry stays."""
-        n = self.rank
-        # Columns of the Gram matrix of the reflection representation,
-        # unit-length simple roots.
-        cols = [
-            [1.0 if i == j else -math.cos(math.pi / self.spec.m(j, i)) for j in range(n)]
-            for i in range(n)
-        ]
-        roots = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
-        keys = [tuple(round(c, 9) for c in v) for v in roots]
-        index = {k: r for r, k in enumerate(keys)}
-        images = [[0] * n for _ in roots]  # images[r][i]: the root s_i(root r)
-        frontier = list(range(n))
-        while frontier:
-            r = frontier.pop()
-            v, k, row = roots[r], keys[r], images[r]
-            for i in range(n):
-                c = v[i] - 2.0 * sum(map(mul, v, cols[i]))
-                ci = round(c, 9)
-                if ci == k[i]:
-                    row[i] = r
-                    continue
-                wk = k[:i] + (ci,) + k[i + 1:]
-                j = index.get(wk)
-                if j is None:
-                    j = index[wk] = len(roots)
-                    w = list(v)
-                    w[i] = c
-                    roots.append(w)
-                    keys.append(wk)
-                    images.append([0] * n)
-                    frontier.append(j)
-                row[i] = j
-
-        positive = [all(c >= -1e-7 for c in v) for v in roots]
-        order = sorted(range(len(roots)), key=lambda r: not positive[r])
-        self.num_positive = sum(positive)
-        assert 2 * self.num_positive == len(roots), "root system must split evenly"
-        self._root_supps = [
-            sum(1 << i for i, c in enumerate(keys[r]) if c) for r in order[:self.num_positive]
-        ]
-        # The simple roots keep indices 0..n-1, ahead of the other positive roots.
-        new = [0] * len(roots)
-        for p, r in enumerate(order):
-            new[r] = p
-        return [tuple(new[images[r][i]] for r in order) for i in range(n)]
-
     # ------------------------------------------------------- W element algebra
 
-    def _intern(self, perm: tuple[int, ...]) -> int:
+    def _intern(self, perm: bytes | tuple[int, ...]) -> int:
         """The id of a permutation, keyed by its images of the simple roots.
 
         A new element a gets its table entries from its images of the
@@ -405,21 +442,30 @@ class GroupContext:
             return a
         out = self._mul_memo.get((a, b))
         if out is None:
-            pa, pb = self._perms[a], self._perms[b]
-            out = self._ids.get(tuple(map(pa.__getitem__, pb[:self.rank])))
-            if out is None:
-                out = self._intern(tuple(map(pa.__getitem__, pb)))
+            pa, pb, pad = self._perms[a], self._perms[b], self._pad
+            if pad is None:
+                out = self._ids.get(tuple(map(pa.__getitem__, pb[:self.rank])))
+                if out is None:
+                    out = self._intern(tuple(map(pa.__getitem__, pb)))
+            else:
+                pa += pad
+                out = self._ids.get(pb[:self.rank].translate(pa))
+                if out is None:
+                    out = self._intern(pb.translate(pa))
             self._mul_memo[(a, b)] = out
         return out
 
     def w_inv(self, a: int) -> int:
         out = self._inv_memo.get(a)
         if out is None:
-            perm = self._perms[a]
-            ipm = [0] * len(perm)
-            for i, j in enumerate(perm):
-                ipm[j] = i
-            out = self._intern(tuple(ipm))
+            perm, pad = self._perms[a], self._pad
+            if pad is None:
+                ipm = [0] * len(perm)
+                for i, j in enumerate(perm):
+                    ipm[j] = i
+                out = self._intern(tuple(ipm))
+            else:
+                out = self._intern(bytes.maketrans(perm + pad, _BYTE_RANGE)[:len(perm)])
             self._inv_memo[a] = out
         return out
 

@@ -148,6 +148,13 @@ def test_config_matrix_and_rank_cap(tmp_path, capsys):
     assert code == 1 and "cap" in err
 
 
+def test_root_enumeration_that_never_closes_exits_1(capsys):
+    code, out, err = invoke(capsys, "I2(10000)", "nf", "s1")
+    lines = err.strip().splitlines()
+    assert code == 1 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: I2(10000): root enumeration")
+
+
 @pytest.mark.parametrize("argv", [
     ("E7", "summit", "--kind", "sss", "s1"),
     ("F4", "summit", "--N", "2", "s1 s2"),

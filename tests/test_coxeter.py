@@ -1,11 +1,13 @@
 import math
 import random
+import time
 import weakref
 
 import pytest
 
 from garside import CoxeterSpec, build_context, context_from_token
-from garside.errors import NonSphericalType, ParseError
+from garside.coxeter import _build_roots
+from garside.errors import GarsideError, NonSphericalType, ParseError
 
 from conftest import A2XA1_MATRIX, FAMILIES, ctx, family
 
@@ -239,6 +241,42 @@ def test_element_tables_match_references_on_all_of_w(token):
     assert len(words) == c.coxeter_order
     for a, word in words.items():
         _check_tables(c, a, word)
+    # Every family here has at most 256 roots, so its permutations are bytes.
+    assert all(type(p) is bytes and len(p) == 2 * c.num_positive for p in c._perms)
+
+
+@pytest.mark.parametrize("token,layout", [
+    ("I2(128)", bytes), ("I2(129)", tuple), ("I2(200)", tuple),
+])
+def test_permutation_layouts_match_tuple_algebra(token, layout):
+    # Up to 256 roots (I2(128) is the edge) a permutation is a bytes, composed
+    # by translate and inverted by maketrans; above, a tuple.  Either way each
+    # product by a generator, each inverse and each id must agree with
+    # composition of plain tuples.
+    c = context_from_token(token)
+    size = 2 * c.num_positive
+    gens = [tuple(c._perms[g]) for g in c.gens]
+    perms = {c.identity: tuple(range(size))}
+    frontier = [c.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, gen in zip(c.gens, gens):
+                b, perm = c.w_mul(a, g), tuple(perms[a][x] for x in gen)
+                assert tuple(c._perms[b]) == perm
+                if b not in perms:
+                    perms[b] = perm
+                    nxt.append(b)
+        frontier = nxt
+    assert len(perms) == len(set(perms.values())) == c.coxeter_order
+    for a, perm in perms.items():
+        assert c._ids[c._perms[a][:c.rank]] == a
+        inverse = [0] * size
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        assert tuple(c._perms[c.w_inv(a)]) == tuple(inverse)
+    assert len(c._perms) == c.coxeter_order
+    assert all(type(p) is layout and len(p) == size for p in c._perms)
 
 
 @pytest.mark.parametrize("token", ["E6", "H4"])
@@ -271,9 +309,20 @@ def test_interned_elements_are_their_words(token):
         perm = tuple(range(2 * c.num_positive))
         for s in c.w_word(a):
             perm = tuple(perm[x] for x in gen_perms[s])
-        assert c._perms[a] == perm
+        assert tuple(c._perms[a]) == perm
         perms.add(perm)
     assert len(perms) == c.coxeter_order
+
+
+def test_root_enumeration_stops_at_the_size_of_the_root_system():
+    # The rounded keys of I2(10000) stop matching, so the pass would grow
+    # without end; it stops once it passes the 20,000 roots there are.
+    start = time.process_time()
+    with pytest.raises(GarsideError, match=r"^I2\(10000\): root enumeration passed the 20000 roots"):
+        context_from_token("I2(10000)")
+    assert time.process_time() - start < 5
+    root_supps, gen_perms = _build_roots(CoxeterSpec.from_token("I2(8000)"), 16000)
+    assert len(root_supps) == 8000 and [len(p) for p in gen_perms] == [16000, 16000]
 
 
 def test_context_has_slots_and_weak_references():
@@ -334,4 +383,4 @@ def test_root_table_matches_float_bfs(token):
         c = context_from_token(token)
     num_positive, gen_perms = _ref_build_roots(c.spec)
     assert c.num_positive == num_positive
-    assert c._perms[:c.rank + 1] == [tuple(range(2 * num_positive))] + gen_perms
+    assert [tuple(p) for p in c._perms[:c.rank + 1]] == [tuple(range(2 * num_positive))] + gen_perms
