@@ -585,11 +585,14 @@ class GroupContext:
         out = self._delta_memo.get(X)
         if out is None:
             cur = 0
-            while True:
+            for _ in range(self.num_positive + 1):  # no Delta_X is longer
                 up = [s for s in X if s not in self.w_right_descents(cur)]
                 if not up:
                     break
                 cur = self.w_mul(cur, self.gens[min(up)])
+            else:
+                raise GarsideError(f"no longest element of W_{sorted(X)} "
+                                   f"within {self.num_positive} letters")
             out = cur
             self._delta_memo[X] = out
         return out

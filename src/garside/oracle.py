@@ -1,21 +1,22 @@
-"""Brute-force oracles used to validate the engines on small groups.
+"""Word-level oracles used to validate the engines on small groups.
 
-The oracles recompute their answers at the level of words wherever they can,
-with one primitive: subword reversing.  Right reversing rewrites s^-1 t to
-f(s,t) f(t,s)^-1, where s f(s,t) = t f(t,s) is the alternating lcm that the
-Coxeter matrix gives, and s^-1 s to the empty word, until the word reads
-p n^-1.  Artin-Tits presentations are complete for reversing (Dehornoy,
-J. Algebra 268 (2003)) and reversing terminates in spherical type (Dehornoy
-et al., Foundations of Garside Theory, EMS Tracts 22 (2015), ch. II), so
-reversing u^-1 v ends in v' u'^-1 with u v' = v u' the least common right
-multiple of u and v.  Equality, division, the Garside word, np / pn forms and
-membership in a parabolic subgroup all come from it; normal forms are rebuilt
-by greedy letter-by-letter extraction.  The search spaces (signed balls and
-conjugate parabolic subgroups) come from lattice's enumerator, which a test
-checks against the word-by-word definition.  The engine stays in two places:
-`brute_meet` and `enumerate_simples` deduplicate and order elements through
-its normal form, and `brute_meet` orders divisors with `prefix_le` /
-`suffix_le`.  Tables are kept in the context's memo and die with it.
+The oracles compute their answers on words, with one primitive: subword
+reversing.  Right reversing rewrites s^-1 t to f(s,t) f(t,s)^-1, where
+s f(s,t) = t f(t,s) is the alternating lcm that the Coxeter matrix gives, and
+s^-1 s to the empty word, until the word reads p n^-1.  Artin-Tits
+presentations are complete for reversing (Dehornoy, J. Algebra 268 (2003))
+and reversing terminates in spherical type (Dehornoy et al., Foundations of
+Garside Theory, EMS Tracts 22 (2015), ch. II), so reversing u^-1 v ends in
+v' u'^-1 with u v' = v u' the least common right multiple of u and v.
+Equality, division, the Garside word, np / pn forms, meets and membership in
+a parabolic subgroup all come from it; normal forms are rebuilt by greedy
+letter-by-letter extraction.  The engine is touched only at the boundary:
+`GroupElement.as_signed_word` reads an input's word, and `from_letters` and
+`sort_key` build and order the answers.  The search spaces
+(signed balls and conjugate parabolic subgroups) come from lattice's
+enumerator, which a test checks against the word-by-word definition, and a
+subgroup is read by its standardizer's word and its base.  Tables are kept
+in the context's memo and die with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import GroupContext
-from .elements import GroupElement, prefix_le, suffix_le
+from .elements import GroupElement
 from .errors import BudgetExceeded, NoMinimumFound
 from .lattice import _ball_words, enumerate_parabolics
 from .parabolic import ParabolicSubgroup
@@ -242,72 +243,61 @@ def ball(ctx: GroupContext, radius: int) -> Ball:
     return _memo(ctx, ("ball", radius), build)
 
 
-def brute_meet(u: GroupElement, v: GroupElement, order: str = "prefix",
-               budget: int = 200_000) -> GroupElement:
-    """Greatest common prefix (or suffix), found as the maximum of the
-    exhaustively enumerated set of common divisors.
+def meet_oracle(u: GroupElement, v: GroupElement, order: str = "prefix") -> GroupElement:
+    """Greatest common prefix (or suffix) of u and v, from one np (or pn) form
+    of words.
 
-    A common power of the Garside element divides both operands and the meet,
-    so after shifting by it both operands are positive and every remaining
-    common divisor is positive; those form a finite set closed under letter
-    chains from the identity, which a breadth-first search enumerates
-    completely.  No approximation is involved.
+    Let m = u meet v, so u = m n and v = m q with n and q left-coprime.  Then
+    u^-1 v = n^-1 q is the np normal form of u^-1 v, which is unique, so
+    reversing u^-1 v gives n and m = u n^-1.  In the mirror, u = n m and
+    v = q m with n and q right-coprime, u v^-1 = n q^-1 is the pn form, and
+    m = n^-1 u.
     """
-    ctx = u.ctx
-    k = min(u.power, v.power, 0)
+    ws = word_system(u.ctx)
+    a, b = tuple(u.as_signed_word()), tuple(v.as_signed_word())
     if order == "prefix":
-        cap_u, cap_v = u.shift(-k), v.shift(-k)
-        le = prefix_le
-        extend = lambda d, g: d * g
-        assemble = lambda m: m.shift(k)
+        n, _ = ws.np_form(_inverse(a) + b)
+        word = a + _inverse(_signed(n))
     else:
-        cap_u = u * GroupElement.delta_power(ctx, -k)
-        cap_v = v * GroupElement.delta_power(ctx, -k)
-        le = suffix_le
-        extend = lambda d, g: g * d
-        assemble = lambda m: m * GroupElement.delta_power(ctx, k)
-    gens = [GroupElement.generator(ctx, i) for i in range(ctx.rank)]
-    common = {GroupElement.identity(ctx)}
-    frontier = list(common)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for g in gens:
-                c = extend(d, g)
-                if c not in common and le(c, cap_u) and le(c, cap_v):
-                    common.add(c)
-                    nxt.append(c)
-                    if len(common) > budget:
-                        raise BudgetExceeded("common-divisor enumeration outgrew budget")
-        frontier = nxt
-    best = None
-    for c in sorted(common, key=GroupElement.sort_key):
-        if best is None or le(best, c):
-            best = c
-    assert all(le(c, best) for c in common), "common divisors must have a maximum"
-    return assemble(best)
+        n, _ = ws.pn_form(a + _inverse(b))
+        word = _inverse(_signed(n)) + a
+    return GroupElement.from_letters(u.ctx, word)
 
 
 def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupElement]:
     """All divisors of the Garside element, grown letter by letter through
-    word-level division of the Delta word; the element engine only
-    deduplicates and orders.  Raises BudgetExceeded when |W| passes budget."""
+    word-level division of the Delta word.  Each is keyed by its
+    lexicographically least word, taken greedily: all positive words of an
+    element have one length, so the least letter dividing it on the left
+    starts that word.  Raises BudgetExceeded when |W| passes budget."""
     if ctx.coxeter_order > budget:
         raise BudgetExceeded(f"|W| = {ctx.coxeter_order} exceeds budget {budget}")
     ws = word_system(ctx)
-    seen = {GroupElement.identity(ctx)}
-    queue = [(GroupElement.identity(ctx), ws.delta_word)]
+
+    def least_word(word: PositiveWord) -> PositiveWord:
+        out = []
+        while word:
+            for s in range(ctx.rank):
+                rest = ws.divide_left(word, (s,))
+                if rest is not None:
+                    break
+            out.append(s)
+            word = rest
+        return tuple(out)
+
+    rests = {(): ws.delta_word}  # least word of d -> a word for d^-1 Delta
+    queue = [()]
     while queue:
-        elt, rest = queue.pop()
+        d = queue.pop()
         for s in range(ctx.rank):
-            nxt = elt * GroupElement.generator(ctx, s)
-            if nxt in seen:
-                continue
-            quotient = ws.divide_left(rest, (s,))
+            quotient = ws.divide_left(rests[d], (s,))
             if quotient is not None:
-                seen.add(nxt)
-                queue.append((nxt, quotient))
-    return sorted(seen, key=GroupElement.sort_key)
+                key = least_word(d + (s,))
+                if key not in rests:
+                    rests[key] = quotient
+                    queue.append(key)
+    return sorted((GroupElement.from_letters(ctx, _signed(d)) for d in rests),
+                  key=GroupElement.sort_key)
 
 
 # ------------------------------------------------------------------ subgroups

@@ -426,26 +426,26 @@ def test_criterion_13_core_vs_oracle():
     # binary lattice operations: exhaustive on the radius-2 balls, sampled on
     # the full stated balls (all pairs there are computationally out of reach)
     from garside import join_suffix, meet_suffix
-    from garside.oracle import brute_meet
+    from garside.oracle import meet_oracle
     lattice_checked = 0
     for token, radius in (("A2", 5), ("A3", 4), ("B2", 4)):
         c = ctx(token)
         small = ball(c, 2).elements
         for a in small:
             for bb in small:
-                assert meet_prefix(a, bb) == brute_meet(a, bb, "prefix")
+                assert meet_prefix(a, bb) == meet_oracle(a, bb, "prefix")
                 lattice_checked += 1
         rng = random.Random(zlib.crc32(token.encode()))
         elements = ball(c, radius).elements
         for _ in range(350):
             a = elements[rng.randrange(len(elements))]
             bb = elements[rng.randrange(len(elements))]
-            assert meet_prefix(a, bb) == brute_meet(a, bb, "prefix")
-            assert meet_suffix(a, bb) == brute_meet(a, bb, "suffix")
+            assert meet_prefix(a, bb) == meet_oracle(a, bb, "prefix")
+            assert meet_suffix(a, bb) == meet_oracle(a, bb, "suffix")
             assert join_prefix(a, bb) == \
-                brute_meet(a.inverse(), bb.inverse(), "suffix").inverse()
+                meet_oracle(a.inverse(), bb.inverse(), "suffix").inverse()
             assert join_suffix(a, bb) == \
-                brute_meet(a.inverse(), bb.inverse(), "prefix").inverse()
+                meet_oracle(a.inverse(), bb.inverse(), "prefix").inverse()
             lattice_checked += 4
     elapsed = time.time() - t0
     report("criterion 13", f"{forms_checked} normal/np/pn forms exhaustive, "

@@ -40,7 +40,9 @@ from garside.conjugacy import (
 from garside import conjugacy
 from garside.elements import _product
 from garside.coxeter import ENUMERATION_BUDGET
-from garside.errors import BudgetExceeded, EmptySet, GarsideError, NotConjugating, NotInUSS
+from garside.errors import (
+    BudgetExceeded, EmptySet, GarsideError, NotConjugating, NotInUSS, UnclassifiableLabel,
+)
 from garside.oracle import enumerate_simples
 
 from conftest import FAMILIES, ctx, family, random_element
@@ -801,3 +803,13 @@ def test_classify_arrow_examples():
     assert kinds["Δ^0 · (s1)"] == ("inside", None)
     assert kinds["Δ^0 · (s4)"] == ("commuting-letter", 3)
     assert kinds["Δ^0 · (s3 s2 s1)"] == ("ribbon", 2)
+
+
+@pytest.mark.parametrize("vertex, label, message", [
+    ("s1^-1", "s2", "needs a positive vertex and label"),
+    ("s1 s2 s3", "s1", "support must be a proper subset"),
+    ("s1", "s3 s2", "matched 0 arrow types"),
+])
+def test_classify_arrow_raises(vertex, label, message):
+    with pytest.raises(UnclassifiableLabel, match=message):
+        classify_arrow(w("A3", vertex), w("A3", label))

@@ -325,6 +325,18 @@ def test_root_enumeration_stops_at_the_size_of_the_root_system():
     assert len(root_supps) == 8000 and [len(p) for p in gen_perms] == [16000, 16000]
 
 
+def test_delta_climb_is_bounded_by_the_number_of_reflections():
+    # With every right descent erased, the climb to Delta_X never sees its
+    # top; it stops past num_positive letters instead of looping.
+    c = context_from_token("A3")
+    assert frozenset({0, 1}) not in c._delta_memo
+    c.rdescs[:] = [0] * len(c.rdescs)
+    start = time.process_time()
+    with pytest.raises(GarsideError, match="within 6 letters"):
+        c.delta_of({0, 1})
+    assert time.process_time() - start < 5
+
+
 def test_context_has_slots_and_weak_references():
     c = context_from_token("A2")
     assert not hasattr(c, "__dict__")

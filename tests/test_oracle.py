@@ -22,6 +22,8 @@ from garside import (
     parse_element,
     parse_word,
     pn_normal_form,
+    prefix_le,
+    suffix_le,
 )
 from garside.errors import BudgetExceeded
 from garside.lattice import enumerate_parabolics
@@ -29,10 +31,10 @@ from garside.oracle import (
     _ball_membership,
     _includes,
     ball,
-    brute_meet,
     closure_oracle,
     enumerate_simples,
     intersect_oracle,
+    meet_oracle,
     symmetric_group_image,
     word_system,
 )
@@ -210,6 +212,32 @@ def test_enumerate_simples_counts():
             assert s.is_positive() and s.sup() <= 1
 
 
+def _engine_keyed_simples(c):
+    """The divisors of Delta grown letter by letter through word division, with
+    the engine's normal form deduplicating: the oracle's enumeration before it
+    keyed each simple by its least word."""
+    ws = word_system(c)
+    seen = {GroupElement.identity(c)}
+    queue = [(GroupElement.identity(c), ws.delta_word)]
+    while queue:
+        elt, rest = queue.pop()
+        for s in range(c.rank):
+            nxt = elt * GroupElement.generator(c, s)
+            if nxt in seen:
+                continue
+            quotient = ws.divide_left(rest, (s,))
+            if quotient is not None:
+                seen.add(nxt)
+                queue.append((nxt, quotient))
+    return sorted(seen, key=GroupElement.sort_key)
+
+
+def test_enumerate_simples_matches_engine_keyed_reference():
+    for token in ("A3", "H3", "F4"):
+        c = ctx(token)
+        assert enumerate_simples(c) == _engine_keyed_simples(c), token
+
+
 def test_enumerate_simples_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_simples(ctx("A5"), budget=100)
@@ -224,31 +252,75 @@ def test_ball_contents():
     assert len(b.elements) == len(set(b.elements))
 
 
-def test_brute_meet_examples():
-    assert brute_meet(w("A2", "s1 s2"), w("A2", "s1 s1")) == w("A2", "s1")
+def test_meet_oracle_examples():
+    assert meet_oracle(w("A2", "s1 s2"), w("A2", "s1 s1")) == w("A2", "s1")
     u = w("A2", "s2 s1")
-    assert brute_meet(u, GroupElement.identity(ctx("A2"))).is_identity()
-    assert brute_meet(u, u) == u
+    assert meet_oracle(u, GroupElement.identity(ctx("A2"))).is_identity()
+    assert meet_oracle(u, u) == u
     # mixed elements: the meet with 1 is the inverse of the np negative part
     v = w("A2", "s1 s2^-1")
-    assert brute_meet(v, GroupElement.identity(ctx("A2"))) == \
+    assert meet_oracle(v, GroupElement.identity(ctx("A2"))) == \
         np_normal_form(v).negative.inverse()
 
 
-def test_brute_meet_matches_engine():
+def _divisor_bfs_meet(u, v, order):
+    """The maximum of the common divisors of u and v, grown letter by letter
+    from the identity with engine products and ordered by prefix_le /
+    suffix_le: the meet as the oracle found it before it read the meet off
+    one np / pn form."""
+    c = u.ctx
+    k = min(u.power, v.power, 0)
+    if order == "prefix":
+        cap_u, cap_v = u.shift(-k), v.shift(-k)
+        le, extend = prefix_le, lambda d, g: d * g
+    else:
+        cap_u = u * GroupElement.delta_power(c, -k)
+        cap_v = v * GroupElement.delta_power(c, -k)
+        le, extend = suffix_le, lambda d, g: g * d
+    gens = [GroupElement.generator(c, i) for i in range(c.rank)]
+    common = {GroupElement.identity(c)}
+    frontier = list(common)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for g in gens:
+                e = extend(d, g)
+                if e not in common and le(e, cap_u) and le(e, cap_v):
+                    common.add(e)
+                    nxt.append(e)
+        frontier = nxt
+    best = None
+    for e in sorted(common, key=GroupElement.sort_key):
+        if best is None or le(best, e):
+            best = e
+    assert all(le(e, best) for e in common)
+    if order == "prefix":
+        return best.shift(k)
+    return best * GroupElement.delta_power(c, k)
+
+
+def test_meet_oracle_matches_engine():
     rng = random.Random(62)
-    for token in ("A2", "A3", "B2"):
-        c = ctx(token)
+    for token in FAMILIES:
+        c = family(token)
         for _ in range(25):
-            a = random_element(c, rng, 4)
-            b = random_element(c, rng, 4)
-            assert brute_meet(a, b, "prefix") == meet_prefix(a, b)
-            assert brute_meet(a, b, "suffix") == meet_suffix(a, b)
+            a = random_element(c, rng, 6)
+            b = random_element(c, rng, 6)
+            assert meet_oracle(a, b, "prefix") == meet_prefix(a, b), token
+            assert meet_oracle(a, b, "suffix") == meet_suffix(a, b), token
             # joins through the inversion duality
-            assert brute_meet(a.inverse(), b.inverse(), "suffix").inverse() == \
-                join_prefix(a, b)
-            assert brute_meet(a.inverse(), b.inverse(), "prefix").inverse() == \
-                join_suffix(a, b)
+            assert meet_oracle(a.inverse(), b.inverse(), "suffix").inverse() == \
+                join_prefix(a, b), token
+            assert meet_oracle(a.inverse(), b.inverse(), "prefix").inverse() == \
+                join_suffix(a, b), token
+    # the divisor search it replaced, on every pair of two radius-2 balls
+    for token in ("A2", "B2"):
+        elements = ball(ctx(token), 2).elements
+        for a in elements:
+            for b in elements:
+                for order in ("prefix", "suffix"):
+                    assert meet_oracle(a, b, order) == _divisor_bfs_meet(a, b, order), \
+                        (token, a, b, order)
 
 
 def test_closure_oracle_examples():
