@@ -10,12 +10,16 @@ it is interned under that short key, its full permutation is built only the
 first time it is seen, and afterwards it is referred to by a small integer
 id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
-descents and support, lists indexed by id; products, meets, inverses and
-reduced words are memoized as they are asked for.  Meets in the weak order
-are read off inversion sets, stored as bitmasks of positive roots: u is a
-prefix of w iff N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of
-Coxeter Groups, Prop. 3.1.3).  Everything is immutable after construction
-apart from the tables, which only grow, and all operations are pure.
+descents and support, lists indexed by id.  Inverses, tau and reduced words
+are memoized as they are asked for, in lists indexed by id; products and meets
+in one row per left operand (the lesser id, for a meet), a dict from the other
+operand's id, so no memo key is a tuple.  Meets in the weak order are read off
+inversion sets, stored as bitmasks of positive roots: u is a prefix of w iff
+N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of Coxeter Groups, Prop.
+3.1.3).  The climb to a meet composes raw permutations, so only the meet
+itself is looked up and interned, none of its prefixes.  Everything is
+immutable after construction apart from the tables, which only grow, and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ _EXCEPTIONAL = {
     ("H", 4): (14400, 30),
 }
 
-# Target of bytes.maketrans when it inverts a permutation stored as bytes.
+# Target of bytes.maketrans when it inverts a permutation stored as bytes, and
+# the identity translation table.
 _BYTE_RANGE = bytes(range(256))
 
 
@@ -338,6 +343,11 @@ class GroupContext:
     inversion set N(a) over the positive roots, `ldescs[a]`, `rdescs[a]` and
     `supps[a]` the left descents, right descents and support over the
     generators; `lengths[a]` is the length of a.
+
+    The memos are lists indexed by element id too, which `_intern` extends
+    with None: `_invs`, `_taus` and `_words` hold a^-1, tau(a) and the least
+    reduced word of a once asked for, and `_mul_rows[a]` and `_meet_rows[a]`
+    are None or a dict from b to a * b, and to the meet of a and b for a < b.
     """
 
     # Slots keep the table lookups on the hot path cheap; `__weakref__` lets
@@ -346,9 +356,9 @@ class GroupContext:
         "spec", "rank", "components_of_s", "component_types", "coxeter_order",
         "num_positive", "_root_supps", "_pad", "_perms", "_ids", "identity", "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
-        "_mul_memo", "_inv_memo", "_mask_sets", "_word_memo", "_meet_memo",
-        "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
-        "_tau_memo", "tau_order", "__weakref__",
+        "_mul_rows", "_meet_rows", "_invs", "_taus", "_words", "_gen_steps",
+        "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
+        "tau_order", "__weakref__",
     )
 
     DEFAULT_RANK_CAP = 10
@@ -375,7 +385,7 @@ class GroupContext:
         perm_type = tuple if self._pad is None else bytes
 
         # Element interning: images of the simple roots -> id, and id -> full
-        # permutation and the tables.  Identity is id 0.
+        # permutation, the tables and the memo slots.  Identity is id 0.
         self._perms: list[bytes | tuple[int, ...]] = []
         self._ids: dict[bytes | tuple[int, ...], int] = {}
         self.nsets: list[int] = []
@@ -383,13 +393,17 @@ class GroupContext:
         self.ldescs: list[int] = []
         self.rdescs: list[int] = []
         self.supps: list[int] = []
+        self._mul_rows: list[dict[int, int] | None] = []
+        self._meet_rows: list[dict[int, int] | None] = []
+        self._invs: list[int | None] = []
+        self._taus: list[int | None] = []
+        self._words: list[tuple[int, ...] | None] = []
         self.identity = self._intern(perm_type(range(num_roots)))
+        self._invs[0], self._words[0] = 0, ()
         self.gens = [self._intern(perm_type(p)) for p in gen_perms]
-        self._mul_memo: dict[tuple[int, int], int] = {}
-        self._inv_memo: dict[int, int] = {0: 0}
+        # The generator permutations as the climb in w_meet composes them.
+        self._gen_steps = [p if self._pad is None else bytes(p) + self._pad for p in gen_perms]
         self._mask_sets: dict[int, frozenset[int]] = {}
-        self._word_memo: dict[int, tuple[int, ...]] = {0: ()}
-        self._meet_memo: dict[tuple[int, int], int] = {}
         self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
         self._all_elements: list[int] | None = None
         # Tables of the layers above W (the live subgroups by central
@@ -399,7 +413,6 @@ class GroupContext:
 
         self.delta = self.delta_of(frozenset(range(self.rank)))
         self.delta_length = self.lengths[self.delta]
-        self._tau_memo: dict[int, int] = {}
         tau_on_s = self.delta_permutation(frozenset(range(self.rank)))
         self.tau_order = 1 if all(tau_on_s[s] == s for s in tau_on_s) else 2
 
@@ -433,6 +446,8 @@ class GroupContext:
             self.ldescs.append(nset & ((1 << self.rank) - 1))
             self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
             self.supps.append(supp)
+            for memo in (self._mul_rows, self._meet_rows, self._invs, self._taus, self._words):
+                memo.append(None)
         return eid
 
     def w_mul(self, a: int, b: int) -> int:
@@ -440,23 +455,28 @@ class GroupContext:
             return b
         if b == 0:
             return a
-        out = self._mul_memo.get((a, b))
-        if out is None:
-            pa, pb, pad = self._perms[a], self._perms[b], self._pad
-            if pad is None:
-                out = self._ids.get(tuple(map(pa.__getitem__, pb[:self.rank])))
-                if out is None:
-                    out = self._intern(tuple(map(pa.__getitem__, pb)))
-            else:
-                pa += pad
-                out = self._ids.get(pb[:self.rank].translate(pa))
-                if out is None:
-                    out = self._intern(pb.translate(pa))
-            self._mul_memo[(a, b)] = out
+        row = self._mul_rows[a]
+        if row is None:
+            row = self._mul_rows[a] = {}
+        else:
+            out = row.get(b)
+            if out is not None:
+                return out
+        pa, pb, pad = self._perms[a], self._perms[b], self._pad
+        if pad is None:
+            out = self._ids.get(tuple(map(pa.__getitem__, pb[:self.rank])))
+            if out is None:
+                out = self._intern(tuple(map(pa.__getitem__, pb)))
+        else:
+            pa += pad
+            out = self._ids.get(pb[:self.rank].translate(pa))
+            if out is None:
+                out = self._intern(pb.translate(pa))
+        row[b] = out
         return out
 
     def w_inv(self, a: int) -> int:
-        out = self._inv_memo.get(a)
+        out = self._invs[a]
         if out is None:
             perm, pad = self._perms[a], self._pad
             if pad is None:
@@ -466,7 +486,7 @@ class GroupContext:
                 out = self._intern(tuple(ipm))
             else:
                 out = self._intern(bytes.maketrans(perm + pad, _BYTE_RANGE)[:len(perm)])
-            self._inv_memo[a] = out
+            self._invs[a] = out
         return out
 
     def mask_set(self, mask: int) -> GeneratorSet:
@@ -491,23 +511,35 @@ class GroupContext:
 
         Greedy on inversion sets: m grows by the least letter t with m(alpha_t)
         in N(a) & N(b), which is exactly when m t is still a prefix of both,
-        since N(m t) = N(m) + {m(alpha_t)}."""
+        since N(m t) = N(m) + {m(alpha_t)}.  The climb composes raw
+        permutations, so only the finished meet is looked up and interned."""
         if a == b:
             return a
-        key = (a, b) if a < b else (b, a)
-        out = self._meet_memo.get(key)
-        if out is None:
-            common = self.nsets[a] & self.nsets[b]
-            out, perms, letters = 0, self._perms, range(self.rank)
-            while True:
-                perm = perms[out]
-                for t in letters:
-                    if common >> perm[t] & 1:
-                        out = self.w_mul(out, self.gens[t])
-                        break
-                else:
+        if a > b:
+            a, b = b, a
+        row = self._meet_rows[a]
+        if row is None:
+            row = self._meet_rows[a] = {}
+        else:
+            out = row.get(b)
+            if out is not None:
+                return out
+        common = self.nsets[a] & self.nsets[b]
+        # With bytes, m is a full translation table (the identity then the
+        # pad), so each step is one translate.
+        steps, pad = self._gen_steps, self._pad
+        m = self._perms[0] if pad is None else _BYTE_RANGE
+        while True:
+            for t, step in enumerate(steps):
+                if common >> m[t] & 1:
+                    m = step.translate(m) if pad is not None else tuple(map(m.__getitem__, step))
                     break
-            self._meet_memo[key] = out
+            else:
+                break
+        out = self._ids.get(m[:self.rank])
+        if out is None:
+            out = self._intern(m[:2 * self.num_positive])
+        row[b] = out
         return out
 
     def w_rcomp(self, a: int) -> int:
@@ -519,11 +551,10 @@ class GroupContext:
         return self.w_mul(self.delta, self.w_inv(a))
 
     def w_tau(self, a: int) -> int:
-        out = self._tau_memo.get(a)
+        out = self._taus[a]
         if out is None:
             d = self.delta
-            out = self.w_mul(self.w_mul(self.w_inv(d), a), d)
-            self._tau_memo[a] = out
+            out = self._taus[a] = self.w_mul(self.w_mul(self.w_inv(d), a), d)
         return out
 
     def w_tau_pow(self, a: int, k: int) -> int:
@@ -533,7 +564,7 @@ class GroupContext:
 
     def w_word(self, a: int) -> tuple[int, ...]:
         """The lexicographically smallest reduced word for a."""
-        out = self._word_memo.get(a)
+        out = self._words[a]
         if out is None:
             letters = []
             cur = a
@@ -541,8 +572,7 @@ class GroupContext:
                 s = min(self.w_left_descents(cur))
                 letters.append(s)
                 cur = self.w_mul(self.gens[s], cur)
-            out = tuple(letters)
-            self._word_memo[a] = out
+            out = self._words[a] = tuple(letters)
         return out
 
     def w_supp(self, a: int) -> GeneratorSet:

@@ -22,6 +22,7 @@ in the context's memo and die with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .coxeter import GroupContext
 from .elements import GroupElement
@@ -274,16 +275,14 @@ def enumerate_simples(ctx: GroupContext, budget: int = 100_000) -> list[GroupEle
         raise BudgetExceeded(f"|W| = {ctx.coxeter_order} exceeds budget {budget}")
     ws = word_system(ctx)
 
+    @cache
     def least_word(word: PositiveWord) -> PositiveWord:
-        out = []
-        while word:
-            for s in range(ctx.rank):
-                rest = ws.divide_left(word, (s,))
-                if rest is not None:
-                    break
-            out.append(s)
-            word = rest
-        return tuple(out)
+        if not word:
+            return ()
+        for s in range(ctx.rank):
+            rest = ws.divide_left(word, (s,))
+            if rest is not None:
+                return (s,) + least_word(rest)
 
     rests = {(): ws.delta_word}  # least word of d -> a word for d^-1 Delta
     queue = [()]

@@ -188,8 +188,9 @@ def test_meet_matches_descent_greedy_on_every_pair(token):
             assert c.w_meet(a, b) == _descent_greedy_meet(c, a, b)
 
 
-@pytest.mark.parametrize("token", ["E6", "H4"])
+@pytest.mark.parametrize("token", ["E6", "H4", "I2(129)", "I2(200)"])
 def test_meet_matches_descent_greedy_on_seeded_pairs(token):
+    # Above 256 roots (the two I2) the meet climbs on tuples, not bytes.
     c = ctx(token)
     rng = random.Random(f"meet/{token}")
     for _ in range(2000):
@@ -197,6 +198,69 @@ def test_meet_matches_descent_greedy_on_seeded_pairs(token):
         m = c.w_meet(a, b)
         assert m == _descent_greedy_meet(c, a, b)
         assert c.w_is_prefix(m, a) and c.w_is_prefix(m, b)
+
+
+def _right_to_left(c, word):
+    """The element of a word, built by left multiplication, so that the
+    suffixes of the word are interned and its proper prefixes in general not."""
+    out = c.identity
+    for s in reversed(word):
+        out = c.w_mul(c.gens[s], out)
+    return out
+
+
+@pytest.mark.parametrize("token", ["E6", "H4", "D5"])
+def test_meet_miss_interns_only_the_meet(token):
+    # The climb to a meet interns none of the meet's proper prefixes.  (In
+    # rank 2 the prefixes of an element form a chain, so a meet there is one
+    # of its operands or the identity, never a new element.)
+    c = context_from_token(token)
+    rng = random.Random(f"meet-miss/{token}")
+    new_meets = 0
+    for _ in range(200):
+        prefix = [rng.randrange(c.rank) for _ in range(rng.randint(2, c.delta_length))]
+        a = _right_to_left(c, prefix + [rng.randrange(c.rank) for _ in range(4)])
+        b = _right_to_left(c, prefix + [rng.randrange(c.rank) for _ in range(4)])
+        size = len(c._perms)
+        m = c.w_meet(a, b)
+        assert len(c._perms) - size <= 1
+        new_meets += len(c._perms) - size
+        assert m == _descent_greedy_meet(c, a, b)
+    assert new_meets > 0
+
+
+def _compose(p, q):
+    """The tuple permutation of p * q: first q, then p."""
+    return tuple(p[x] for x in q)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_unary_tables_match_permutations_on_all_of_w(token):
+    c = family(token)
+    n = c.num_positive
+    perm = {a: tuple(c._perms[a]) for a in c.all_elements()}
+    gens = [perm[g] for g in c.gens]
+    identity = tuple(range(2 * n))
+    delta = perm[c.delta]
+    for a, p in perm.items():
+        inverse = [0] * len(p)
+        for i, j in enumerate(p):
+            inverse[j] = i
+        inverse = tuple(inverse)
+        assert perm[c.w_inv(a)] == inverse
+        assert _compose(p, perm[c.w_inv(a)]) == identity
+        # Delta is an involution, so tau(a) = Delta a Delta.
+        assert perm[c.w_tau(a)] == _compose(_compose(delta, p), delta)
+        # The least reduced word: the least left descent, read off a^-1
+        # sending its simple root negative, then the same for s a.
+        word, cur, inv = [], p, inverse
+        while cur != identity:
+            s = min(t for t in range(c.rank) if inv[t] >= n)
+            word.append(s)
+            cur = _compose(gens[s], cur)
+            inv = _compose(inv, gens[s])
+        assert c.w_word(a) == tuple(word)
+        assert len(word) == c.lengths[a]
 
 
 def _check_tables(c, a, word):
