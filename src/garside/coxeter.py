@@ -10,16 +10,19 @@ it is interned under that short key, its full permutation is built only the
 first time it is seen, and afterwards it is referred to by a small integer
 id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
-descents and support, lists indexed by id.  Inverses, tau and reduced words
-are memoized as they are asked for, in lists indexed by id; products and meets
-in one row per left operand (the lesser id, for a meet), a dict from the other
-operand's id, so no memo key is a tuple.  Meets in the weak order are read off
-inversion sets, stored as bitmasks of positive roots: u is a prefix of w iff
-N(u) is inside N(w) (Bjorner & Brenti, Combinatorics of Coxeter Groups, Prop.
-3.1.3).  The climb to a meet composes raw permutations, so only the meet
-itself is looked up and interned, none of its prefixes.  Everything is
-immutable after construction apart from the tables, which only grow, and all
-operations are pure.
+descents and support, lists indexed by id.  Inverses, tau and least reduced
+words are memoized as they are asked for, in lists indexed by id; products
+and meets in one row per left operand (the lesser id, for a meet), a dict from
+the other operand's id, so no memo key is a tuple.
+
+A meet, a least reduced word and a longest element Delta_X are all the
+element whose inversion set, a bitmask of positive roots, one greedy climb
+fills: u is a prefix of w iff N(u) is inside N(w) (Bjorner & Brenti,
+Combinatorics of Coxeter Groups, Prop. 3.1.3).  The climb composes raw
+permutations and interns only the element it ends on, so building a context
+interns only 1, the generators and Delta.  Everything is immutable after
+construction apart from the tables, which only grow, and all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -330,7 +333,9 @@ class GroupContext:
     table for elements of W (grown as elements are met), the tables of facts
     about each element that interning fills, the Garside element of every
     standard parabolic subgroup, and the memoized W-level operations that the
-    normal-form engine is built from.
+    normal-form engine is built from.  Meets, least words and each Delta_X
+    come from one climb, `_climb`, so construction interns only 1, the
+    generators and Delta, and tau is read off Delta's permutation.
 
     `_perms[a]` is the permutation of the 2N roots (N = `num_positive`, the
     positive roots first, the simple roots at 0..rank-1) by element a: a bytes
@@ -399,12 +404,11 @@ class GroupContext:
         self._taus: list[int | None] = []
         self._words: list[tuple[int, ...] | None] = []
         self.identity = self._intern(perm_type(range(num_roots)))
-        self._invs[0], self._words[0] = 0, ()
         self.gens = [self._intern(perm_type(p)) for p in gen_perms]
-        # The generator permutations as the climb in w_meet composes them.
+        # The generator permutations as _climb composes them.
         self._gen_steps = [p if self._pad is None else bytes(p) + self._pad for p in gen_perms]
         self._mask_sets: dict[int, frozenset[int]] = {}
-        self._delta_memo: dict[GeneratorSet, int] = {frozenset(): 0}
+        self._delta_memo: dict[GeneratorSet, int] = {}
         self._all_elements: list[int] | None = None
         # Tables of the layers above W (the live subgroups by central
         # element, held weakly, the classical simples in word order for the
@@ -496,23 +500,41 @@ class GroupContext:
             out = self._mask_sets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
         return out
 
-    def w_right_descents(self, a: int) -> frozenset[int]:
-        return self.mask_set(self.rdescs[a])
-
-    def w_left_descents(self, a: int) -> frozenset[int]:
-        return self.mask_set(self.ldescs[a])
-
     def w_is_prefix(self, a: int, b: int) -> bool:
         """Whether a divides b on the left, in the weak order on W."""
         return not self.nsets[a] & ~self.nsets[b]
 
-    def w_meet(self, a: int, b: int) -> int:
-        """Greatest common prefix of two simple elements.
+    def _climb(self, roots: int) -> tuple[int, tuple[int, ...]]:
+        """The greatest element m with N(m) inside roots, and its least
+        reduced word, for roots an intersection of inversion sets.
 
-        Greedy on inversion sets: m grows by the least letter t with m(alpha_t)
-        in N(a) & N(b), which is exactly when m t is still a prefix of both,
-        since N(m t) = N(m) + {m(alpha_t)}.  The climb composes raw
-        permutations, so only the finished meet is looked up and interned."""
+        Greedy: m grows from 1 by the least letter t with m(alpha_t) in roots,
+        since N(m t) = N(m) + {m(alpha_t)}, so each m t is still below the
+        greatest element; when no letter is left, m is that element.  Meets
+        climb N(a) & N(b), least words N(a), Delta_X the roots of W_X.  The
+        climb composes raw permutations, so only the element it ends on is
+        looked up and interned."""
+        # With bytes, m is a full translation table (the identity then the
+        # pad), so each step is one translate.
+        steps, pad = self._gen_steps, self._pad
+        m = self._perms[0] if pad is None else _BYTE_RANGE
+        letters = []
+        for _ in range(self.num_positive + 1):  # no element is longer
+            for t, step in enumerate(steps):
+                if roots >> m[t] & 1:
+                    m = step.translate(m) if pad is not None else tuple(map(m.__getitem__, step))
+                    letters.append(t)
+                    break
+            else:
+                out = self._ids.get(m[:self.rank])
+                if out is None:
+                    out = self._intern(m[:2 * self.num_positive])
+                return out, tuple(letters)
+        raise GarsideError(f"greedy climb did not end within {self.num_positive} letters")
+
+    def w_meet(self, a: int, b: int) -> int:
+        """Greatest common prefix of two simple elements: the climb over
+        N(a) & N(b)."""
         if a == b:
             return a
         if a > b:
@@ -524,22 +546,7 @@ class GroupContext:
             out = row.get(b)
             if out is not None:
                 return out
-        common = self.nsets[a] & self.nsets[b]
-        # With bytes, m is a full translation table (the identity then the
-        # pad), so each step is one translate.
-        steps, pad = self._gen_steps, self._pad
-        m = self._perms[0] if pad is None else _BYTE_RANGE
-        while True:
-            for t, step in enumerate(steps):
-                if common >> m[t] & 1:
-                    m = step.translate(m) if pad is not None else tuple(map(m.__getitem__, step))
-                    break
-            else:
-                break
-        out = self._ids.get(m[:self.rank])
-        if out is None:
-            out = self._intern(m[:2 * self.num_positive])
-        row[b] = out
+        out = row[b] = self._climb(self.nsets[a] & self.nsets[b])[0]
         return out
 
     def w_rcomp(self, a: int) -> int:
@@ -563,16 +570,11 @@ class GroupContext:
         return self.w_tau(a)
 
     def w_word(self, a: int) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word for a."""
+        """The lexicographically smallest reduced word for a: the letters of
+        the climb over N(a)."""
         out = self._words[a]
         if out is None:
-            letters = []
-            cur = a
-            while cur != 0:
-                s = min(self.w_left_descents(cur))
-                letters.append(s)
-                cur = self.w_mul(self.gens[s], cur)
-            out = self._words[a] = tuple(letters)
+            out = self._words[a] = self._climb(self.nsets[a])[1]
         return out
 
     def w_supp(self, a: int) -> GeneratorSet:
@@ -610,38 +612,31 @@ class GroupContext:
         return X
 
     def delta_of(self, X: GeneratorSet) -> int:
-        """The longest element of W_X (the Garside element of A_X); 0 for empty X."""
+        """The longest element of W_X (the Garside element of A_X); 0 for empty X.
+
+        Its inversion set is the positive roots of W_X, those whose support
+        lies in X, and the climb fills exactly that set."""
         X = self._check_subset(X)
         out = self._delta_memo.get(X)
         if out is None:
-            cur = 0
-            for _ in range(self.num_positive + 1):  # no Delta_X is longer
-                up = [s for s in X if s not in self.w_right_descents(cur)]
-                if not up:
-                    break
-                cur = self.w_mul(cur, self.gens[min(up)])
-            else:
-                raise GarsideError(f"no longest element of W_{sorted(X)} "
-                                   f"within {self.num_positive} letters")
-            out = cur
-            self._delta_memo[X] = out
+            inside = sum(1 << s for s in X)
+            roots = sum(1 << r for r, supp in enumerate(self._root_supps) if not supp & ~inside)
+            out = self._delta_memo[X] = self._climb(roots)[0]
         return out
 
     def delta_length_of(self, X: GeneratorSet) -> int:
         return self.lengths[self.delta_of(X)]
 
     def delta_permutation(self, X: GeneratorSet) -> dict[int, int]:
-        """The permutation s -> Delta_X^-1 s Delta_X of the letters of X."""
+        """The permutation s -> Delta_X^-1 s Delta_X of the letters of X.
+
+        Delta_X is an involution sending alpha_s to -alpha_t for some t in X,
+        and Delta_X s Delta_X is the reflection in that root, t; the image of
+        alpha_t under t, `_perms[gens[t]][t]`, is the index of -alpha_t."""
         X = self._check_subset(X)
-        d = self.delta_of(X)
-        di = self.w_inv(d)
-        out = {}
-        for s in X:
-            t = self.w_mul(self.w_mul(di, self.gens[s]), d)
-            matches = [u for u in X if self.gens[u] == t]
-            assert len(matches) == 1, "Delta_X conjugation must permute X"
-            out[s] = matches[0]
-        return out
+        perm = self._perms[self.delta_of(X)]
+        negatives = {self._perms[self.gens[t]][t]: t for t in X}
+        return {s: negatives[perm[s]] for s in X}
 
     def components(self, X: GeneratorSet) -> list[GeneratorSet]:
         """Connected components of the Coxeter graph restricted to X."""

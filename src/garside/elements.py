@@ -546,10 +546,10 @@ def simple_times_letter_rewrite(
     if not alpha.is_simple():
         raise NotSimple(f"{alpha} is not simple for the classical structure")
     wid = alpha.simple_id()
-    if t in ctx.w_left_descents(wid):
+    if ctx.ldescs[wid] >> t & 1:
         return None
     rhs = alpha * GroupElement.generator(ctx, s)
-    if t not in ctx.w_left_descents(_first_simple(rhs)):
+    if not ctx.ldescs[_first_simple(rhs)] >> t & 1:
         return None
     lhs = GroupElement.generator(ctx, t) * alpha
     assert lhs == rhs, "letter-pushing identity must hold for simple elements"

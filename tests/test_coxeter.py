@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from garside import CoxeterSpec, build_context, context_from_token
-from garside.coxeter import _build_roots
+from garside.coxeter import _BYTE_RANGE, _build_roots
 from garside.errors import GarsideError, NonSphericalType, ParseError
 
 from conftest import A2XA1_MATRIX, FAMILIES, ctx, family
@@ -251,8 +251,10 @@ def test_unary_tables_match_permutations_on_all_of_w(token):
         assert _compose(p, perm[c.w_inv(a)]) == identity
         # Delta is an involution, so tau(a) = Delta a Delta.
         assert perm[c.w_tau(a)] == _compose(_compose(delta, p), delta)
-        # The least reduced word: the least left descent, read off a^-1
-        # sending its simple root negative, then the same for s a.
+        # The least reduced word: the strip by least left descent that
+        # w_word ran before the inversion-set climb.  The least left descent
+        # s is read off a^-1 sending its simple root negative, then the same
+        # for s a.
         word, cur, inv = [], p, inverse
         while cur != identity:
             s = min(t for t in range(c.rank) if inv[t] >= n)
@@ -390,15 +392,72 @@ def test_root_enumeration_stops_at_the_size_of_the_root_system():
 
 
 def test_delta_climb_is_bounded_by_the_number_of_reflections():
-    # With every right descent erased, the climb to Delta_X never sees its
-    # top; it stops past num_positive letters instead of looping.
+    # With identity tables as the generator steps, the climb's element never
+    # moves, so its root test keeps passing; each climb (to Delta_X, to a meet,
+    # to a least word) stops past num_positive letters instead of looping.
     c = context_from_token("A3")
-    assert frozenset({0, 1}) not in c._delta_memo
-    c.rdescs[:] = [0] * len(c.rdescs)
+    d01 = frozenset({0, 1})
+    assert d01 not in c._delta_memo
+    assert c._meet_rows[c.gens[0]] is None and c._words[c.delta] is None
+    c._gen_steps[:] = [_BYTE_RANGE] * c.rank
+    for climb in (
+        lambda: c.delta_of(d01),
+        lambda: c.w_meet(c.gens[0], c.delta),
+        lambda: c.w_word(c.delta),
+    ):
+        start = time.process_time()
+        with pytest.raises(GarsideError, match="within 6 letters"):
+            climb()
+        assert time.process_time() - start < 5
+
+
+def _descent_climb_delta(c, X):
+    """Delta_X by the climb delta_of ran before the inversion-set climb:
+    multiply on the right by the least letter of X that is not yet a right
+    descent, until every letter of X is one."""
+    cur = c.identity
+    while up := [s for s in X if not c.rdescs[cur] >> s & 1]:
+        cur = c.w_mul(cur, c.gens[min(up)])
+    return cur
+
+
+def _subsets(rank):
+    return [frozenset(s for s in range(rank) if mask >> s & 1) for mask in range(1 << rank)]
+
+
+@pytest.mark.parametrize("token", FAMILIES + ("E8", "H4", "I2(129)"))
+def test_delta_and_its_permutation_match_products_on_every_subset(token):
+    c = family(token) if token in FAMILIES else context_from_token(token)
+    for X in _subsets(c.rank):
+        d = c.delta_of(X)
+        assert d == _descent_climb_delta(c, X)
+        di = c.w_inv(d)
+        conjugates = {s: c.w_mul(c.w_mul(di, c.gens[s]), d) for s in X}
+        assert {s: c.gens.index(t) for s, t in conjugates.items()} == c.delta_permutation(X)
+
+
+def test_least_word_interns_nothing():
+    c = context_from_token("E6")
+    rng = random.Random("word-miss/E6")
+    for _ in range(200):
+        a = _random_element(c, rng)
+        size = len(c._perms)
+        assert len(c.w_word(a)) == c.lengths[a]
+        assert len(c._perms) == size
+
+
+@pytest.mark.parametrize("token", ["A1", "A2xA1", "E8", "H4", "I2(5)", "I2(2000)"])
+def test_construction_interns_only_identity_generators_and_delta(token):
+    # Delta and tau come from one climb and one read of Delta's permutation,
+    # so no prefix of Delta is interned: an I2(m) context once held m
+    # permutations of 2m roots.
     start = time.process_time()
-    with pytest.raises(GarsideError, match="within 6 letters"):
-        c.delta_of({0, 1})
-    assert time.process_time() - start < 5
+    if token == "A2xA1":
+        c = build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX, name=token))
+    else:
+        c = context_from_token(token)
+    assert time.process_time() - start < 10
+    assert len(c._perms) == len({c.identity, *c.gens, c.delta})
 
 
 def test_context_has_slots_and_weak_references():

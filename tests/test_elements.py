@@ -105,7 +105,7 @@ def test_left_greedy_condition_holds():
             u = random_element(c, rng, 8)
             for x, y in zip(u.factors, u.factors[1:]):
                 # left descents of the next factor must finish the previous one
-                assert c.w_left_descents(y) <= c.w_right_descents(x)
+                assert not c.ldescs[y] & ~c.rdescs[x]
             for f in u.factors:
                 assert f not in (c.identity, c.delta)
 
@@ -350,8 +350,8 @@ def test_descent_sets_match_permutation_definition(token):
         perm = c._perms[a]
         right = {s for s in range(c.rank) if perm[s] >= n}
         left = {s for s in range(c.rank) if perm.index(s) >= n}
-        assert c.w_right_descents(a) == right
-        assert c.w_left_descents(a) == left
+        assert c.mask_set(c.rdescs[a]) == right
+        assert c.mask_set(c.ldescs[a]) == left
 
 
 def test_inf_sup_extremality():
