@@ -582,25 +582,35 @@ class GroupContext:
         return self.mask_set(self.supps[a])
 
     def all_elements(self) -> list[int]:
-        """Every element of W, sorted by (length, word); enumeration is memoized."""
+        """Every element of W, sorted by (length, least word); memoized.
+
+        Breadth first from 1, each layer in order, each a times s for s = 0,
+        1, ... outside rdesc(a); a new b gets the word of a plus (s,).  The
+        discovery order is the sorted order, and the words are the least
+        ones: a word of v ends in some s in rdesc(v), so least_word(v) is the
+        least least_word(v s) + (s,), and for words of one length that is the
+        least pair (rank of v s in its layer, s), by induction on the length.
+        The search meets v first at exactly that pair."""
         if self._all_elements is None:
             if self.coxeter_order > ENUMERATION_BUDGET:
                 raise BudgetExceeded(
                     f"|W| = {self.coxeter_order} exceeds enumeration budget {ENUMERATION_BUDGET}"
                 )
+            words, rdescs = self._words, self.rdescs
+            words[0] = ()
             seen = {0}
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in self.gens:
-                        b = self.w_mul(a, g)
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            self._all_elements = sorted(seen, key=lambda e: (self.lengths[e], self.w_word(e)))
-            assert len(self._all_elements) == self.coxeter_order
+            order = [0]
+            for a in order:  # order grows as the search runs: it is the queue
+                for s, g in enumerate(self.gens):
+                    if rdescs[a] >> s & 1:
+                        continue
+                    b = self.w_mul(a, g)
+                    if b not in seen:
+                        seen.add(b)
+                        words[b] = words[a] + (s,)
+                        order.append(b)
+            self._all_elements = order
+            assert len(order) == self.coxeter_order
         return self._all_elements
 
     # ------------------------------------------------- parabolic Coxeter data

@@ -7,7 +7,9 @@ Views with respect to the derived Garside structures with Garside element
 Delta^N are computed on demand and never stored, so equality is always a
 comparison of classical forms.  `_product` is the one n-ary constructor: parsed
 words, powers, conjugates (`conjugate_by`) and conjugator products are
-normalized once, not once per factor or operand.
+normalized once, not once per factor or operand.  `_normalize` makes that form
+in one sweep and moves each Delta it meets straight into the power, twisting
+the factors before it by tau.
 
 The mixed normal forms are cuts of the left normal form.  The lattice
 operations still reduce to one primitive: the greatest common prefix, computed
@@ -32,25 +34,51 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     """Left normal form by the one-sweep algorithm (Epstein et al., ch. 9): append
     each factor, then left-weight pairs from the right end up to the first pair
     (x, y) already left-weighted, i.e. with ldesc(y) inside rdesc(x).  Trailing
-    identities drop; leading Delta factors join the power."""
-    e, ldesc, rdesc = ctx.identity, ctx.ldescs, ctx.rdescs
+    identities drop.
+
+    The list never holds Delta: a Delta joins the power as soon as it appears,
+    appended as a factor or formed by a step x * d = Delta, and the factors
+    a_1 ... a_j before it are twisted in place, since a_1 ... a_j Delta =
+    Delta tau(a_1) ... tau(a_j) (El-Rifai & Morton, 1994).  tau is an
+    automorphism of W that maps the generators to the generators, so
+    rdesc(tau(a)) = tau(rdesc(a)) and ldesc(tau(a)) = tau(ldesc(a)): the
+    twisted prefix is still left-weighted.  The pairs right of the Delta are
+    those the sweep has already left-weighted, so the one pair in doubt is
+    (tau(a_j), y'), and the sweep goes on from it as from any other.  Every
+    pair ends left-weighted, so the result is the unique left normal form;
+    the plain sweep reaches it too, walking Delta to the front one
+    left-weighting step (a, Delta) -> (Delta, tau(a)) at a time, where this
+    one spends one tau lookup per factor."""
+    e, delta, ldesc, rdesc = ctx.identity, ctx.delta, ctx.ldescs, ctx.rdescs
+    tau = ctx.w_tau if ctx.tau_order != 1 else None
     fs: list[int] = []
     for f in factors:
         if f == e:
+            continue
+        if f == delta:
+            power += 1
+            if tau is not None:
+                for j in range(len(fs)):
+                    fs[j] = tau(fs[j])
             continue
         fs.append(f)
         i = len(fs) - 1
         while i > 0 and ldesc[fs[i]] & ~rdesc[fs[i - 1]]:
             x, y = fs[i - 1], fs[i]
             d = ctx.w_meet(ctx.w_rcomp(x), y)
-            fs[i - 1], fs[i] = ctx.w_mul(x, d), ctx.w_mul(ctx.w_inv(d), y)
+            x, fs[i] = ctx.w_mul(x, d), ctx.w_mul(ctx.w_inv(d), y)
             i -= 1
+            if x == delta:
+                power += 1
+                del fs[i]
+                if tau is not None:
+                    for j in range(i):
+                        fs[j] = tau(fs[j])
+            else:
+                fs[i] = x
         while fs and fs[-1] == e:
             fs.pop()
-    k = 0
-    while k < len(fs) and fs[k] == ctx.delta:
-        k += 1
-    return power + k, tuple(fs[k:])
+    return power, tuple(fs)
 
 
 def _product(ctx: GroupContext, elements) -> "GroupElement":

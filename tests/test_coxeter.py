@@ -380,6 +380,19 @@ def test_interned_elements_are_their_words(token):
     assert len(perms) == c.coxeter_order
 
 
+@pytest.mark.parametrize("token", FAMILIES + ("A5", "D5", "H4"))
+def test_all_elements_is_w_sorted_by_length_and_least_word(token):
+    # The breadth-first search keeps its discovery order and fills the least
+    # words as it goes; the reference sorts W by words from the climb alone.
+    c = (build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX)) if token == "A2xA1"
+         else context_from_token(token))
+    found = c.all_elements()
+    assert len(set(found)) == len(found) == c.coxeter_order
+    words = {a: c._climb(c.nsets[a])[1] for a in found}
+    assert found == sorted(found, key=lambda a: (c.lengths[a], words[a]))
+    assert all(c.w_word(a) == words[a] for a in found)
+
+
 def test_root_enumeration_stops_at_the_size_of_the_root_system():
     # The rounded keys of I2(10000) stop matching, so the pass would grow
     # without end; it stops once it passes the 20,000 roots there are.

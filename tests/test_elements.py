@@ -27,6 +27,7 @@ from garside import (
     support,
 )
 from garside import elements
+from garside.coxeter import GroupContext
 from garside.elements import _normalize, format_signed_word
 from garside.errors import ContextMismatch, NotSimple, ParseError
 from garside.oracle import meet_oracle
@@ -134,8 +135,10 @@ def _fixpoint_normalize(c, power, factors):
     return power + k, tuple(fs[k:])
 
 
-@pytest.mark.parametrize("token", FAMILIES)
+@pytest.mark.parametrize("token", FAMILIES + ("E6",))
 def test_one_sweep_normalize_matches_fixpoint_oracle(token):
+    # Up to 20 factors, so that one list forms and hoists several Deltas and
+    # twists the factors before each; E6 adds one more family with tau != 1.
     c = family(token)
     elements = c.all_elements()
     rng = random.Random(f"one-sweep/{token}")
@@ -143,10 +146,41 @@ def test_one_sweep_normalize_matches_fixpoint_oracle(token):
         # identity and Delta entries anywhere, the rest arbitrary simples
         factors = tuple(
             rng.choice((c.identity, c.delta)) if rng.random() < 0.25 else rng.choice(elements)
-            for _ in range(rng.randint(0, 9))
+            for _ in range(rng.randint(0, 20))
         )
         power = rng.randint(-3, 3)
         assert _normalize(c, power, factors) == _fixpoint_normalize(c, power, factors)
+
+
+@pytest.mark.parametrize("token", ["A3", "I2(5)", "B3"])
+def test_delta_formed_mid_sweep_joins_the_power_at_once(token, monkeypatch):
+    # a_1 ... a_k x rcomp(x) = a_1 ... a_k Delta = Delta tau(a_1) ... tau(a_k):
+    # the sweep forms Delta at position k with one meet, and the factors
+    # before it are twisted, not left-weighted against it one pair at a time.
+    c = family(token)
+    rng = random.Random(f"hoist/{token}")
+    simples = [a for a in c.all_elements() if a not in (c.identity, c.delta)]
+    chain = [rng.choice(simples)]
+    while len(chain) < 13:  # a left-weighted chain
+        chain.append(rng.choice([b for b in simples if not c.ldescs[b] & ~c.rdescs[chain[-1]]]))
+    meets = []
+    inner = GroupContext.w_meet
+
+    def counted(self, a, b):
+        meets.append((a, b))
+        return inner(self, a, b)
+
+    monkeypatch.setattr(GroupContext, "w_meet", counted)
+    counts = set()
+    for k in (2, 6, 12):
+        x = chain[k]
+        factors = chain[:k] + [x, c.w_rcomp(x)]
+        meets.clear()
+        out = _normalize(c, 0, factors)
+        counts.add(len(meets))
+        assert out == (1, tuple(c.w_tau_pow(a, 1) for a in chain[:k]))
+        assert out == _fixpoint_normalize(c, 0, factors)
+    assert len(counts) == 1
 
 
 @pytest.mark.parametrize("token", FAMILIES)
