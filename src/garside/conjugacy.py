@@ -3,7 +3,10 @@
 All conjugation here follows the convention u^x = x^-1 u x.  The summit sets
 are computed with respect to an explicit Garside structure (Delta^N for some
 N >= 1); the set of positive conjugates and its arrow labels do not depend on
-N (see `_convex_conjugators`), the other summit sets do.
+N (see `_convex_conjugators`), the other summit sets do.  Arrow labels of
+positive conjugates and of the super summit set come by convexity, as least
+elements of meet-closed sets of conjugators; those of the ultra, reduced
+and stable summit sets from a scan of the Delta^N simples.
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -370,6 +373,60 @@ def _convex_conjugators(v: GroupElement) -> list[GroupElement]:
     return _minimal(rho)
 
 
+def _sss_conjugators(v: GroupElement, structure: GarsideStructure) -> list[GroupElement]:
+    """Arrow labels out of a vertex v of the super summit set, by convexity
+    instead of a scan of the Delta^N simples (Franco & Gonzalez-Meneses,
+    J. Algebra 266 (2003)).
+
+    Let inf_N(v) = p, sup_N(v) = p + r and m = N p, M = N (p + r), powers of
+    the classical Delta; tau^m is conjugation by Delta^m.  A conjugate v^c, c
+    positive, lies in the SSS exactly when inf_N(v^c) >= p and sup_N(v^c) <=
+    p + r, the extremes of the class.  For the inf condition, let x =
+    Delta^-m v, a positive element.
+      (a) inf_N(v^c) >= p iff Delta^-m v^c = tau^m(c)^-1 x c is positive, that
+          is, iff tau^m(c) =< x c.  The set I of such c is closed under meets,
+          since tau^m preserves them: tau^m(meet(a, b)) = meet(tau^m(a),
+          tau^m(b)) =< meet(x a, x b) = x meet(a, b).  It holds Delta^N,
+          whose conjugation keeps inf_N.
+      (b) The step: with Delta^-m v^c = P Q^-1 in pn-normal form, c' = c Q.
+          As in `_convex_conjugators`, tau^m(c) P = x c Q is the least common
+          multiple of tau^m(c) and x c: any common multiple tau^m(c) a = x c b
+          writes Delta^-m v^c as a b^-1, so a = P d and b = Q d for a
+          positive d.  If c =< rho for some rho in I, then tau^m(c) =<
+          tau^m(rho) =< x rho and x c =< x rho, so x c Q =< x rho and c' =<
+          rho.
+      (c) c' >= c, and c' = c exactly when Q = 1, that is, when c is in I.
+    sup_N(v^c) <= p + r iff inf_N((v^c)^-1) >= -(p + r), and (v^c)^-1 =
+    (v^-1)^c, so the sup condition is (a)-(c) for v^-1 and -M: its step reads
+    Q off Delta^M (v^c)^-1, and its set S is closed under meets and holds
+    Delta^N.
+    For an atom s, the members of I and S above s are closed under meets, so
+    they have a least one, rho_s, and rho_s =< Delta^N, since meet(y,
+    Delta^N) is such a member for every such y.  From c = s, take the step of
+    a condition that c fails until it fails neither.  By (b) every c stays =<
+    rho_s, by (c) each step grows it, so the chain stops, in I and S, on
+    rho_s.  The scan of `_minimal_conjugators` meets the simples above s by
+    word length; every member y it finds has rho_s =< y, so its first layer
+    with a member holds rho_s alone, and `_minimal` of the rho_s is the
+    scan's list.
+    """
+    ctx, n = v.ctx, structure.exponent
+    low, high = n * structure.inf(v), n * structure.sup(v)
+    rho = []
+    for s in range(ctx.rank):
+        c = GroupElement.generator(ctx, s)
+        while True:
+            w = v.conjugate_by(c)
+            if w.power < low:
+                c = c * pn_normal_form(w.shift(-low)).negative
+            elif w.sup() > high:
+                c = c * pn_normal_form(w.inverse().shift(high)).negative
+            else:
+                break
+        rho.append(c)
+    return _minimal(rho)
+
+
 @dataclass
 class SummitGraph:
     """The directed graph of a summit set: vertices are the elements of the
@@ -423,13 +480,14 @@ def compute_summit_graph(
 ) -> SummitGraph:
     """Compute the full minimal-conjugator graph of the chosen summit set.
 
-    Positive-conjugate labels come by convexity (`_convex_conjugators`), with
-    no simple enumerated and no element of W listed.  The other kinds still
-    scan the Delta^N simples (`_minimal_conjugators`): their convexity
-    iterations (Franco & Gonzalez-Meneses 2003 for SSS, Gebhardt 2005 for USS
-    and RSSS) are not in yet, and the `summit_graphs` benchmark keeps every
-    graph it builds until its checks, so a much faster scan there reads as a
-    memory regression until it keeps one result per case.
+    Positive-conjugate and SSS labels come by convexity (`_convex_conjugators`,
+    `_sss_conjugators`), with no simple enumerated and no element of W
+    listed.  USS, RSSS and SU still scan the Delta^N simples
+    (`_minimal_conjugators`): their labels by transport and pullback
+    (Gebhardt 2005) are not in yet, and the `summit_graphs` benchmark keeps
+    every graph it builds until its checks, so a much faster scan there
+    reads as a memory regression until it keeps one result per case.  Equal
+    labels are one object per graph, as the scan's layer objects were.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
@@ -437,6 +495,9 @@ def compute_summit_graph(
     assert member(seed), "seed must land in its own summit set"
     if kind is SummitKind.POSITIVE_CONJUGATES:
         labels_of = _convex_conjugators
+    elif kind is SummitKind.SSS:
+        def labels_of(v):
+            return _sss_conjugators(v, structure)
     else:
         simples = _structure_simples(structure)
 
@@ -446,9 +507,11 @@ def compute_summit_graph(
     witness_of = {seed: witness}
     queue = [seed]
     raw_arrows = []
+    shared: dict = {}
     while queue:
         v = queue.pop(0)
         for label in labels_of(v):
+            label = shared.setdefault(label, label)
             w = v.conjugate_by(label)
             raw_arrows.append((v, w, label))
             if w not in witness_of:

@@ -350,9 +350,10 @@ class GroupContext:
     generators; `lengths[a]` is the length of a.
 
     The memos are lists indexed by element id too, which `_intern` extends
-    with None: `_invs`, `_taus` and `_words` hold a^-1, tau(a) and the least
-    reduced word of a once asked for, and `_mul_rows[a]` and `_meet_rows[a]`
-    are None or a dict from b to a * b, and to the meet of a and b for a < b.
+    with None: `_invs`, `_taus`, `_rcomps`, `_lcomps` and `_words` hold a^-1,
+    tau(a), the complements a^-1 Delta and Delta a^-1, and the least reduced
+    word of a once asked for, and `_mul_rows[a]` and `_meet_rows[a]` are
+    None or a dict from b to a * b, and to the meet of a and b for a < b.
     """
 
     # Slots keep the table lookups on the hot path cheap; `__weakref__` lets
@@ -361,7 +362,7 @@ class GroupContext:
         "spec", "rank", "components_of_s", "component_types", "coxeter_order",
         "num_positive", "_root_supps", "_pad", "_perms", "_ids", "identity", "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
-        "_mul_rows", "_meet_rows", "_invs", "_taus", "_words", "_gen_steps",
+        "_mul_rows", "_meet_rows", "_invs", "_taus", "_rcomps", "_lcomps", "_words", "_gen_steps",
         "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
         "tau_order", "__weakref__",
     )
@@ -402,6 +403,8 @@ class GroupContext:
         self._meet_rows: list[dict[int, int] | None] = []
         self._invs: list[int | None] = []
         self._taus: list[int | None] = []
+        self._rcomps: list[int | None] = []
+        self._lcomps: list[int | None] = []
         self._words: list[tuple[int, ...] | None] = []
         self.identity = self._intern(perm_type(range(num_roots)))
         self.gens = [self._intern(perm_type(p)) for p in gen_perms]
@@ -450,7 +453,8 @@ class GroupContext:
             self.ldescs.append(nset & ((1 << self.rank) - 1))
             self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
             self.supps.append(supp)
-            for memo in (self._mul_rows, self._meet_rows, self._invs, self._taus, self._words):
+            for memo in (self._mul_rows, self._meet_rows, self._invs, self._taus,
+                         self._rcomps, self._lcomps, self._words):
                 memo.append(None)
         return eid
 
@@ -551,11 +555,17 @@ class GroupContext:
 
     def w_rcomp(self, a: int) -> int:
         """Right complement w.r.t. the classical structure: a^-1 * Delta."""
-        return self.w_mul(self.w_inv(a), self.delta)
+        out = self._rcomps[a]
+        if out is None:
+            out = self._rcomps[a] = self.w_mul(self.w_inv(a), self.delta)
+        return out
 
     def w_lcomp(self, a: int) -> int:
         """Left complement: Delta * a^-1."""
-        return self.w_mul(self.delta, self.w_inv(a))
+        out = self._lcomps[a]
+        if out is None:
+            out = self._lcomps[a] = self.w_mul(self.delta, self.w_inv(a))
+        return out
 
     def w_tau(self, a: int) -> int:
         out = self._taus[a]

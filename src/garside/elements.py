@@ -5,11 +5,12 @@ of the Garside element Delta plus a tuple of simple factors (ids of Coxeter
 group elements), consecutive factors satisfying the left-greedy condition.
 Views with respect to the derived Garside structures with Garside element
 Delta^N are computed on demand and never stored, so equality is always a
-comparison of classical forms.  `_product` is the one n-ary constructor: parsed
-words, powers, conjugates (`conjugate_by`) and conjugator products are
-normalized once, not once per factor or operand.  `_normalize` makes that form
-in one sweep and moves each Delta it meets straight into the power, twisting
-the factors before it by tau.
+comparison of classical forms.  Parsed words, powers, conjugates and
+conjugator products are normalized once, not once per factor or operand:
+`_product` is the one n-ary constructor, and `_conjugate` builds g^-1 u g
+the same way from g's complements, with no element g^-1.  `_normalize` makes
+that form in one sweep and moves each Delta it meets straight into the
+power, twisting each factor once by the parity of the Deltas to its right.
 
 The mixed normal forms are cuts of the left normal form.  The lattice
 operations still reduce to one primitive: the greatest common prefix, computed
@@ -38,7 +39,7 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
 
     The list never holds Delta: a Delta joins the power as soon as it appears,
     appended as a factor or formed by a step x * d = Delta, and the factors
-    a_1 ... a_j before it are twisted in place, since a_1 ... a_j Delta =
+    a_1 ... a_j before it are twisted, since a_1 ... a_j Delta =
     Delta tau(a_1) ... tau(a_j) (El-Rifai & Morton, 1994).  tau is an
     automorphism of W that maps the generators to the generators, so
     rdesc(tau(a)) = tau(rdesc(a)) and ldesc(tau(a)) = tau(ldesc(a)): the
@@ -47,21 +48,28 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     (tau(a_j), y'), and the sweep goes on from it as from any other.  Every
     pair ends left-weighted, so the result is the unique left normal form;
     the plain sweep reaches it too, walking Delta to the front one
-    left-weighting step (a, Delta) -> (Delta, tau(a)) at a time, where this
-    one spends one tau lookup per factor."""
+    left-weighting step (a, Delta) -> (Delta, tau(a)) at a time.
+
+    No hoist twists the prefix.  The list is kept in the frame of the Deltas
+    hoisted so far: with h of them, it holds tau^h of the true factors.  A
+    hoist twists the true prefix and the frame alike, so the prefix stays as
+    it is, and only the factors right of the Delta, those this sweep has
+    written, are twisted back; an appended factor enters the frame with one
+    twist, and the result leaves it with one.  The left-weighting step
+    commutes with tau, so the sweep runs on the frame unchanged.  tau has
+    order 1 or 2, so the frame is tau^(h mod 2)."""
     e, delta, ldesc, rdesc = ctx.identity, ctx.delta, ctx.ldescs, ctx.rdescs
     tau = ctx.w_tau if ctx.tau_order != 1 else None
+    odd = False  # the parity of the hoisted Deltas, when tau has order 2
     fs: list[int] = []
     for f in factors:
         if f == e:
             continue
         if f == delta:
             power += 1
-            if tau is not None:
-                for j in range(len(fs)):
-                    fs[j] = tau(fs[j])
+            odd = tau is not None and not odd
             continue
-        fs.append(f)
+        fs.append(tau(f) if odd else f)
         i = len(fs) - 1
         while i > 0 and ldesc[fs[i]] & ~rdesc[fs[i - 1]]:
             x, y = fs[i - 1], fs[i]
@@ -72,13 +80,13 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
                 power += 1
                 del fs[i]
                 if tau is not None:
-                    for j in range(i):
-                        fs[j] = tau(fs[j])
+                    odd = not odd
+                    fs[i:] = [g if g == e else tau(g) for g in fs[i:]]
             else:
                 fs[i] = x
         while fs and fs[-1] == e:
             fs.pop()
-    return power, tuple(fs)
+    return power, tuple(map(tau, fs) if odd else fs)
 
 
 def _product(ctx: GroupContext, elements) -> "GroupElement":
@@ -88,8 +96,33 @@ def _product(ctx: GroupContext, elements) -> "GroupElement":
     parts: list[int] = []
     for x in elements:
         shift -= x.power
-        parts.extend(map(ctx.w_tau, x.factors) if shift % ctx.tau_order else x.factors)
+        parts.extend(_twisted(ctx, x.factors, shift))
     return GroupElement(ctx, total, parts)
+
+
+def _twisted(ctx: GroupContext, factors, k: int):
+    """The factors twisted by tau^k."""
+    return map(ctx.w_tau, factors) if k % ctx.tau_order else factors
+
+
+def _inverse_factors(g: "GroupElement", shift: int = 0) -> list[int]:
+    """The factors of g^-1 twisted by tau^shift: g's complements, reversed and
+    twisted, are left-weighted (El-Rifai & Morton, 1994)."""
+    ctx, a, fs = g.ctx, g.power, g.factors
+    return [ctx.w_tau_pow(ctx.w_lcomp(fs[j]), shift - j - a) for j in range(len(fs) - 1, -1, -1)]
+
+
+def _conjugate(u: "GroupElement", g: "GroupElement", inverse_first: bool = True) -> "GroupElement":
+    """g^-1 u g, or g u g^-1 when not inverse_first, with one normalization as
+    in `_product`.  g^-1 is never built: its power and its twisted complements
+    go straight into the factor list."""
+    ctx, p, q = u.ctx, g.power, -g.power - len(g.factors)  # q: the power of g^-1
+    if inverse_first:
+        parts = [*_inverse_factors(g, u.power + p), *_twisted(ctx, u.factors, p), *g.factors]
+    else:
+        parts = [*_twisted(ctx, g.factors, u.power + q), *_twisted(ctx, u.factors, q),
+                 *_inverse_factors(g)]
+    return GroupElement(ctx, p + u.power + q, parts)
 
 
 class GroupElement:
@@ -211,14 +244,8 @@ class GroupElement:
         return _product(self.ctx, (self, other))
 
     def inverse(self) -> "GroupElement":
-        # The twisted complements, reversed, are left-weighted (El-Rifai & Morton, 1994).
-        ctx, a, fs = self.ctx, self.power, self.factors
-        r = len(fs)
-        parts = tuple(
-            ctx.w_tau_pow(ctx.w_lcomp(fs[r - 1 - i]), -(r - 1 - i) - a)
-            for i in range(r)
-        )
-        return GroupElement(ctx, -a - r, parts, normalized=True)
+        return GroupElement(self.ctx, -self.power - len(self.factors),
+                            _inverse_factors(self), normalized=True)
 
     def __pow__(self, m: int) -> "GroupElement":
         base = self if m >= 0 else self.inverse()
@@ -227,7 +254,7 @@ class GroupElement:
     def conjugate_by(self, g: "GroupElement") -> "GroupElement":
         """g^-1 * self * g, normalized once."""
         self._require_same(g)
-        return _product(self.ctx, (g.inverse(), self, g))
+        return _conjugate(self, g)
 
     def shift(self, k: int) -> "GroupElement":
         """Left multiplication by Delta^k (the normal form just shifts)."""

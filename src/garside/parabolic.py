@@ -19,6 +19,7 @@ from .coxeter import GeneratorSet, GroupContext
 from .conjugacy import cycle_to_max_inf, element_of_i_infinity
 from .elements import (
     GroupElement,
+    _conjugate,
     _product,
     format_element,
     format_positive,
@@ -68,7 +69,7 @@ class ParabolicSubgroup:
     @staticmethod
     def from_conjugator(ctx: GroupContext, g: GroupElement, X) -> "ParabolicSubgroup":
         """Build g A_X g^-1 and re-base it through its minimal standardizer."""
-        z = _product(ctx, (g, central_element_of_standard(ctx, X), g.inverse()))
+        z = _conjugate(central_element_of_standard(ctx, X), g, inverse_first=False)
         return ParabolicSubgroup.from_central_element(ctx, z)
 
     @staticmethod

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from garside import SummitKind, compute_summit_graph, context_from_token, parse_word
+from garside import SummitKind, build_context, compute_summit_graph, context_from_token, parse_word
+from garside import cli
 from garside.cli import build_parser, run
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
@@ -156,18 +157,41 @@ def test_root_enumeration_that_never_closes_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("E7", "summit", "--kind", "sss", "s1"),
-    ("F4", "summit", "--N", "2", "s1 s2"),
-    ("E7", "summit", "--N", "2", "s1"),
-    ("E6", "summit", "--N", "2", "s1 s2"),
+    ("E7", "summit", "--kind", "uss", "s1"),
+    ("F4", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
+    ("E7", "summit", "--kind", "uss", "--N", "2", "s1"),
+    ("E6", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
 ])
 def test_budget_exhaustion_exit_code(capsys, argv):
-    # The Coxeter group of E7, and the Delta^2 simples of F4, E6 and E7,
-    # outgrow the enumeration budget.
+    # The USS and RSSS labels scan the simples: the Coxeter group of E7, and
+    # the Delta^2 simples of F4, E6 and E7, outgrow the enumeration budget.
     code, _, err = invoke(capsys, *argv)
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
     assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("E7", "summit", "--kind", "sss", "s1"),
+    ("E7", "summit", "s1 s2"),
+    ("F4", "summit", "--N", "2", "s1 s2"),
+    ("F4", "summit", "--N", "2", "s1 s2 s3"),
+    ("E7", "summit", "--N", "2", "s1"),
+    ("E6", "summit", "--N", "2", "s1 s2"),
+])
+def test_sss_graphs_enumerate_nothing(capsys, monkeypatch, argv):
+    # SSS labels come by convexity: neither W nor the Delta^N simples are
+    # listed, so no enumeration budget applies.
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_context(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_context", recording)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == "" and out
+    assert len(built) == 1 and built[0]._all_elements is None
 
 
 @pytest.mark.parametrize("argv", [

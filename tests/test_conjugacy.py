@@ -575,6 +575,51 @@ def test_convex_labels_match_scan(token, n, monkeypatch):
         assert graph.to_json() == scanned.to_json(), (token, n, u)
 
 
+# SSS labels come by convexity too, from the inf and the sup condition; the
+# scan is their oracle as well.  It costs up to 30 ms a vertex at N = 2, and a
+# 6-letter word can have an SSS of thousands of vertices there, so graphs of
+# more than 150 vertices are compared at 30 vertices spread over them.
+
+
+@pytest.mark.parametrize("token, n", [
+    (token, n) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)
+])
+def test_sss_convex_labels_match_scan(token, n, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    simples = conjugacy._structure_simples(st)
+    rng = random.Random(f"sss/{token}/{n}")
+    for _ in range(4):
+        u = random_element(c, rng, 6)
+        graph = compute_summit_graph(u, SummitKind.SSS, st)
+        member = summit_membership(SummitKind.SSS, st, graph.vertices[0])
+
+        def scan(v, structure):
+            return conjugacy._minimal_conjugators(v, member, simples)
+
+        vertices = graph.vertices
+        if len(vertices) > 150:
+            vertices = vertices[::len(vertices) // 30]
+        for v in vertices:
+            assert conjugacy._sss_conjugators(v, st) == scan(v, st), (token, n, v)
+        if len(vertices) == len(graph.vertices):
+            with monkeypatch.context() as m:
+                m.setattr(conjugacy, "_sss_conjugators", scan)
+                scanned = compute_summit_graph(u, SummitKind.SSS, st)
+            assert graph.to_json() == scanned.to_json(), (token, n, u)
+
+
+@pytest.mark.parametrize("kind", [SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS,
+                                  SummitKind.USS])
+def test_equal_labels_are_one_object(kind):
+    c = ctx("A4")
+    graph = compute_summit_graph(parse_word(c, "s1 s2 s3 s4 s1"), kind)
+    labels = {}
+    for _, _, label in graph.arrows:
+        assert labels.setdefault(label, label) is label
+    assert len(labels) < len(graph.arrows)
+
+
 def test_rsss_inverse_in_closed_cycling_orbit():
     rng = random.Random(27)
     c = ctx("A2")

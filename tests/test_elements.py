@@ -184,6 +184,37 @@ def test_delta_formed_mid_sweep_joins_the_power_at_once(token, monkeypatch):
 
 
 @pytest.mark.parametrize("token", FAMILIES)
+def test_hoists_twist_each_factor_once(token, monkeypatch):
+    # Each round forms a Delta mid-sweep (x rcomp(x) = Delta) and appends
+    # one, so it hoists two; a last Delta leaves the prefix twisted once.
+    # However many rounds, each factor of the result is twisted once, not
+    # once per hoist.
+    c = family(token)
+    rng = random.Random(f"twist/{token}")
+    simples = [a for a in c.all_elements() if a not in (c.identity, c.delta)]
+    chain = [rng.choice(simples)]
+    while len(chain) < 13:  # a left-weighted chain
+        chain.append(rng.choice([b for b in simples if not c.ldescs[b] & ~c.rdescs[chain[-1]]]))
+    prefix, x = chain[:12], chain[12]
+    expected = tuple(c.w_tau(a) for a in prefix)
+    calls = []
+    inner = GroupContext.w_tau
+
+    def counted(self, a):
+        calls.append(a)
+        return inner(self, a)
+
+    monkeypatch.setattr(GroupContext, "w_tau", counted)
+    for rounds in (1, 2, 5):
+        factors = prefix + [x, c.w_rcomp(x), c.delta] * rounds + [c.delta]
+        calls.clear()
+        power, out = _normalize(c, 0, factors)
+        assert len(calls) == (len(prefix) if c.tau_order == 2 else 0), rounds
+        assert (power, out) == (2 * rounds + 1, expected)
+        assert (power, out) == _fixpoint_normalize(c, 0, factors)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
 def test_inverse_is_already_normal(token):
     c = family(token)
     rng = random.Random(f"inverse/{token}")
