@@ -3,10 +3,12 @@
 All conjugation here follows the convention u^x = x^-1 u x.  The summit sets
 are computed with respect to an explicit Garside structure (Delta^N for some
 N >= 1); the set of positive conjugates and its arrow labels do not depend on
-N (see `_convex_conjugators`), the other summit sets do.  Arrow labels of
-positive conjugates and of the super summit set come by convexity, as least
-elements of meet-closed sets of conjugators; those of the ultra, reduced
-and stable summit sets from a scan of the Delta^N simples.
+N (see `_convex_conjugators`), the other summit sets do.  The arrow label
+above each atom is the least element of a meet-closed set of conjugators.
+For positive conjugates and the super summit set one climb finds it
+(`_convex_conjugators`), bounded by the power and sup of the class; for the
+ultra, reduced and stable summit sets a scan of the Delta^N simples.  The
+minimal labels are read off the atoms below them (`_minimal`).
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -21,6 +23,7 @@ summit_seed(u) is (u, identity) exactly when u lies in its set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
@@ -31,11 +34,11 @@ from .elements import (
     GarsideStructure,
     GroupElement,
     _block,
+    _first_simple,
     _product,
     format_element,
     format_positive,
     pn_normal_form,
-    prefix_le,
     ribbon,
     support,
 )
@@ -330,99 +333,82 @@ def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]
 
 
 def _minimal(rho: list[GroupElement]) -> list[GroupElement]:
-    """The minimal elements of the labels, first occurrences in atom order."""
-    uniq = list(dict.fromkeys(rho))
-    return [
-        y for y in uniq
-        if not any(z != y and prefix_le(z, y) for z in uniq)
-    ]
+    """The minimal elements of the labels rho_s, one per atom s, first
+    occurrences in atom order, with no group product.
+
+    Each rho_s is the least element above s of one set of conjugators closed
+    under meets: those c for which v^c stays in the summit set.  The sets are
+    meet-closed for positive conjugates and the SSS (`_convex_conjugators`),
+    the USS (Gebhardt, J. Algebra 292 (2005)) and the RSSS (Birman, Gebhardt &
+    Gonzalez-Meneses, Groups Geom. Dyn. 1 (2007)); SU adds finitely many USS
+    conditions, (v^m)^c in the USS of v^m, and an intersection of meet-closed
+    sets is one.  So rho_t is minimal exactly when rho_s = rho_t for every
+    atom s =< rho_t, the left descents of its first simple factor:
+      if some rho_u < rho_t, then u =< rho_u =< rho_t and rho_u != rho_t;
+      if s =< rho_t, then rho_s =< rho_t, rho_t being in the set above s, so
+      rho_s != rho_t means rho_s < rho_t.
+    """
+    ldesc = rho[0].ctx.ldescs
+    return list(dict.fromkeys(
+        y for y in rho
+        if all(z == y for s, z in enumerate(rho) if ldesc[_first_simple(y)] >> s & 1)
+    ))
 
 
-def _convex_conjugators(v: GroupElement) -> list[GroupElement]:
-    """Arrow labels out of a positive vertex v of the positive-conjugate
-    graph, by convexity instead of a scan of simples.
+def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
+    """Arrow labels out of v by convexity instead of a scan of simples: for
+    each atom s, rho_s is the least c >= s (prefix order) with
+    (v^c).power >= low and (v^c).sup() <= high, then `_minimal` of them.
 
-    For an atom s the label rho_s is the least c >= s (prefix order) with
-    v^c = c^-1 v c positive, that is, with c =< v c.  It is the limit of
-    c_0 = s, c_(k+1) = v^-1 join(c_k, v c_k), join the prefix lcm:
-      (a) C = {c >= 1 : c =< v c} is closed under meets, since meet(a, b) =<
-          meet(v a, v b) = v meet(a, b), and it holds Delta^N, since tau^N(v)
-          is positive.  So the members of C between s and Delta^N have a
-          least element, below every member above s: rho_s is a
-          Delta^N-simple, in fact a prefix of Delta, the same for every N.
-      (b) c_k =< rho_s implies c_(k+1) =< rho_s: c_k =< rho_s =< v rho_s and
-          v c_k =< v rho_s, so v c_(k+1) = join(c_k, v c_k) =< v rho_s.
-      (c) c_(k+1) >= c_k, and c_(k+1) = c_k exactly when c_k =< v c_k, i.e.
-          c_k is in C.
-    The chain climbs the finite set of prefixes of rho_s, so it stops, and
-    where it stops it is rho_s.  A step needs no join: with v^(c_k) = P N^-1
-    in pn-normal form, c_k P = v c_k N is a common multiple of c_k and v c_k,
-    and the least one, since any common multiple c_k x = v c_k y writes v^c_k
-    as x y^-1, and x = P d, y = N d for a positive d (P and N share no
-    suffix).  So join(c_k, v c_k) = v c_k N and c_(k+1) = c_k N: each step is
-    one conjugation and one pn cut, and the chain stops when v^c_k is
-    positive.
+    Positive conjugates take (0, inf), and the super summit set (N inf_N,
+    N sup_N) of any of its elements, the extremes of the class: inf_N(u) >= p
+    iff u.power >= N p, and sup_N(u) <= q iff u.sup() <= N q (Franco &
+    Gonzalez-Meneses, J. Algebra 266 (2003)).  Let m = low and M = high;
+    tau^m is conjugation by Delta^m.  For the inf condition, let x =
+    Delta^-m v, a positive element.
+      (a) (v^c).power >= m iff Delta^-m v^c = tau^m(c)^-1 x c is positive,
+          that is, iff tau^m(c) =< x c.  The set I of such c is closed under
+          meets, since tau^m preserves them: tau^m(meet(a, b)) =
+          meet(tau^m(a), tau^m(b)) =< meet(x a, x b) = x meet(a, b).  It
+          holds Delta, whose conjugation tau keeps power and sup.
+      (b) The step: with Delta^-m v^c = P Q^-1 in pn-normal form, c' = c Q.
+          tau^m(c) P = x c Q is the least common multiple of tau^m(c) and
+          x c: any common multiple tau^m(c) a = x c b writes Delta^-m v^c as
+          a b^-1, so a = P d and b = Q d for a positive d (P and Q share no
+          suffix).  If c =< rho for some rho in I, then tau^m(c) =<
+          tau^m(rho) =< x rho and x c =< x rho, so x c Q =< x rho and c' =<
+          rho.
+      (c) c' >= c, and c' = c exactly when Q = 1, that is, when c is in I.
+    (v^c).sup() <= M iff (v^c)^-1 = (v^-1)^c has power >= -M, so the sup
+    condition is (a)-(c) for v^-1 and -M: its step reads Q off Delta^M
+    (v^c)^-1, and its set S is closed under meets and holds Delta.
+    Positive conjugates are the case m = 0, with no sup condition (M
+    infinite, S every c).
+    For an atom s, the members of I and S above s are closed under meets, so
+    they have a least one, rho_s, and rho_s =< Delta, since meet(y, Delta) is
+    such a member for every such y: a classical simple, a Delta^N simple for
+    every N.  From c = s, take the step of a condition that c fails until it
+    fails neither.  By (b) every c stays =< rho_s, by (c) each step grows
+    it, so the chain stops, in I and S, on rho_s.  The steps run on the
+    conjugate itself, v^(c Q) = (v^c)^Q, so each is one conjugation by Q and
+    one pn cut.  The scan of `_minimal_conjugators` meets the simples above
+    s by word length; every member y it finds has rho_s =< y, so its first
+    layer with a member holds rho_s alone, and `_minimal` of the rho_s is
+    the scan's list.
     """
     ctx = v.ctx
     rho = []
     for s in range(ctx.rank):
         c = GroupElement.generator(ctx, s)
-        while not (x := v.conjugate_by(c)).is_positive():
-            c = c * pn_normal_form(x).negative
-        rho.append(c)
-    return _minimal(rho)
-
-
-def _sss_conjugators(v: GroupElement, structure: GarsideStructure) -> list[GroupElement]:
-    """Arrow labels out of a vertex v of the super summit set, by convexity
-    instead of a scan of the Delta^N simples (Franco & Gonzalez-Meneses,
-    J. Algebra 266 (2003)).
-
-    Let inf_N(v) = p, sup_N(v) = p + r and m = N p, M = N (p + r), powers of
-    the classical Delta; tau^m is conjugation by Delta^m.  A conjugate v^c, c
-    positive, lies in the SSS exactly when inf_N(v^c) >= p and sup_N(v^c) <=
-    p + r, the extremes of the class.  For the inf condition, let x =
-    Delta^-m v, a positive element.
-      (a) inf_N(v^c) >= p iff Delta^-m v^c = tau^m(c)^-1 x c is positive, that
-          is, iff tau^m(c) =< x c.  The set I of such c is closed under meets,
-          since tau^m preserves them: tau^m(meet(a, b)) = meet(tau^m(a),
-          tau^m(b)) =< meet(x a, x b) = x meet(a, b).  It holds Delta^N,
-          whose conjugation keeps inf_N.
-      (b) The step: with Delta^-m v^c = P Q^-1 in pn-normal form, c' = c Q.
-          As in `_convex_conjugators`, tau^m(c) P = x c Q is the least common
-          multiple of tau^m(c) and x c: any common multiple tau^m(c) a = x c b
-          writes Delta^-m v^c as a b^-1, so a = P d and b = Q d for a
-          positive d.  If c =< rho for some rho in I, then tau^m(c) =<
-          tau^m(rho) =< x rho and x c =< x rho, so x c Q =< x rho and c' =<
-          rho.
-      (c) c' >= c, and c' = c exactly when Q = 1, that is, when c is in I.
-    sup_N(v^c) <= p + r iff inf_N((v^c)^-1) >= -(p + r), and (v^c)^-1 =
-    (v^-1)^c, so the sup condition is (a)-(c) for v^-1 and -M: its step reads
-    Q off Delta^M (v^c)^-1, and its set S is closed under meets and holds
-    Delta^N.
-    For an atom s, the members of I and S above s are closed under meets, so
-    they have a least one, rho_s, and rho_s =< Delta^N, since meet(y,
-    Delta^N) is such a member for every such y.  From c = s, take the step of
-    a condition that c fails until it fails neither.  By (b) every c stays =<
-    rho_s, by (c) each step grows it, so the chain stops, in I and S, on
-    rho_s.  The scan of `_minimal_conjugators` meets the simples above s by
-    word length; every member y it finds has rho_s =< y, so its first layer
-    with a member holds rho_s alone, and `_minimal` of the rho_s is the
-    scan's list.
-    """
-    ctx, n = v.ctx, structure.exponent
-    low, high = n * structure.inf(v), n * structure.sup(v)
-    rho = []
-    for s in range(ctx.rank):
-        c = GroupElement.generator(ctx, s)
+        w = v.conjugate_by(c)
         while True:
-            w = v.conjugate_by(c)
             if w.power < low:
-                c = c * pn_normal_form(w.shift(-low)).negative
+                q = pn_normal_form(w.shift(-low)).negative
             elif w.sup() > high:
-                c = c * pn_normal_form(w.inverse().shift(high)).negative
+                q = pn_normal_form(w.inverse().shift(high)).negative
             else:
                 break
+            w, c = w.conjugate_by(q), c * q
         rho.append(c)
     return _minimal(rho)
 
@@ -480,24 +466,28 @@ def compute_summit_graph(
 ) -> SummitGraph:
     """Compute the full minimal-conjugator graph of the chosen summit set.
 
-    Positive-conjugate and SSS labels come by convexity (`_convex_conjugators`,
-    `_sss_conjugators`), with no simple enumerated and no element of W
-    listed.  USS, RSSS and SU still scan the Delta^N simples
-    (`_minimal_conjugators`): their labels by transport and pullback
-    (Gebhardt 2005) are not in yet, and the `summit_graphs` benchmark keeps
-    every graph it builds until its checks, so a much faster scan there
-    reads as a memory regression until it keeps one result per case.  Equal
-    labels are one object per graph, as the scan's layer objects were.
+    Positive-conjugate and SSS labels come by convexity, from one climb
+    (`_convex_conjugators`) whose bounds on power and sup are read once off
+    the seed, with no simple enumerated and no element of W listed.  USS,
+    RSSS and SU still scan the Delta^N simples (`_minimal_conjugators`):
+    their labels by transport and pullback (Gebhardt 2005) are not in yet,
+    and the `summit_graphs` benchmark keeps every graph it builds until its
+    checks, so a much faster scan there reads as a memory regression until
+    it keeps one result per case.  Both keep the minimal labels by
+    `_minimal`.  Equal labels are one object per graph, as the scan's layer
+    objects were.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
     member = summit_membership(kind, structure, seed, power_bound)
     assert member(seed), "seed must land in its own summit set"
-    if kind is SummitKind.POSITIVE_CONJUGATES:
-        labels_of = _convex_conjugators
-    elif kind is SummitKind.SSS:
+    if kind in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS):
+        n = structure.exponent
+        low, high = ((0, math.inf) if kind is SummitKind.POSITIVE_CONJUGATES
+                     else (n * structure.inf(seed), n * structure.sup(seed)))
+
         def labels_of(v):
-            return _sss_conjugators(v, structure)
+            return _convex_conjugators(v, low, high)
     else:
         simples = _structure_simples(structure)
 
@@ -505,18 +495,17 @@ def compute_summit_graph(
             return _minimal_conjugators(v, member, simples)
 
     witness_of = {seed: witness}
-    queue = [seed]
     raw_arrows = []
     shared: dict = {}
-    while queue:
-        v = queue.pop(0)
+    order = [seed]
+    for v in order:  # order grows as the search runs: it is the queue
         for label in labels_of(v):
             label = shared.setdefault(label, label)
             w = v.conjugate_by(label)
             raw_arrows.append((v, w, label))
             if w not in witness_of:
                 witness_of[w] = witness_of[v] * label
-                queue.append(w)
+                order.append(w)
 
     vertices = sorted(witness_of, key=GroupElement.sort_key)
     index = {v: i for i, v in enumerate(vertices)}

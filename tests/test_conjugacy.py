@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -568,9 +571,9 @@ def test_convex_labels_match_scan(token, n, monkeypatch):
             return conjugacy._minimal_conjugators(v, member, simples)
 
         for v in graph.vertices:
-            assert conjugacy._convex_conjugators(v) == scan(v), (token, n, v)
+            assert conjugacy._convex_conjugators(v, 0, math.inf) == scan(v), (token, n, v)
         with monkeypatch.context() as m:
-            m.setattr(conjugacy, "_convex_conjugators", scan)
+            m.setattr(conjugacy, "_convex_conjugators", lambda v, low, high: scan(v))
             scanned = compute_summit_graph(u, SummitKind.POSITIVE_CONJUGATES, st)
         assert graph.to_json() == scanned.to_json(), (token, n, u)
 
@@ -593,20 +596,75 @@ def test_sss_convex_labels_match_scan(token, n, monkeypatch):
         u = random_element(c, rng, 6)
         graph = compute_summit_graph(u, SummitKind.SSS, st)
         member = summit_membership(SummitKind.SSS, st, graph.vertices[0])
+        low, high = n * st.inf(graph.vertices[0]), n * st.sup(graph.vertices[0])
 
-        def scan(v, structure):
+        def scan(v, low, high):
             return conjugacy._minimal_conjugators(v, member, simples)
 
         vertices = graph.vertices
         if len(vertices) > 150:
             vertices = vertices[::len(vertices) // 30]
         for v in vertices:
-            assert conjugacy._sss_conjugators(v, st) == scan(v, st), (token, n, v)
+            assert conjugacy._convex_conjugators(v, low, high) == scan(v, low, high), (token, n, v)
         if len(vertices) == len(graph.vertices):
             with monkeypatch.context() as m:
-                m.setattr(conjugacy, "_sss_conjugators", scan)
+                m.setattr(conjugacy, "_convex_conjugators", scan)
                 scanned = compute_summit_graph(u, SummitKind.SSS, st)
             assert graph.to_json() == scanned.to_json(), (token, n, u)
+
+
+# The minimal labels were found by a prefix test of every pair of labels, one
+# group product each: the reference for `_minimal`, which reads them off the
+# atoms below each label.
+
+
+def _ref_minimal(rho):
+    uniq = list(dict.fromkeys(rho))
+    return [y for y in uniq if not any(z != y and prefix_le(z, y) for z in uniq)]
+
+
+@pytest.mark.parametrize("token, n, kind", [
+    (token, n, kind) for token in FAMILIES for n in (1, 2) for kind in SummitKind
+    if (token, n) != ("F4", 2)
+    or kind in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS)
+])
+def test_minimal_matches_pairwise_reference(token, n, kind, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    minimal, checked = conjugacy._minimal, []
+
+    def compared(rho):
+        out = minimal(rho)
+        assert out == _ref_minimal(rho), (token, n, kind, rho)
+        checked.append(rho)
+        return out
+
+    monkeypatch.setattr(conjugacy, "_minimal", compared)
+    rng = random.Random(f"minimal/{token}/{n}/{kind.value}")
+    vertices = 0
+    for _ in range(3):
+        u = random_element(c, rng, 5, signed=kind is not SummitKind.POSITIVE_CONJUGATES)
+        vertices += len(compute_summit_graph(u, kind, st).vertices)
+    assert len(checked) == vertices
+
+
+# Graphs larger than any the benchmark builds, pinned by the sha256 of their
+# JSON, recorded when the minimal labels came from the pairwise reference.
+
+
+@pytest.mark.parametrize("token, text, kind, n, digest", [
+    ("A5", "s1 s2^-1 s3 s4 s5^-1 s1", SummitKind.SSS, 1,
+     "9d5e757d999707e273463c77f9b7a9b0ab2db3317a6d56bfe0e47260b0e0d606"),
+    ("E6", "s1 s2 s3 s4 s5 s6 s1 s2 s3 s4 s5 s6", SummitKind.POSITIVE_CONJUGATES, 1,
+     "a9d2148f3d8a324c7bd12df2cf5ceb6926f27f07bf60f8ac02c3c0617161bd14"),
+    ("B4", "s1 s2 s3^-1 s4", SummitKind.SSS, 2,
+     "f3cb518cd633ef0bba7ee2a671e75da7c4491dcf276e81a465aea39b51e34bb4"),
+], ids=["A5-sss", "E6-pos", "B4-sss-N2"])
+def test_large_summit_graphs_pinned(token, text, kind, n, digest):
+    c = ctx(token)
+    graph = compute_summit_graph(parse_word(c, text), kind, GarsideStructure(c, n))
+    got = hashlib.sha256(json.dumps(graph.to_json(), sort_keys=True).encode()).hexdigest()
+    assert got == digest
 
 
 @pytest.mark.parametrize("kind", [SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS,
