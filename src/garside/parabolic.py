@@ -9,6 +9,10 @@ there before any work.  On a miss, the negative part of the pn-normal form of
 z is the minimal positive element standardizing the subgroup, and the
 subgroup is stored re-based through it, which makes equality and
 serialization canonical.
+
+The parabolic closure of u is read off its support when u or u^-1 is
+positive; otherwise it comes from a positive conjugate found by cycling u or
+u^-1, and only failing that from the element of i-infinity.
 """
 
 from __future__ import annotations
@@ -182,20 +186,32 @@ def contains_subgroup(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
 
 
 def parabolic_closure(u: GroupElement) -> ParabolicSubgroup:
-    """The smallest parabolic subgroup containing u, by the first of three paths
+    """The smallest parabolic subgroup containing u, by the first of four paths
     that applies:
 
-    * positive: when cycling takes u to a positive conjugate beta = u^c, the
-      closure is c A_X c^-1 with X the support of beta;
+    * direct: when inf(u) >= 0 or sup(u) <= 0, the closure is the standard
+      subgroup A_X with X = support(u), the generators of u's np-normal form;
+    * positive: otherwise, when cycling takes u to a positive conjugate
+      beta = u^c, the closure is c A_X c^-1 with X the support of beta;
     * negative: otherwise, when cycling takes u^-1 to a positive beta, the same
       formula holds.  This is exact because PC(u) = PC(u^-1): a subgroup
       holds the inverse of each of its elements;
     * i-infinity: otherwise u is pushed into the summit sets of every Garside
       structure Delta^N (`element_of_i_infinity`) and the support there is used.
+
+    The direct path is the positive one with nothing to cycle.  When
+    inf(u) >= 0, u is positive (the identity among them) and is its own
+    positive conjugate, c = 1, so the formula gives A_supp(u).  When
+    sup(u) <= 0, u^-1 is positive, so the np-normal form of u has negative
+    part u^-1 and trivial positive part: support(u) = supp(u^-1), and
+    PC(u) = PC(u^-1) = A_supp(u^-1).  Cycling may land on another positive
+    conjugate, but every path builds the subgroup through its central
+    element, and the context keeps one object per central element, so the
+    direct path returns the very object the cycling paths would.
     """
     ctx = u.ctx
-    if u.is_identity():
-        return ParabolicSubgroup.trivial(ctx)
+    if u.power >= 0 or u.sup() <= 0:
+        return ParabolicSubgroup.standard(ctx, support(u))
     beta, conj = cycle_to_max_inf(u)
     if not beta.is_positive():
         beta, conj = cycle_to_max_inf(u.inverse())

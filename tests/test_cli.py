@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -407,3 +409,48 @@ def test_closed_stdout_exits_1_without_traceback():
     _, err = proc.communicate(b"s1 s2^-1 s3", timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and err == b""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, fence):
+    """The first fenced block of the given language under a README heading."""
+    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_examples(capsys):
+    """Every `garside ...` line of the README's command-line block exits 0,
+    and the outputs written in its comments are what the command prints."""
+    checked = []
+    for line in _readme_block("Command line", "sh").splitlines():
+        command, _, comment = line.partition("#")
+        if not command.strip():
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "garside", line
+        code, out, err = invoke(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        if argv[2] == "nf":
+            assert out.strip() == comment.strip(), line
+            checked.append(out.strip())
+    assert checked == ["Δ^0 · (s2 s1)(s1 s2)", "Δ^0 · (s2 s1 s1 s2)"]
+
+
+def test_readme_library_tour():
+    """The README's library tour runs, and the values in its comments that
+    are Python literals are what the line before the comment evaluates to."""
+    block = _readme_block("Library tour", "python")
+    namespace = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        expression, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(expression, namespace) == expected, line
+        checked.append(expected)
+    assert checked == [(6, 18)]

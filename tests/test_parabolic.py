@@ -28,7 +28,7 @@ from garside import (
     support,
 )
 from garside import parabolic
-from garside.conjugacy import element_of_i_infinity
+from garside.conjugacy import cycle_to_max_inf, element_of_i_infinity
 from garside.errors import ContextMismatch, GarsideError
 from garside.lattice import _subsets
 from garside.parabolic import central_element_of_standard
@@ -275,33 +275,80 @@ def test_closure_is_conjugation_equivariant(u, letters):
 
 @pytest.mark.parametrize("token", FAMILIES)
 def test_closure_paths(token, monkeypatch):
-    """Each input takes the path its shape predicts, and the negative path
-    agrees with the i-infinity path it skips."""
+    """Each input takes the path its shape predicts: positive and negative
+    elements and the identity are read off their support without cycling,
+    the negative path agrees with the i-infinity path it skips, and a
+    conjugate of a positive element is found by cycling."""
     c = family(token)
     i_infinity_calls = []
+    cycle_calls = []
 
     def counted(u):
         i_infinity_calls.append(u)
         return element_of_i_infinity(u)
 
+    def counted_cycle(u):
+        cycle_calls.append(u)
+        return cycle_to_max_inf(u)
+
     monkeypatch.setattr(parabolic, "element_of_i_infinity", counted)
+    monkeypatch.setattr(parabolic, "cycle_to_max_inf", counted_cycle)
+    conjugate = parse_word(c, "s2^-1 s1 s2")
+    assert not conjugate.is_positive() and cycle_to_max_inf(conjugate)[0].is_positive()
     cases = [
         (parse_word(c, "s1 s2"), "positive"),
         (GroupElement.delta_power(c, 2), "positive"),
         (parse_word(c, "s1^-1 s2^-1 s1^-1"), "negative"),
         (GroupElement.delta_power(c, -3), "negative"),
+        (GroupElement.identity(c), "identity"),
+        (conjugate, "positive conjugate"),
         (parse_word(c, "s1 s2^-1"), "i-infinity"),
         (parse_word(c, "s2 s1 s1 s2^-1 s1^-1 s2^-1"), "i-infinity"),
     ]
     for u, path in cases:
         i_infinity_calls.clear()
+        cycle_calls.clear()
         P = parabolic_closure(u)
         assert contains_element(P, u)
         assert i_infinity_calls == ([u] if path == "i-infinity" else [])
+        if path in ("positive", "negative", "identity"):
+            assert cycle_calls == []
+        else:
+            assert cycle_calls
         if path == "negative":
             beta, conj, _ = element_of_i_infinity(u)
             assert parabolic_equal(
                 P, ParabolicSubgroup.from_conjugator(c, conj, support(beta)))
+
+
+def _reference_closure(u):
+    """parabolic_closure without its direct path: cycle u, cycle u^-1, then
+    the element of i-infinity."""
+    ctx = u.ctx
+    if u.is_identity():
+        return ParabolicSubgroup.trivial(ctx)
+    beta, conj = cycle_to_max_inf(u)
+    if not beta.is_positive():
+        beta, conj = cycle_to_max_inf(u.inverse())
+    if not beta.is_positive():
+        beta, conj, _ = element_of_i_infinity(u)
+    return ParabolicSubgroup.from_conjugator(ctx, conj, support(beta))
+
+
+@pytest.mark.parametrize("token", FAMILIES + ("A5", "D5"))
+def test_direct_closure_is_the_cycling_closure(token):
+    """Positive and negative elements, Delta powers, the identity and positive
+    words shifted down by Delta^k close on the very object that the cycling
+    paths build."""
+    c = family(token)
+    rng = random.Random(f"direct closure {token}")
+    positives = [random_element(c, rng, 10, signed=False) for _ in range(20)]
+    cases = positives + [p.inverse() for p in positives]
+    cases += [GroupElement.delta_power(c, k) for k in range(-3, 4)]
+    cases += [p.shift(-k) for p in positives for k in (1, 2, 3)]
+    for u in cases:
+        P = parabolic_closure(u)
+        assert P is _reference_closure(u), format_element(u)
 
 
 def test_retained_closures_are_small():
