@@ -7,8 +7,9 @@ N (see `_convex_conjugators`), the other summit sets do.  The arrow label
 above each atom is the least element of a meet-closed set of conjugators.
 For positive conjugates and the super summit set one climb finds it
 (`_convex_conjugators`), bounded by the power and sup of the class; for the
-ultra, reduced and stable summit sets a scan of the Delta^N simples.  The
-minimal labels are read off the atoms below them (`_minimal`).
+ultra, reduced and stable summit sets a scan of the classical simples, which
+holds every label at every N (`_structure_simples`).  The minimal labels are
+read off the atoms below them (`_minimal`).
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
-from operator import itemgetter
 
 from .coxeter import ENUMERATION_BUDGET
 from .elements import (
@@ -43,7 +43,6 @@ from .elements import (
     support,
 )
 from .errors import (
-    BudgetExceeded,
     EmptySet,
     GarsideError,
     NotConjugating,
@@ -264,69 +263,63 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
 # -------------------------------------------------------------- summit graphs
 
 
-def _structure_simples(structure: GarsideStructure):
-    """For each atom s, the non-trivial simple elements of the structure that
-    s divides, in layers of equal word length, each layer in sort_key order.
+def _structure_simples(structure: GarsideStructure) -> list[list[list[int]]]:
+    """For each atom s, the ids of the classical simples other than 1 that s
+    divides, in layers of equal word length, each layer in sort_key order:
+    the simples that the USS, RSSS and SU scan of `_minimal_conjugators`
+    tries, whatever the exponent N of the structure.
 
-    A simple element of Delta^N has inf >= 0 and sup <= N, so its padded normal
-    form is a left-weighted chain of at most N non-trivial classical simples
-    (El-Rifai & Morton 1994), the Delta copies leading.  The chains are grown
-    one factor at a time, each one already a normal form.  Grown from factors
-    in word order, the chains of each length and Delta power come out in
-    sort_key order, so a stable sort by word length and Delta power orders
-    them all.
+    They suffice at every N.  Fix a vertex v of one of these kinds and let C
+    be the set of positive c with v^c in the summit set of v.
+      1. tau, conjugation by Delta, is an automorphism fixing Delta^N, so it
+         commutes with Delta^N cycling, decycling and powers: the USS and
+         the RSSS of v, and the USS of each power v^m, are tau-invariant, and
+         Delta lies in C.  C is closed under meets: Gebhardt, J. Algebra 292
+         (2005) for the USS, Birman, Gebhardt & Gonzalez-Meneses, Groups
+         Geom. Dyn. 1 (2007) for the RSSS.  SU adds finitely many USS
+         conditions, (v^m)^c in the USS of v^m, each tau-invariant, and an
+         intersection of meet-closed sets holding Delta is one.
+      2. So the members of C above s have a least one, rho_s, and
+         meet(rho_s, Delta) is a member above s: rho_s = meet(rho_s, Delta)
+         is a classical simple.
+      3. Every Delta^N simple y in C above s has rho_s =< y, so y is longer
+         than rho_s unless y = rho_s.  Scanning these simples, or all the
+         Delta^N simples above s, by word length, the first layer with a
+         member is that of rho_s and holds rho_s alone: both scans find the
+         same labels.
+    all_elements() lists W in (length, least word) order, which is sort_key
+    order on the classical simples, so the layers need no sort.  The table
+    is memoized per context as plain ints: an element held there would
+    refer back to the context and make a reference cycle.
     """
-    ctx, n = structure.ctx, structure.exponent
-    ldesc, rdesc = ctx.ldescs, ctx.rdescs
-    too_many = f"more than {ENUMERATION_BUDGET} simple elements for Delta^{n}"
-    # A lower bound known before W is: x != 1, and x s ... s per s in rdesc(x) (rank |W|/2 pairs)
-    order = ctx.coxeter_order
-    if n > 1 and order - 1 + (n - 1) * ctx.rank * order // 2 >= ENUMERATION_BUDGET:
-        raise BudgetExceeded(too_many)
-    if "classical simples" not in ctx.memo:
-        # (word length, Delta power, chain) of each classical simple but the
-        # identity, which all_elements() lists first
-        ctx.memo["classical simples"] = [
-            (ctx.lengths[y], int(y == ctx.delta), (y,))
-            for y in sorted(ctx.all_elements()[1:], key=ctx.w_word)
-        ]
-    singles = ctx.memo["classical simples"]
-    chains, level, after = list(singles), singles, {}
-    for _ in range(n - 1):
-        nxt = []
-        for length, power, c in level:
-            r = rdesc[c[-1]]
-            if r not in after:
-                after[r] = [t for t in singles if not ldesc[t[2][0]] & ~r]
-            nxt += [(length + y_len, power + y_pow, c + y) for y_len, y_pow, y in after[r]]
-            if len(chains) + len(nxt) >= ENUMERATION_BUDGET:
-                raise BudgetExceeded(too_many)
-        chains += nxt
-        level = nxt
-    chains.sort(key=itemgetter(0, 1))
-    layers: list[list[list[GroupElement]]] = [[] for _ in range(ctx.rank)]
-    for _, same_length in groupby(chains, itemgetter(0)):
-        ys = [(ldesc[c[0]], _block(ctx, c)) for _, _, c in same_length]
-        for s, atom_layers in enumerate(layers):
-            layer = [y for m, y in ys if m >> s & 1]
-            if layer:
-                atom_layers.append(layer)
-    return layers
+    ctx = structure.ctx
+    if "simples above atoms" not in ctx.memo:
+        ldesc, table = ctx.ldescs, [[] for _ in range(ctx.rank)]
+        for _, same_length in groupby(ctx.all_elements()[1:], ctx.lengths.__getitem__):
+            ys = list(same_length)
+            for s, atom_layers in enumerate(table):
+                layer = [y for y in ys if ldesc[y] >> s & 1]
+                if layer:
+                    atom_layers.append(layer)
+        ctx.memo["simples above atoms"] = table
+    return ctx.memo["simples above atoms"]
 
 
 def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]:
     """Arrow labels out of v: for each atom s, the unique minimal simple
     conjugator divisible by s that keeps the conjugate in the set (the members
-    of the first of s's layers that has any), then the minimal elements of
-    that family."""
+    of the first of s's layers of `simples` ids that has any), then the
+    minimal elements of that family."""
+    ctx = v.ctx
     rho: list[GroupElement] = []
     for layers in simples:
         found: list[GroupElement] = []
         for layer in layers:
-            found = [y for y in layer if member(v.conjugate_by(y))]
+            ys = (GroupElement.from_simple(ctx, y) for y in layer)
+            found = [y for y in ys if member(v.conjugate_by(y))]
             if found:
                 break
-        assert found, "every atom admits a minimal conjugator (Delta^N works)"
+        assert found, "every atom admits a minimal conjugator (Delta works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
         rho.append(found[0])
     return _minimal(rho)
@@ -391,10 +384,10 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
     fails neither.  By (b) every c stays =< rho_s, by (c) each step grows
     it, so the chain stops, in I and S, on rho_s.  The steps run on the
     conjugate itself, v^(c Q) = (v^c)^Q, so each is one conjugation by Q and
-    one pn cut.  The scan of `_minimal_conjugators` meets the simples above
-    s by word length; every member y it finds has rho_s =< y, so its first
-    layer with a member holds rho_s alone, and `_minimal` of the rho_s is
-    the scan's list.
+    one pn cut.  The scan of `_minimal_conjugators` meets the classical
+    simples above s by word length, at every N; every member y it finds has
+    rho_s =< y, so its first layer with a member holds rho_s alone, and
+    `_minimal` of the rho_s is the scan's list.
     """
     ctx = v.ctx
     rho = []
@@ -469,13 +462,11 @@ def compute_summit_graph(
     Positive-conjugate and SSS labels come by convexity, from one climb
     (`_convex_conjugators`) whose bounds on power and sup are read once off
     the seed, with no simple enumerated and no element of W listed.  USS,
-    RSSS and SU still scan the Delta^N simples (`_minimal_conjugators`):
-    their labels by transport and pullback (Gebhardt 2005) are not in yet,
-    and the `summit_graphs` benchmark keeps every graph it builds until its
-    checks, so a much faster scan there reads as a memory regression until
-    it keeps one result per case.  Both keep the minimal labels by
-    `_minimal`.  Equal labels are one object per graph, as the scan's layer
-    objects were.
+    RSSS and SU scan the classical simples above each atom, at every N
+    (`_minimal_conjugators` over `_structure_simples`), so they list W once
+    per context: their labels by transport and pullback (Gebhardt 2005) are
+    not in yet.  Both keep the minimal labels by `_minimal`.  Equal labels
+    are one object per graph.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)

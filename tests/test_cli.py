@@ -160,17 +160,30 @@ def test_root_enumeration_that_never_closes_exits_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("E7", "summit", "--kind", "uss", "s1"),
-    ("F4", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
     ("E7", "summit", "--kind", "uss", "--N", "2", "s1"),
-    ("E6", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
+    ("E8", "summit", "--kind", "uss", "s1"),
 ])
 def test_budget_exhaustion_exit_code(capsys, argv):
-    # The USS and RSSS labels scan the simples: the Coxeter group of E7, and
-    # the Delta^2 simples of F4, E6 and E7, outgrow the enumeration budget.
+    # The USS, RSSS and SU labels scan the classical simples at every N, so
+    # they list W: the Coxeter groups of E7 and E8 outgrow the enumeration
+    # budget.
     code, _, err = invoke(capsys, *argv)
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
     assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("F4", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
+    ("E6", "summit", "--kind", "rsss", "--N", "2", "s1 s2"),
+    ("A6", "summit", "--kind", "uss", "--N", "2", "s1 s2^-1 s3"),
+    ("F4", "summit", "--kind", "su", "--N", "2", "s1 s2^-1 s3"),
+])
+def test_scanned_graphs_at_higher_n_exit_0(capsys, argv):
+    # The scan of the classical simples serves every N: the Delta^2 simples,
+    # which outgrow the enumeration budget in F4, E6 and A6, are not listed.
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == "" and out
 
 
 @pytest.mark.parametrize("argv", [

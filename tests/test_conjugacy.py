@@ -13,7 +13,6 @@ from garside import (
     SummitKind,
     classify_arrow,
     compute_summit_graph,
-    context_from_token,
     cycling,
     decycling,
     element_of_i_infinity,
@@ -487,8 +486,8 @@ def test_summit_graphs_for_delta_power_structures():
     assert all(st2.is_simple(label) for _, _, label in g.arrows)
 
 
-# The breadth-first enumeration of the Delta^N simples that _structure_simples
-# ran before it built left-weighted chains: the reference.
+# The breadth-first enumeration of all the Delta^N simples, scanned by word
+# length: the reference for the scan of the classical simples.
 
 
 def _ref_structure_simples(structure):
@@ -521,6 +520,23 @@ def _ref_atom_layers(simples, ctx, s):
     return list(layers.values())
 
 
+def _ref_minimal_conjugators(v, member, layers_of_atoms):
+    rho = []
+    for layers in layers_of_atoms:
+        found = []
+        for layer in layers:
+            found = [y for y in layer if member(v.conjugate_by(y))]
+            if found:
+                break
+        assert len(found) == 1, v
+        rho.append(found[0])
+    return conjugacy._minimal(rho)
+
+
+# At N = 1 the table is the classical layers; at N >= 2 it is the same table,
+# the classical simples among the Delta^N layers, in the order of those layers.
+
+
 @pytest.mark.parametrize("token, n", [
     (token, n) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)
 ] + [("A3", 3), ("I2(5)", 3)])
@@ -529,34 +545,48 @@ def test_structure_simples_match_reference(token, n):
     st = GarsideStructure(c, n)
     ref = _ref_structure_simples(st)
     layers = conjugacy._structure_simples(st)
+    assert layers is conjugacy._structure_simples(GarsideStructure(c, 1))
     assert len(layers) == c.rank
     for s in range(c.rank):
-        assert layers[s] == _ref_atom_layers(ref, c, s), (token, n, s)
+        classical = [[y for y in layer if y.sup() <= 1]
+                     for layer in _ref_atom_layers(ref, c, s)]
+        got = [[GroupElement.from_simple(c, y) for y in layer] for layer in layers[s]]
+        assert got == [layer for layer in classical if layer], (token, n, s)
     if n == 1:
-        union = {y for atom_layers in layers for layer in atom_layers for y in layer}
+        union = {GroupElement.from_simple(c, y)
+                 for atom_layers in layers for layer in atom_layers for y in layer}
         assert union == set(enumerate_simples(c)) - {GroupElement.identity(c)}
 
 
-def test_structure_simples_budget():
-    with pytest.raises(BudgetExceeded, match="more than 200000 simple elements for Delta"):
-        conjugacy._structure_simples(GarsideStructure(family("F4"), 2))
-
-
-def test_structure_simples_budget_checked_before_enumerating_w():
-    # A lower bound on the Delta^2 simples of E6 already passes the budget.
-    c = context_from_token("E6")
-    with pytest.raises(BudgetExceeded, match="more than 200000 simple elements for Delta"):
-        conjugacy._structure_simples(GarsideStructure(c, 2))
-    assert c._all_elements is None
-
-
-# Positive-conjugate labels come by convexity; the scan of the Delta^N simples
-# that found them before is the oracle.
+# USS, RSSS and SU graphs from the scan of the classical simples against the
+# same graphs from the scan of all the Delta^N simples.
 
 
 @pytest.mark.parametrize("token, n", [
     (token, n) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)
-])
+] + [("A3", 3), ("I2(5)", 3)])
+def test_scan_labels_match_delta_n_reference(token, n, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    ref = _ref_structure_simples(st)
+    ref_layers = [_ref_atom_layers(ref, c, s) for s in range(c.rank)]
+    rng = random.Random(f"scan/{token}/{n}")
+    for kind in (SummitKind.USS, SummitKind.RSSS, SummitKind.SU):
+        for _ in range(2):
+            u = random_element(c, rng, 5)
+            graph = compute_summit_graph(u, kind, st, power_bound=3)
+            with monkeypatch.context() as m:
+                m.setattr(conjugacy, "_structure_simples", lambda structure: ref_layers)
+                m.setattr(conjugacy, "_minimal_conjugators", _ref_minimal_conjugators)
+                scanned = compute_summit_graph(u, kind, st, power_bound=3)
+            assert graph.to_json() == scanned.to_json(), (token, n, kind, u)
+
+
+# Positive-conjugate labels come by convexity; the scan of the classical
+# simples that found them before is the oracle.
+
+
+@pytest.mark.parametrize("token, n", [(token, n) for token in FAMILIES for n in (1, 2)])
 def test_convex_labels_match_scan(token, n, monkeypatch):
     c = family(token)
     st = GarsideStructure(c, n)
@@ -579,9 +609,10 @@ def test_convex_labels_match_scan(token, n, monkeypatch):
 
 
 # SSS labels come by convexity too, from the inf and the sup condition; the
-# scan is their oracle as well.  It costs up to 30 ms a vertex at N = 2, and a
-# 6-letter word can have an SSS of thousands of vertices there, so graphs of
-# more than 150 vertices are compared at 30 vertices spread over them.
+# scan is their oracle as well.  A 6-letter word can have an SSS of thousands
+# of vertices at N = 2, so graphs of more than 150 vertices are compared at 30
+# vertices spread over them.  F4 at N = 2 is left out for its cost alone: it
+# takes about 23 s (Python 3.11, 2 vCPUs), a quarter of tier-1.
 
 
 @pytest.mark.parametrize("token, n", [
@@ -625,8 +656,6 @@ def _ref_minimal(rho):
 
 @pytest.mark.parametrize("token, n, kind", [
     (token, n, kind) for token in FAMILIES for n in (1, 2) for kind in SummitKind
-    if (token, n) != ("F4", 2)
-    or kind in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS)
 ])
 def test_minimal_matches_pairwise_reference(token, n, kind, monkeypatch):
     c = family(token)
@@ -702,8 +731,7 @@ def test_rsss_inverse_in_closed_cycling_orbit():
 def test_su_contained_in_rsss():
     rng = random.Random(28)
     cases = [("A2", 1, 10)]
-    # F4 has more Delta^2 simples than ENUMERATION_BUDGET: no graph at N = 2.
-    cases += [(token, n, 3) for token in FAMILIES for n in (1, 2) if (token, n) != ("F4", 2)]
+    cases += [(token, n, 3) for token in FAMILIES for n in (1, 2)]
     for token, n, count in cases:
         c = family(token)
         st = GarsideStructure(c, n)
