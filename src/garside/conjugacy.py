@@ -5,11 +5,12 @@ are computed with respect to an explicit Garside structure (Delta^N for some
 N >= 1); the set of positive conjugates and its arrow labels do not depend on
 N (see `_convex_conjugators`), the other summit sets do.  The arrow label
 above each atom is the least element of a meet-closed set of conjugators.
-For positive conjugates and the super summit set one climb finds it
-(`_convex_conjugators`), bounded by the power and sup of the class; for the
-ultra, reduced and stable summit sets a scan of the classical simples, which
-holds every label at every N (`_structure_simples`).  The minimal labels are
-read off the atoms below them (`_minimal`).
+For every kind one climb (`_convex_conjugators`), bounded by the power and
+sup of the class, finds the label of positive conjugates or of the super
+summit set; the ultra, reduced and stable summit sets lie in the latter, so
+their labels are simples above it, and a scan of that interval by word
+length finds them (`_minimal_conjugators`).  The minimal labels are read
+off the atoms below them (`_minimal`).
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
 
 from .coxeter import ENUMERATION_BUDGET
 from .elements import (
@@ -43,6 +43,7 @@ from .elements import (
     support,
 )
 from .errors import (
+    BudgetExceeded,
     EmptySet,
     GarsideError,
     NotConjugating,
@@ -263,14 +264,33 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
 # -------------------------------------------------------------- summit graphs
 
 
-def _structure_simples(structure: GarsideStructure) -> list[list[list[int]]]:
-    """For each atom s, the ids of the classical simples other than 1 that s
-    divides, in layers of equal word length, each layer in sort_key order:
-    the simples that the USS, RSSS and SU scan of `_minimal_conjugators`
-    tries, whatever the exponent N of the structure.
+def _structure_simples(ctx, layer: list[int]) -> list[int]:
+    """One step of the USS, RSSS and SU scan: the ids of y t, for y in
+    `layer` and t outside rdesc(y), each once.  From the simples of one
+    length above c, it gives the simples one letter longer above c: each
+    y t is a simple of length l(y) + 1 with c =< y =< y t, and each simple
+    z above c with l(z) > l(c) is z' t for t the last letter of a reduced
+    word of z that starts with one of c, z' = z t a simple above c of
+    length l(z) - 1 and t outside rdesc(z')."""
+    gens, rdescs, out = ctx.gens, ctx.rdescs, {}
+    for y in layer:
+        for t, g in enumerate(gens):
+            if not rdescs[y] >> t & 1:
+                out.setdefault(ctx.w_mul(y, g))
+    return list(out)
 
-    They suffice at every N.  Fix a vertex v of one of these kinds and let C
-    be the set of positive c with v^c in the summit set of v.
+
+def _minimal_conjugators(v: GroupElement, member, low, high) -> list[GroupElement]:
+    """Arrow labels out of a vertex v of the USS, the RSSS or SU: for each
+    atom s, the least conjugator rho_s above s that keeps v^rho_s in the
+    summit set `member` tests, then `_minimal` of them.
+
+    The scan starts at c = rho^SSS_s, the label of the super summit set
+    that `_convex_conjugators(v, low, high)` climbs to, (low, high) being
+    (N inf_N, N sup_N) of the set.  It tests c, then the simples one letter
+    longer above it (`_structure_simples`), and stops at the first layer
+    with a member, which holds rho_s alone.  Let C be the set of positive
+    c with v^c in the summit set of v.
       1. tau, conjugation by Delta, is an automorphism fixing Delta^N, so it
          commutes with Delta^N cycling, decycling and powers: the USS and
          the RSSS of v, and the USS of each power v^m, are tau-invariant, and
@@ -282,43 +302,31 @@ def _structure_simples(structure: GarsideStructure) -> list[list[list[int]]]:
       2. So the members of C above s have a least one, rho_s, and
          meet(rho_s, Delta) is a member above s: rho_s = meet(rho_s, Delta)
          is a classical simple.
-      3. Every Delta^N simple y in C above s has rho_s =< y, so y is longer
-         than rho_s unless y = rho_s.  Scanning these simples, or all the
-         Delta^N simples above s, by word length, the first layer with a
-         member is that of rho_s and holds rho_s alone: both scans find the
-         same labels.
-    all_elements() lists W in (length, least word) order, which is sort_key
-    order on the classical simples, so the layers need no sort.  The table
-    is memoized per context as plain ints: an element held there would
-    refer back to the context and make a reference cycle.
+      3. These summit sets lie in the SSS, so rho_s is in the SSS set of
+         conjugators above s, whose least element is c: c =< rho_s =< Delta.
+         The layers of the scan are the simples above c of length l(c),
+         l(c) + 1, ..., so rho_s lies in the layer of its length.  Every
+         member y of a layer is in C above s, so rho_s =< y, and y is
+         longer than rho_s unless y = rho_s: the first layer with a member
+         is that of rho_s and holds rho_s alone.
+    A scan that tries more than ENUMERATION_BUDGET simples above one atom
+    raises BudgetExceeded.
     """
-    ctx = structure.ctx
-    if "simples above atoms" not in ctx.memo:
-        ldesc, table = ctx.ldescs, [[] for _ in range(ctx.rank)]
-        for _, same_length in groupby(ctx.all_elements()[1:], ctx.lengths.__getitem__):
-            ys = list(same_length)
-            for s, atom_layers in enumerate(table):
-                layer = [y for y in ys if ldesc[y] >> s & 1]
-                if layer:
-                    atom_layers.append(layer)
-        ctx.memo["simples above atoms"] = table
-    return ctx.memo["simples above atoms"]
-
-
-def _minimal_conjugators(v: GroupElement, member, simples) -> list[GroupElement]:
-    """Arrow labels out of v: for each atom s, the unique minimal simple
-    conjugator divisible by s that keeps the conjugate in the set (the members
-    of the first of s's layers of `simples` ids that has any), then the
-    minimal elements of that family."""
     ctx = v.ctx
-    rho: list[GroupElement] = []
-    for layers in simples:
-        found: list[GroupElement] = []
-        for layer in layers:
+    rho = []
+    for s, c in enumerate(_convex_conjugators(v, low, high)):
+        layer, tried = [_first_simple(c)], 0
+        while True:
+            tried += len(layer)
+            if tried > ENUMERATION_BUDGET:
+                raise BudgetExceeded(
+                    f"the scan above s{s + 1} tried more than {ENUMERATION_BUDGET} simples"
+                )
             ys = (GroupElement.from_simple(ctx, y) for y in layer)
             found = [y for y in ys if member(v.conjugate_by(y))]
-            if found:
+            if found or layer == [ctx.delta]:
                 break
+            layer = _structure_simples(ctx, layer)
         assert found, "every atom admits a minimal conjugator (Delta works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
         rho.append(found[0])
@@ -349,9 +357,9 @@ def _minimal(rho: list[GroupElement]) -> list[GroupElement]:
 
 
 def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
-    """Arrow labels out of v by convexity instead of a scan of simples: for
-    each atom s, rho_s is the least c >= s (prefix order) with
-    (v^c).power >= low and (v^c).sup() <= high, then `_minimal` of them.
+    """For each atom s, rho_s, the least c >= s (prefix order) with
+    (v^c).power >= low and (v^c).sup() <= high: the labels of positive
+    conjugates or of the SSS above the atoms, one per atom.
 
     Positive conjugates take (0, inf), and the super summit set (N inf_N,
     N sup_N) of any of its elements, the extremes of the class: inf_N(u) >= p
@@ -384,10 +392,7 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
     fails neither.  By (b) every c stays =< rho_s, by (c) each step grows
     it, so the chain stops, in I and S, on rho_s.  The steps run on the
     conjugate itself, v^(c Q) = (v^c)^Q, so each is one conjugation by Q and
-    one pn cut.  The scan of `_minimal_conjugators` meets the classical
-    simples above s by word length, at every N; every member y it finds has
-    rho_s =< y, so its first layer with a member holds rho_s alone, and
-    `_minimal` of the rho_s is the scan's list.
+    one pn cut.
     """
     ctx = v.ctx
     rho = []
@@ -403,7 +408,7 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
                 break
             w, c = w.conjugate_by(q), c * q
         rho.append(c)
-    return _minimal(rho)
+    return rho
 
 
 @dataclass
@@ -459,38 +464,30 @@ def compute_summit_graph(
 ) -> SummitGraph:
     """Compute the full minimal-conjugator graph of the chosen summit set.
 
-    Positive-conjugate and SSS labels come by convexity, from one climb
-    (`_convex_conjugators`) whose bounds on power and sup are read once off
-    the seed, with no simple enumerated and no element of W listed.  USS,
-    RSSS and SU scan the classical simples above each atom, at every N
-    (`_minimal_conjugators` over `_structure_simples`), so they list W once
-    per context: their labels by transport and pullback (Gebhardt 2005) are
-    not in yet.  Both keep the minimal labels by `_minimal`.  Equal labels
-    are one object per graph.
+    Every kind climbs from each atom by convexity (`_convex_conjugators`),
+    with bounds on power and sup read once off the seed: the labels of
+    positive conjugates, or of the SSS, which every other kind's set lies
+    in.  USS, RSSS and SU then scan the simples above each SSS label by
+    word length (`_minimal_conjugators`); no element of W is listed.  Every
+    kind keeps the minimal labels by `_minimal`.  Equal labels are one
+    object per graph.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
     member = summit_membership(kind, structure, seed, power_bound)
     assert member(seed), "seed must land in its own summit set"
-    if kind in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS):
-        n = structure.exponent
-        low, high = ((0, math.inf) if kind is SummitKind.POSITIVE_CONJUGATES
-                     else (n * structure.inf(seed), n * structure.sup(seed)))
-
-        def labels_of(v):
-            return _convex_conjugators(v, low, high)
-    else:
-        simples = _structure_simples(structure)
-
-        def labels_of(v):
-            return _minimal_conjugators(v, member, simples)
-
+    n = structure.exponent
+    low, high = ((0, math.inf) if kind is SummitKind.POSITIVE_CONJUGATES
+                 else (n * structure.inf(seed), n * structure.sup(seed)))
+    scanned = kind not in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS)
     witness_of = {seed: witness}
     raw_arrows = []
     shared: dict = {}
     order = [seed]
     for v in order:  # order grows as the search runs: it is the queue
-        for label in labels_of(v):
+        labels = (_minimal_conjugators(v, member, low, high) if scanned
+                  else _minimal(_convex_conjugators(v, low, high)))
+        for label in labels:
             label = shared.setdefault(label, label)
             w = v.conjugate_by(label)
             raw_arrows.append((v, w, label))

@@ -37,7 +37,8 @@ from .errors import BudgetExceeded, GarsideError, NonSphericalType, ParseError
 
 GeneratorSet = frozenset[int]
 
-# Most elements of W enumerated before BudgetExceeded.
+# Most elements of W listed, or simples scanned above one atom for a summit
+# graph, before BudgetExceeded.
 ENUMERATION_BUDGET = 200_000
 
 # (Order, Coxeter number) of the exceptional irreducible finite Coxeter groups.
@@ -414,9 +415,8 @@ class GroupContext:
         self._delta_memo: dict[GeneratorSet, int] = {}
         self._all_elements: list[int] | None = None
         # Tables of the layers above W (the live subgroups by central
-        # element, held weakly, the ids of the classical simples above each
-        # atom for the summit graph scan, and the oracles' tables), freed
-        # with the context.
+        # element, held weakly, the central elements of the standard
+        # subgroups, and the oracles' tables), freed with the context.
         self.memo: dict = {}
 
         self.delta = self.delta_of(frozenset(range(self.rank)))

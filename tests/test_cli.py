@@ -1,7 +1,9 @@
 import ast
+import importlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from garside import SummitKind, build_context, compute_summit_graph, context_from_token, parse_word
-from garside import cli
+from garside import cli, conjugacy
 from garside.cli import build_parser, run
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
@@ -158,16 +160,11 @@ def test_root_enumeration_that_never_closes_exits_1(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: I2(10000): root enumeration")
 
 
-@pytest.mark.parametrize("argv", [
-    ("E7", "summit", "--kind", "uss", "s1"),
-    ("E7", "summit", "--kind", "uss", "--N", "2", "s1"),
-    ("E8", "summit", "--kind", "uss", "s1"),
-])
-def test_budget_exhaustion_exit_code(capsys, argv):
-    # The USS, RSSS and SU labels scan the classical simples at every N, so
-    # they list W: the Coxeter groups of E7 and E8 outgrow the enumeration
-    # budget.
-    code, _, err = invoke(capsys, *argv)
+def test_budget_exhaustion_exit_code(capsys, monkeypatch):
+    # One USS scan of this graph tries 19 simples above an atom; a budget
+    # below that stops it.
+    monkeypatch.setattr(conjugacy, "ENUMERATION_BUDGET", 18)
+    code, _, err = invoke(capsys, "A4", "summit", "--kind", "uss", "s1 s2^-1 s3")
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
     assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
@@ -197,6 +194,22 @@ def test_scanned_graphs_at_higher_n_exit_0(capsys, argv):
 def test_sss_graphs_enumerate_nothing(capsys, monkeypatch, argv):
     # SSS labels come by convexity: neither W nor the Delta^N simples are
     # listed, so no enumeration budget applies.
+    _assert_w_unlisted(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("E7", "summit", "--kind", "uss", "s1"),
+    ("E7", "summit", "--kind", "uss", "--N", "2", "s1"),
+    ("E8", "summit", "--kind", "uss", "s1"),
+])
+def test_scanned_graphs_in_e7_e8_enumerate_nothing(capsys, monkeypatch, argv):
+    # USS, RSSS and SU labels are scanned only above the SSS labels, so W is
+    # not listed and E7 and E8 stay within the enumeration budget.
+    _assert_w_unlisted(capsys, monkeypatch, argv)
+
+
+def _assert_w_unlisted(capsys, monkeypatch, argv):
+    """The command exits 0, quietly, without listing W in its context."""
     built = []
 
     def recording(*args, **kwargs):
@@ -467,3 +480,17 @@ def test_readme_library_tour():
         assert eval(expression, namespace) == expected, line
         checked.append(expected)
     assert checked == [(6, 18)]
+
+
+def test_readme_bounds_ledger_has_one_row_per_cap():
+    """Each module-level `*_CAP`, `*_BUDGET` or `*_WINDOW` name in
+    src/garside has one row in the README's bounds ledger, with its value."""
+    caps = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"garside.{path.stem}")
+        for name in re.findall(r"^(\w+_(?:CAP|BUDGET|WINDOW)) =", path.read_text(), re.M):
+            caps[name] = getattr(module, name)
+    section = README.read_text(encoding="utf-8").split("## Bounds ledger\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", section.split("\n## ", 1)[0], re.M)
+    assert len(rows) == len(caps) == len(dict(rows))
+    assert {name: int(value.replace(",", "")) for name, value in rows} == caps

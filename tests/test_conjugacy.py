@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -40,7 +41,7 @@ from garside.conjugacy import (
     summit_seed,
 )
 from garside import conjugacy
-from garside.elements import _product
+from garside.elements import _first_simple, _product
 from garside.coxeter import ENUMERATION_BUDGET
 from garside.errors import (
     BudgetExceeded, EmptySet, GarsideError, NotConjugating, NotInUSS, UnclassifiableLabel,
@@ -520,7 +521,8 @@ def _ref_atom_layers(simples, ctx, s):
     return list(layers.values())
 
 
-def _ref_minimal_conjugators(v, member, layers_of_atoms):
+def _ref_atom_labels(v, member, layers_of_atoms):
+    """For each atom, the one member of the first of its layers with any."""
     rho = []
     for layers in layers_of_atoms:
         found = []
@@ -530,11 +532,24 @@ def _ref_minimal_conjugators(v, member, layers_of_atoms):
                 break
         assert len(found) == 1, v
         rho.append(found[0])
-    return conjugacy._minimal(rho)
+    return rho
 
 
-# At N = 1 the table is the classical layers; at N >= 2 it is the same table,
-# the classical simples among the Delta^N layers, in the order of those layers.
+def _ref_minimal_conjugators(v, member, layers_of_atoms):
+    return conjugacy._minimal(_ref_atom_labels(v, member, layers_of_atoms))
+
+
+@functools.cache
+def _ref_classical_layers(token):
+    """The layers of the classical simples above each atom."""
+    c = family(token)
+    ref = _ref_structure_simples(GarsideStructure(c, 1))
+    return [_ref_atom_layers(ref, c, s) for s in range(c.rank)]
+
+
+# Iterating the layer step from a classical simple c gives the classical
+# simples above c, one length at a time: those among the Delta^N simples at
+# every N.
 
 
 @pytest.mark.parametrize("token, n", [
@@ -542,24 +557,26 @@ def _ref_minimal_conjugators(v, member, layers_of_atoms):
 ] + [("A3", 3), ("I2(5)", 3)])
 def test_structure_simples_match_reference(token, n):
     c = family(token)
-    st = GarsideStructure(c, n)
-    ref = _ref_structure_simples(st)
-    layers = conjugacy._structure_simples(st)
-    assert layers is conjugacy._structure_simples(GarsideStructure(c, 1))
-    assert len(layers) == c.rank
-    for s in range(c.rank):
-        classical = [[y for y in layer if y.sup() <= 1]
-                     for layer in _ref_atom_layers(ref, c, s)]
-        got = [[GroupElement.from_simple(c, y) for y in layer] for layer in layers[s]]
-        assert got == [layer for layer in classical if layer], (token, n, s)
+    classical = [y for y in _ref_structure_simples(GarsideStructure(c, n)) if y.sup() <= 1]
     if n == 1:
-        union = {GroupElement.from_simple(c, y)
-                 for atom_layers in layers for layer in atom_layers for y in layer}
-        assert union == set(enumerate_simples(c)) - {GroupElement.identity(c)}
+        assert set(classical) == set(enumerate_simples(c)) - {GroupElement.identity(c)}
+    # x =< y iff N(x) lies in N(y) (Bjorner & Brenti, Prop. 3.1.3)
+    simples = [c.identity] + [_first_simple(y) for y in classical]
+    for x in simples:
+        above = {}
+        for y in simples:
+            if c.w_is_prefix(x, y):
+                above.setdefault(c.lengths[y], set()).add(y)
+        got, layer = [], [x]
+        while layer:
+            got.append(set(layer))
+            assert len(got[-1]) == len(layer), (token, n, x)
+            layer = conjugacy._structure_simples(c, layer)
+        assert got == [above[k] for k in sorted(above)], (token, n, x)
 
 
-# USS, RSSS and SU graphs from the scan of the classical simples against the
-# same graphs from the scan of all the Delta^N simples.
+# USS, RSSS and SU graphs from the scan above the SSS labels against the same
+# graphs from the scan of all the Delta^N simples above each atom.
 
 
 @pytest.mark.parametrize("token, n", [
@@ -576,8 +593,8 @@ def test_scan_labels_match_delta_n_reference(token, n, monkeypatch):
             u = random_element(c, rng, 5)
             graph = compute_summit_graph(u, kind, st, power_bound=3)
             with monkeypatch.context() as m:
-                m.setattr(conjugacy, "_structure_simples", lambda structure: ref_layers)
-                m.setattr(conjugacy, "_minimal_conjugators", _ref_minimal_conjugators)
+                m.setattr(conjugacy, "_minimal_conjugators", lambda v, member, low, high:
+                          _ref_minimal_conjugators(v, member, ref_layers))
                 scanned = compute_summit_graph(u, kind, st, power_bound=3)
             assert graph.to_json() == scanned.to_json(), (token, n, kind, u)
 
@@ -590,20 +607,20 @@ def test_scan_labels_match_delta_n_reference(token, n, monkeypatch):
 def test_convex_labels_match_scan(token, n, monkeypatch):
     c = family(token)
     st = GarsideStructure(c, n)
-    simples = conjugacy._structure_simples(st)
+    layers = _ref_classical_layers(token)
     rng = random.Random(100 * FAMILIES.index(token) + n)
     for _ in range(4):
         u = random_element(c, rng, 6, signed=False)
         graph = compute_summit_graph(u, SummitKind.POSITIVE_CONJUGATES, st)
         member = summit_membership(SummitKind.POSITIVE_CONJUGATES, st, graph.vertices[0])
 
-        def scan(v):
-            return conjugacy._minimal_conjugators(v, member, simples)
+        def scan(v, low=0, high=math.inf):
+            return _ref_atom_labels(v, member, layers)
 
         for v in graph.vertices:
             assert conjugacy._convex_conjugators(v, 0, math.inf) == scan(v), (token, n, v)
         with monkeypatch.context() as m:
-            m.setattr(conjugacy, "_convex_conjugators", lambda v, low, high: scan(v))
+            m.setattr(conjugacy, "_convex_conjugators", scan)
             scanned = compute_summit_graph(u, SummitKind.POSITIVE_CONJUGATES, st)
         assert graph.to_json() == scanned.to_json(), (token, n, u)
 
@@ -621,7 +638,7 @@ def test_convex_labels_match_scan(token, n, monkeypatch):
 def test_sss_convex_labels_match_scan(token, n, monkeypatch):
     c = family(token)
     st = GarsideStructure(c, n)
-    simples = conjugacy._structure_simples(st)
+    layers = _ref_classical_layers(token)
     rng = random.Random(f"sss/{token}/{n}")
     for _ in range(4):
         u = random_element(c, rng, 6)
@@ -630,7 +647,7 @@ def test_sss_convex_labels_match_scan(token, n, monkeypatch):
         low, high = n * st.inf(graph.vertices[0]), n * st.sup(graph.vertices[0])
 
         def scan(v, low, high):
-            return conjugacy._minimal_conjugators(v, member, simples)
+            return _ref_atom_labels(v, member, layers)
 
         vertices = graph.vertices
         if len(vertices) > 150:
@@ -678,7 +695,8 @@ def test_minimal_matches_pairwise_reference(token, n, kind, monkeypatch):
 
 
 # Graphs larger than any the benchmark builds, pinned by the sha256 of their
-# JSON, recorded when the minimal labels came from the pairwise reference.
+# JSON, recorded when the minimal labels came from the pairwise reference and,
+# for the USS and RSSS graphs, when their labels came from a scan of all of W.
 
 
 @pytest.mark.parametrize("token, text, kind, n, digest", [
@@ -688,7 +706,11 @@ def test_minimal_matches_pairwise_reference(token, n, kind, monkeypatch):
      "a9d2148f3d8a324c7bd12df2cf5ceb6926f27f07bf60f8ac02c3c0617161bd14"),
     ("B4", "s1 s2 s3^-1 s4", SummitKind.SSS, 2,
      "f3cb518cd633ef0bba7ee2a671e75da7c4491dcf276e81a465aea39b51e34bb4"),
-], ids=["A5-sss", "E6-pos", "B4-sss-N2"])
+    ("E6", "s1 s2 s3 s4 s5 s6 s1 s2", SummitKind.USS, 1,
+     "904a95d33de9a86a384d2536d1ae9771773171e8f0e09c47981a70be68c14990"),
+    ("A6", "s1 s2 s3 s4 s5 s6 s1 s2 s3", SummitKind.RSSS, 1,
+     "e2fdcc5a45e6afd60d711dccd6a6b0c1148a2b7eab3f5af8a38a669ce43fa0bf"),
+], ids=["A5-sss", "E6-pos", "B4-sss-N2", "E6-uss", "A6-rsss"])
 def test_large_summit_graphs_pinned(token, text, kind, n, digest):
     c = ctx(token)
     graph = compute_summit_graph(parse_word(c, text), kind, GarsideStructure(c, n))

@@ -378,10 +378,9 @@ def test_retained_closures_are_small():
 
 
 def test_context_is_freed_without_cycle_collection():
-    """Interned subgroups are held weakly under plain-tuple keys, standard
-    central elements are memoized as plain tuples and the simples of the
-    summit scan as plain ints: closures, enumerations and summit graphs leave
-    no reference cycle through the context."""
+    """Interned subgroups are held weakly under plain-tuple keys and standard
+    central elements are memoized as plain tuples: closures, enumerations and
+    summit graphs leave no reference cycle through the context."""
     c = context_from_token("A3")
     ref = weakref.ref(c)
     kept = [parabolic_closure(parse_word(c, t)) for t in ("s1 s2", "s2^-1 s1^-1", "s1 s2^-1")]
@@ -390,14 +389,11 @@ def test_context_is_freed_without_cycle_collection():
     graph = compute_summit_graph(parse_word(c, "s1 s2^-1 s3"), SummitKind.USS)
     memo = c.memo["standard z"]
     assert memo and all(type(v) is tuple for v in memo.values())
-    simples = c.memo["simples above atoms"]
-    assert simples and all(type(y) is int for atom_layers in simples
-                           for layer in atom_layers for y in layer)
     live = c.memo["subgroups"]
     assert len(live) == len(set(kept))
     assert all(type(k) is tuple and type(k[1]) is tuple
                and {type(x) for x in (k[0], *k[1])} == {int} for k in live.keys())
-    del memo, live, simples
+    del memo, live
     gc.disable()
     try:
         del c, kept, graph
