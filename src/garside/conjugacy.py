@@ -470,7 +470,8 @@ def compute_summit_graph(
     in.  USS, RSSS and SU then scan the simples above each SSS label by
     word length (`_minimal_conjugators`); no element of W is listed.  Every
     kind keeps the minimal labels by `_minimal`.  Equal labels are one
-    object per graph.
+    object per graph.  A summit set of more than ENUMERATION_BUDGET vertices
+    raises BudgetExceeded.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
@@ -494,6 +495,9 @@ def compute_summit_graph(
             if w not in witness_of:
                 witness_of[w] = witness_of[v] * label
                 order.append(w)
+                if len(order) > ENUMERATION_BUDGET:
+                    raise BudgetExceeded(f"the {kind.value} summit set holds more "
+                                         f"than {ENUMERATION_BUDGET} vertices")
 
     vertices = sorted(witness_of, key=GroupElement.sort_key)
     index = {v: i for i, v in enumerate(vertices)}

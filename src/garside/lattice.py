@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coxeter import GroupContext
-from .elements import GroupElement, _product, format_positive, format_signed_word
+from .elements import GroupElement, _conjugate, _product, format_positive, format_signed_word
 from .errors import (
     BudgetExceeded,
     ContextMismatch,
@@ -31,6 +31,8 @@ from .errors import (
 )
 from .parabolic import (
     ParabolicSubgroup,
+    _conjugated_support,
+    central_element_of_standard,
     conjugated_parabolic,
     contains_element,
     contains_subgroup,
@@ -52,10 +54,14 @@ def _require_vertex(P: ParabolicSubgroup) -> None:
         raise NotIrreducible(f"{P!r} is reducible")
 
 
+def _commute(a: GroupElement, b: GroupElement) -> bool:
+    return a * b == b * a
+
+
 def z_commute(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     """Adjacency test for the complex: do the central elements commute?"""
     _require_same(P, Q)
-    return P.z * Q.z == Q.z * P.z
+    return _commute(P.z, Q.z)
 
 
 class PairCondition(Enum):
@@ -72,7 +78,7 @@ class AdjacencyVerdict:
 
 def _pairwise_commuting(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
     gp, gq = P.generators(), Q.generators()
-    return all(a * b == b * a for a in gp for b in gq)
+    return all(_commute(a, b) for a in gp for b in gq)
 
 
 def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> AdjacencyVerdict:
@@ -230,24 +236,38 @@ def _subsets(ctx: GroupContext) -> list[frozenset[int]]:
             for mask in range(1 << ctx.rank)]
 
 
-def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup]:
+def _conjugators(ctx: GroupContext, bases, radius: int) -> dict:
     """The subgroups g A_X g^-1 with X in bases and g in the signed ball of the
-    given radius, one per central element, sorted.
+    given radius, as a map from each distinct central element g z_X g^-1 to
+    the first (g, X) that gives it.  Nothing is standardized: one conjugation
+    per pair.
 
     g is skipped when the last letter t of its shortest word normalizes A_X
     (t in X, or t commuting with every letter of X): then g = g' t^+-1 with g'
     one letter shorter, also in the ball, and g A_X g^-1 = g' A_X g'^-1.  By
     induction down to the identity, which is never skipped, every subgroup is
-    still reached.  A repeat is a read of the context's live subgroups."""
+    still reached."""
     words = _ball_words(ctx, radius)
-    found: set[ParabolicSubgroup] = set()
+    found = {}
     for X in bases:
         normalizing = {t for t in range(ctx.rank)
                        if t in X or all(ctx.spec.m(t, s) == 2 for s in X)}
-        found.update(ParabolicSubgroup.from_conjugator(ctx, g, X)
-                     for g, word in words.items()
-                     if not word or word[-1][0] not in normalizing)
-    return sorted(found, key=ParabolicSubgroup.sort_key)
+        z_X = central_element_of_standard(ctx, X)
+        for g, word in words.items():
+            if not word or word[-1][0] not in normalizing:
+                found.setdefault(_conjugate(z_X, g, inverse_first=False), (g, X))
+    return found
+
+
+def _standardized(ctx: GroupContext, zs) -> list[ParabolicSubgroup]:
+    """The subgroups with the given central elements, sorted."""
+    return sorted((ParabolicSubgroup.from_central_element(ctx, z) for z in zs),
+                  key=ParabolicSubgroup.sort_key)
+
+
+def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup]:
+    """The subgroups of `_conjugators`, standardized and sorted."""
+    return _standardized(ctx, _conjugators(ctx, bases, radius))
 
 
 def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[ParabolicSubgroup]:
@@ -264,7 +284,10 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     Candidates are closures of products of the central elements plus every
     enumerated subgroup within the conjugator budget; incomparable candidates
     are refined by bounded intersection, which by the lattice property is
-    again an upper bound when the refinement is exact.
+    again an upper bound when the refinement is exact.  An enumerated
+    g A_X g^-1 holds P and Q iff it holds z_P and z_Q, read off their supports
+    conjugated by g (`_conjugated_support`, exact for every conjugator), so
+    only the upper bounds are standardized.
     """
     _require_same(P, Q)
     ctx = P.ctx
@@ -282,13 +305,12 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
         cert.candidates_examined += 1
         if is_upper(T) and T not in candidates:
             candidates.append(T)
-    uppers = []
-    for T in enumerate_parabolics(ctx, budget):
-        cert.candidates_examined += 1
-        if is_upper(T):
-            uppers.append(T)
-            if T not in candidates:
-                candidates.append(T)
+    found = _conjugators(ctx, _subsets(ctx), budget)
+    cert.candidates_examined += len(found)
+    spans = {g: _conjugated_support(P.z, g) | _conjugated_support(Q.z, g)
+             for g in {g for g, _ in found.values()}}
+    uppers = _standardized(ctx, (z for z, (g, X) in found.items() if spans[g] <= X))
+    candidates += [T for T in uppers if T not in candidates]
 
     result = candidates[0]
     for T in candidates[1:]:
@@ -326,8 +348,9 @@ def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSu
     """Proper irreducible subgroups adjacent to P in the complex, among those
     with a conjugator in the signed ball of the given radius."""
     _require_vertex(P)
-    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget)
-    return [Q for Q in candidates if Q != P and z_commute(P, Q)]
+    candidates = _conjugators(P.ctx, _irreducible_proper_bases(P.ctx), budget)
+    return _standardized(P.ctx, (z for z in candidates
+                                 if z != P.z and _commute(P.z, z)))
 
 
 @dataclass
@@ -361,25 +384,27 @@ class ComplexBall:
 
 def complex_ball(P: ParabolicSubgroup, radius: int, budget: int = 0) -> ComplexBall:
     """Neighbors-of-neighbors exploration to the given radius; edges are all
-    commuting-z pairs among the vertices collected."""
+    commuting-z pairs among the vertices collected.  The walk runs on central
+    elements, and only the vertices are standardized."""
     _require_vertex(P)
-    candidates = _conjugates(P.ctx, _irreducible_proper_bases(P.ctx), budget) if radius else []
-    layer = [P]
-    vertices = {P}
+    ctx = P.ctx
+    candidates = _conjugators(ctx, _irreducible_proper_bases(ctx), budget) if radius else {}
+    layer = [P.z]
+    vertices = {P.z}
     for _ in range(radius):
         nxt = []
-        for V in layer:
-            for W in candidates:
-                if W not in vertices and z_commute(V, W):
-                    vertices.add(W)
-                    nxt.append(W)
+        for v in layer:
+            for w in candidates:
+                if w not in vertices and _commute(v, w):
+                    vertices.add(w)
+                    nxt.append(w)
         layer = nxt
-    verts = sorted(vertices, key=ParabolicSubgroup.sort_key)
+    verts = _standardized(ctx, vertices)
     edges = [
         (i, j)
         for i in range(len(verts))
         for j in range(i + 1, len(verts))
-        if z_commute(verts[i], verts[j])
+        if _commute(verts[i].z, verts[j].z)
     ]
     return ComplexBall(P, radius, verts, edges)
 

@@ -174,10 +174,23 @@ def conjugated_parabolic(P: ParabolicSubgroup, x: GroupElement) -> ParabolicSubg
     return ParabolicSubgroup.from_central_element(P.ctx, P.z.conjugate_by(x))
 
 
+def _conjugated_support(u: GroupElement, g: GroupElement) -> GeneratorSet:
+    """supp(g^-1 u g), which decides membership of u in g A_X g^-1 for every
+    X: u lies there iff g^-1 u g lies in A_X iff supp(g^-1 u g) is a subset
+    of X.  The last step holds for any conjugator g, not only the minimal
+    standardizer.  A positive word for an element of A_X^+ uses only letters
+    of X (the relations keep the set of letters), hence so does each of its
+    divisors.  Write v in A_X as a^-1 b with a, b in A_X^+ and d the greatest
+    common prefix of a and b: then v = x^-1 y with a = dx, b = dy, which is
+    the np-normal form, and x, y divide a and b.  Conversely an np-normal
+    form over the letters of X is a word over X."""
+    return support(u.conjugate_by(g))
+
+
 def contains_element(P: ParabolicSubgroup, u: GroupElement) -> bool:
-    """Membership via supports: u lies in b A_Y b^-1 iff the np-normal form of
-    b^-1 u b only involves letters of Y."""
-    return support(u.conjugate_by(P.standardizer)) <= P.base
+    """Membership via supports (`_conjugated_support`): u lies in b A_Y b^-1
+    iff the np-normal form of b^-1 u b only involves letters of Y."""
+    return _conjugated_support(u, P.standardizer) <= P.base
 
 
 def contains_subgroup(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:

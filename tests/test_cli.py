@@ -14,6 +14,8 @@ import pytest
 from garside import SummitKind, build_context, compute_summit_graph, context_from_token, parse_word
 from garside import cli, conjugacy
 from garside.cli import build_parser, run
+from garside.elements import GarsideStructure
+from garside.errors import BudgetExceeded
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
 
@@ -167,6 +169,23 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     code, _, err = invoke(capsys, "A4", "summit", "--kind", "uss", "s1 s2^-1 s3")
     lines = err.strip().splitlines()
     assert code == 3 and "budget" in err.lower()
+    assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
+
+def test_summit_set_past_the_budget_exits_3(capsys, monkeypatch):
+    # The SSS of s1 s2^-1 s3 at Delta^2 in B3 has 244 vertices: a budget of
+    # 244 lets it through, one fewer stops it, in the library and the CLI.
+    u = parse_word(context_from_token("B3"), "s1 s2^-1 s3")
+    structure = GarsideStructure(u.ctx, 2)
+    monkeypatch.setattr(conjugacy, "ENUMERATION_BUDGET", 244)
+    graph = compute_summit_graph(u, SummitKind.SSS, structure)
+    assert len(graph.vertices) == 244 and graph.metadata == {"budget": 244}
+    monkeypatch.setattr(conjugacy, "ENUMERATION_BUDGET", 243)
+    with pytest.raises(BudgetExceeded, match="more than 243 vertices"):
+        compute_summit_graph(u, SummitKind.SSS, structure)
+    code, out, err = invoke(capsys, "B3", "summit", "--N", "2", "s1 s2^-1 s3")
+    lines = err.strip().splitlines()
+    assert code == 3 and out == ""
     assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
 
 

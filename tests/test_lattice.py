@@ -22,7 +22,7 @@ from garside import (
     subsequence_invariance_check,
     z_commute,
 )
-from garside.elements import format_signed_word
+from garside.elements import format_signed_word, support
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
 from garside.lattice import (
     Certificate,
@@ -34,6 +34,7 @@ from garside.lattice import (
     enumerate_parabolics,
     signed_ball,
 )
+from garside import context_from_token, lattice, parabolic
 from garside.oracle import ball
 from garside.parabolic import central_element_of_standard
 
@@ -263,15 +264,33 @@ def test_complex_ball_builds_candidates_once(monkeypatch):
         layer = [W for V in layer for W in complex_neighbors(V, 1) if W.z not in expected]
         expected.update((W.z, W) for W in layer)
     calls = []
-    real = ParabolicSubgroup.from_conjugator
-    monkeypatch.setattr(ParabolicSubgroup, "from_conjugator",
-                        staticmethod(lambda *a: calls.append(a) or real(*a)))
+    real = lattice._conjugate
+    monkeypatch.setattr(lattice, "_conjugate",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     ball = complex_ball(center, radius=2, budget=1)
     assert [V.z for V in ball.vertices] == sorted(
         expected, key=lambda z: expected[z].sort_key())
     assert (len(ball.vertices), len(ball.edges)) == (27, 99)
-    # one candidate per irreducible proper base and signed word of length <= 1
-    assert len(calls) <= 81
+    # one conjugation per irreducible proper base and signed word of length <= 1
+    assert 0 < len(calls) <= 81
+
+
+def test_join_standardizes_only_upper_bounds(monkeypatch):
+    # pn_normal_form runs once per subgroup built; a fresh context holds none
+    c = context_from_token("A4")
+    calls = []
+    real = parabolic.pn_normal_form
+    monkeypatch.setattr(parabolic, "pn_normal_form", lambda u: calls.append(u) or real(u))
+    P = ParabolicSubgroup.standard(c, {0})
+    Q = ParabolicSubgroup.from_conjugator(c, parse_word(c, "s2"), {2})
+    R, cert = join(P, Q, budget=1)
+    built = len(calls)
+    uppers = [T for T in enumerate_parabolics(c, 1)
+              if contains_subgroup(T, P) and contains_subgroup(T, Q)]
+    assert contains_subgroup(R, P) and contains_subgroup(R, Q)
+    assert cert.candidates_examined == 3 + len(enumerate_parabolics(c, 1))
+    # P, Q, the three product closures and the upper bounds
+    assert built <= 2 + 3 + len(uppers) < cert.candidates_examined
 
 
 def test_enumerate_parabolics_dedupes():
@@ -338,6 +357,171 @@ def test_enumeration_matches_z_keyed_reference(token):
     ref = _z_keyed_conjugates(c, _subsets(c), 1)
     assert [(P.z, P.standardizer, P.base) for P in got] == \
         [(P.z, P.standardizer, P.base) for P in ref]
+
+
+def _ref_join(P, Q, budget):
+    """join as it ran before the z-keyed enumerator: every enumerated subgroup
+    standardized, then tested with contains_subgroup."""
+    c = P.ctx
+    cert = Certificate(operation="join", budget=budget)
+    if nested := _nested(P, Q):
+        cert.notes.append(nested[0])
+        return nested[2], cert
+
+    def is_upper(T):
+        return contains_subgroup(T, P) and contains_subgroup(T, Q)
+
+    candidates = [ParabolicSubgroup.full(c)]
+    for k in (1, 2, 3):
+        T = lattice.parabolic_closure(P.z * Q.z ** k)
+        cert.candidates_examined += 1
+        if is_upper(T) and T not in candidates:
+            candidates.append(T)
+    uppers = []
+    for T in _ref_conjugates(c, _subsets(c), budget):
+        cert.candidates_examined += 1
+        if is_upper(T):
+            uppers.append(T)
+            if T not in candidates:
+                candidates.append(T)
+    result = candidates[0]
+    for T in candidates[1:]:
+        if contains_subgroup(result, T):
+            result = T
+        elif not contains_subgroup(T, result):
+            refined, _ = intersect(result, T, budget=max(budget, 4))
+            if is_upper(refined):
+                result = refined
+            else:
+                cert.notes.append("incomparable upper bounds left unrefined")
+    cert.verified_inclusions.extend(["z(P) in R", "z(Q) in R"])
+    minimal = all(contains_subgroup(T, result) for T in uppers)
+    cert.notes.append(
+        "minimal among all enumerated upper bounds"
+        if minimal
+        else "minimality not certified against every enumerated upper bound"
+    )
+    return result, cert
+
+
+def _random_subgroup(c, rng, bases, shared):
+    return ParabolicSubgroup.from_conjugator(c, shared * random_element(c, rng, 2),
+                                             rng.choice(bases))
+
+
+# Pairs (conjugator, base) of subgroups whose join refines once the product
+# closures are withheld, at budget 1 or 2.
+_REFINING = {
+    "D4": [(("", {3}), ("s1^-1 s3^-1", {1})), (("s3^-1 s2", {3}), ("s1^-1 s2", {1}))],
+    "F4": [(("s1", {1}), ("s4 s1", {2})), (("s2^-1 s4^-1", {0}), ("s1 s4^-1", {2}))],
+}
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_join_matches_standardizing_reference(token, monkeypatch):
+    """Seeded non-nested pairs.  Some product closure is the join on every
+    such pair, so join never refines; a second pass withholds the product
+    closures (the first three closures a join takes each read as the whole
+    group), which sends the pinned pairs in rank 4 through the refinement
+    step (the reference calls intersect unpatched, so only join is counted)."""
+    c = family(token)
+    rng = random.Random(f"join-{token}")
+    bases = [X for X in _subsets(c) if X and len(X) < c.rank]
+    pairs = [tuple(ParabolicSubgroup.from_conjugator(c, parse_word(c, word), X)
+                   for word, X in pq) for pq in _REFINING.get(token, [])]
+    while len(pairs) < 6:
+        P, Q = (ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 2),
+                                                  rng.choice(bases)) for _ in "PQ")
+        if not _nested(P, Q):
+            pairs.append((P, Q))
+    refinements, closures = [], []
+    real_intersect, real_closure = lattice.intersect, lattice.parabolic_closure
+    withheld = False
+
+    def closure(u):
+        closures.append(u)
+        if withheld and len(closures) <= 3:
+            return ParabolicSubgroup.full(c)
+        return real_closure(u)
+
+    monkeypatch.setattr(lattice, "intersect",
+                        lambda *a, **k: refinements.append(a) or real_intersect(*a, **k))
+    monkeypatch.setattr(lattice, "parabolic_closure", closure)
+    for withheld in (False, True):
+        for P, Q in pairs:
+            for budget in (1, 2):
+                closures.clear()
+                R, cert = join(P, Q, budget)
+                closures.clear()
+                ref, ref_cert = _ref_join(P, Q, budget)
+                assert R.to_json() == ref.to_json(), (P, Q, budget, withheld)
+                assert cert.to_json() == ref_cert.to_json(), (P, Q, budget, withheld)
+        if not withheld:
+            assert not refinements
+    assert bool(refinements) == (token in _REFINING)
+
+
+def _ref_complex_ball(P, radius, budget):
+    """complex_ball as it ran before the z-keyed enumerator: every candidate
+    standardized, the walk run on subgroups."""
+    c = P.ctx
+    candidates = _ref_conjugates(c, _irreducible_proper_bases(c), budget) if radius else []
+    layer, vertices = [P], {P}
+    for _ in range(radius):
+        nxt = []
+        for V in layer:
+            for W in candidates:
+                if W not in vertices and z_commute(V, W):
+                    vertices.add(W)
+                    nxt.append(W)
+        layer = nxt
+    verts = sorted(vertices, key=ParabolicSubgroup.sort_key)
+    edges = [(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
+             if z_commute(verts[i], verts[j])]
+    return verts, edges
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_complex_matches_standardizing_reference(token):
+    c = family(token)
+    rng = random.Random(f"complex-{token}")
+    bases = _irreducible_proper_bases(c)
+    centers = [ParabolicSubgroup.standard(c, bases[0]),
+               ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3), bases[-1])]
+    for P in centers:
+        for budget in (0, 1):
+            nb = complex_neighbors(P, budget)
+            ref = [Q for Q in _ref_conjugates(c, bases, budget)
+                   if Q != P and z_commute(P, Q)]
+            assert [(Q.z, Q.standardizer, Q.base) for Q in nb] == \
+                [(Q.z, Q.standardizer, Q.base) for Q in ref]
+            for radius in (1, 2):
+                got = complex_ball(P, radius, budget)
+                verts, edges = _ref_complex_ball(P, radius, budget)
+                assert [(V.z, V.standardizer, V.base) for V in got.vertices] == \
+                    [(V.z, V.standardizer, V.base) for V in verts]
+                assert got.edges == edges
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_conjugated_support_decides_membership_for_every_conjugator(token):
+    # u lies in g A_X g^-1 iff supp(g^-1 u g) is a subset of X, for any g,
+    # not only the minimal standardizer that contains_element uses
+    c = family(token)
+    rng = random.Random(f"support-{token}")
+    members = 0
+    for _ in range(60):
+        g = random_element(c, rng, 4)
+        X = frozenset(rng.sample(range(c.rank), rng.randint(0, c.rank)))
+        if rng.random() < 0.5 and X:
+            word = [(s, rng.choice((1, -1))) for s in rng.choices(sorted(X), k=rng.randint(1, 5))]
+            u = g * GroupElement.from_letters(c, word) * g.inverse()
+        else:
+            u = random_element(c, rng, 5)
+        inside = support(u.conjugate_by(g)) <= X
+        assert inside == contains_element(ParabolicSubgroup.from_conjugator(c, g, X), u)
+        members += inside
+    assert 0 < members < 60
 
 
 def signed_words(rank, max_len):
