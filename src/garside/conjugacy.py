@@ -20,7 +20,9 @@ because the trajectories live in a finite set of conjugates.  The table in
 elements close; SU is RSSS plus the truncated power condition, which
 `summit_seed` and `summit_membership` add.  Every stage stops at the first
 best element of its trail and a closed orbit repeats at its start, so
-summit_seed(u) is (u, identity) exactly when u lies in its set.
+summit_seed(u) is (u, identity) exactly when u lies in its set.  Orbits carry
+elements only: a seed builds the conjugators of the steps it keeps, and the
+membership tests build none.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .errors import (
 _ORBIT_CAP = 100_000
 _I_INFINITY_WINDOW = 3
 _I_INFINITY_CAP = 64
+_SU_ROUNDS_CAP = 100
 
 
 class SummitKind(Enum):
@@ -67,6 +70,31 @@ class SummitKind(Enum):
 # ------------------------------------------------------------------- cyclings
 
 
+def _cycled(u: GroupElement, structure: GarsideStructure) -> GroupElement:
+    """The element map of cycling: Delta^(Nq) P[N:] tau^(-Nq)(P[:N])."""
+    ctx, n = u.ctx, structure.exponent
+    shift, padded = structure.padded(u)
+    if not padded:
+        return u
+    return GroupElement(ctx, shift, padded[n:] + [ctx.w_tau_pow(f, -shift) for f in padded[:n]])
+
+
+def _decycled(u: GroupElement, structure: GarsideStructure) -> GroupElement:
+    """The element map of decycling: Delta^(Nq) tau^(Nq)(last) P[:-len(last)]."""
+    ctx, n = u.ctx, structure.exponent
+    shift, padded = structure.padded(u)
+    if not padded:
+        return u
+    cut = (len(padded) - 1) // n * n
+    return GroupElement(ctx, shift, [ctx.w_tau_pow(f, shift) for f in padded[cut:]] + padded[:cut])
+
+
+def _decycling_conjugator(u: GroupElement, structure: GarsideStructure) -> GroupElement:
+    """The conjugator map of decycling: the inverse of the final block."""
+    n, (_, padded) = structure.exponent, structure.padded(u)
+    return _block(u.ctx, padded[(len(padded) - 1) // n * n:]).inverse()
+
+
 def cycling(u: GroupElement, structure: GarsideStructure | None = None):
     """Conjugate u by its initial factor; returns (result, conjugator).
 
@@ -75,18 +103,15 @@ def cycling(u: GroupElement, structure: GarsideStructure | None = None):
     one normalization of the factor list, no inverse and no triple product.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
-    ctx, n = u.ctx, structure.exponent
-    shift, padded = structure.padded(u)
-    if not padded:
-        return u, GroupElement.identity(ctx)
-    head = [ctx.w_tau_pow(f, -shift) for f in padded[:n]]
-    return GroupElement(ctx, shift, padded[n:] + head), _block(ctx, head)
+    return _cycled(u, structure), initial_factor(u, structure)
 
 
 def initial_factor(u: GroupElement, structure: GarsideStructure | None = None) -> GroupElement:
-    """The first simple factor of u pulled across Delta^(N p), the conjugator
-    of its cycling; identity when u is a power of the Garside element."""
-    return cycling(u, structure)[1]
+    """tau^(-Nq)(P[:N]), the first simple factor of u pulled across Delta^(N q):
+    the conjugator of its cycling; identity when u is a power of Delta^N."""
+    ctx, structure = u.ctx, structure or GarsideStructure(u.ctx, 1)
+    shift, padded = structure.padded(u)
+    return _block(ctx, [ctx.w_tau_pow(f, -shift) for f in padded[:structure.exponent]])
 
 
 def twisted_cycling(u: GroupElement, structure: GarsideStructure | None = None):
@@ -106,32 +131,28 @@ def decycling(u: GroupElement, structure: GarsideStructure | None = None):
     result is Delta^(Nq) tau^(Nq)(last) P[:-len(last)], normalized once.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
-    ctx, n = u.ctx, structure.exponent
-    shift, padded = structure.padded(u)
-    if not padded:
-        return u, GroupElement.identity(ctx)
-    cut = (len(padded) - 1) // n * n
-    last = padded[cut:]
-    moved = [ctx.w_tau_pow(f, shift) for f in last]
-    return GroupElement(ctx, shift, moved + padded[:cut]), _block(ctx, last).inverse()
+    return _decycled(u, structure), _decycling_conjugator(u, structure)
 
 
-def _orbit(u, structure: GarsideStructure, step):
-    """Apply `step` (cycling, decycling, or transport of a triple) from u until
-    an element repeats.
+# The orbit steps: (element map, conjugator map).  The objects are bound here,
+# so rebinding the public functions, as a tracer does, leaves the walks alone.
+_CYCLING = (_cycled, initial_factor)
+_DECYCLING = (_decycled, _decycling_conjugator)
 
-    Returns the trail of elements visited (u first), what each step returned
-    beside the next element, and the index in the trail that the last step
-    returned to.
+
+def _orbit(u, structure: GarsideStructure, advance):
+    """Apply the element map `advance` (of cycling, decycling, or transport of
+    a triple) from u until an element repeats.  Orbits carry elements only.
+
+    Returns the trail of elements visited (u first) and the index in the
+    trail that the last step returned to.
     """
-    index = {u: 0}
-    cur, conjs = u, []
-    for _ in range(_ORBIT_CAP):
-        cur, c = step(cur, structure)
-        conjs.append(c)
-        j = index.setdefault(cur, len(conjs))
-        if j < len(conjs):
-            return list(index), conjs, j
+    index, cur = {u: 0}, u
+    for k in range(1, _ORBIT_CAP + 1):
+        cur = advance(cur, structure)
+        j = index.setdefault(cur, k)
+        if j < k:
+            return list(index), j
     raise GarsideError("orbit iteration exceeded its cap")
 
 
@@ -150,24 +171,24 @@ def _repeat(trail, j, structure):
 
 
 def _walk(u: GroupElement, structure: GarsideStructure, stages):
-    """Run each (step, pick) stage from where the last one stopped: walk the
-    orbit of `step` and move to the trail element `pick` chooses.  Returns that
-    element and the product of the conjugators, normalized once.
+    """Run each ((advance, conjugator), pick) stage from where the last one
+    stopped: walk the orbit of `advance` and move to the trail element `pick`
+    chooses.  Orbits carry elements only: the walk builds the conjugators of
+    the steps it keeps from their trail elements and normalizes them once.
 
     Within one call each orbit is walked once per start element and step: a
     seed already in its summit set starts its last two walks where its first
     two did, and reuses their trails.
     """
-    walks: dict = {}
-    cur, conjs = u, []
-    for step, pick in stages:
-        key = (cur, step)
+    walks, cur, conjs = {}, u, []
+    for (advance, conjugator), pick in stages:
+        key = (cur, advance)
         if key not in walks:
-            walks[key] = _orbit(cur, structure, step)
-        trail, cs, j = walks[key]
+            walks[key] = _orbit(cur, structure, advance)
+        trail, j = walks[key]
         i = pick(trail, j, structure)
+        conjs += [conjugator(x, structure) for x in trail[:i]]
         cur = trail[i]
-        conjs += cs[:i]
     return cur, _product(u.ctx, conjs)
 
 
@@ -182,33 +203,32 @@ def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None)
     the map is the identity on elements that already realize the maximum.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
-    return _walk(u, structure, [(cycling, _max_inf)])
+    return _walk(u, structure, [(_CYCLING, _max_inf)])
 
 
 def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = None):
     """Iterated decycling until the structure supremum is minimal; identity on
     elements already realizing the minimum."""
     structure = structure or GarsideStructure(u.ctx, 1)
-    return _walk(u, structure, [(decycling, _min_sup)])
+    return _walk(u, structure, [(_DECYCLING, _min_sup)])
 
 
 def _seed_stages(kind: SummitKind):
     """The walk of a kind's seed: maximal inf, minimal sup, then a closed
-    orbit of each step that the kind's elements close.  Built per call, so it
-    holds the module's current cycling and decycling."""
-    closed = {
-        SummitKind.SSS: (),
-        SummitKind.USS: (cycling,),
-        SummitKind.RSSS: (cycling, decycling),
-        SummitKind.SU: (cycling, decycling),
-    }[kind]
-    return ([(cycling, _max_inf), (decycling, _min_sup)]
+    orbit of each step that the kind's elements close."""
+    closed = {SummitKind.SSS: (), SummitKind.USS: (_CYCLING,),
+              SummitKind.RSSS: (_CYCLING, _DECYCLING),
+              SummitKind.SU: (_CYCLING, _DECYCLING)}[kind]
+    return ([(_CYCLING, _max_inf), (_DECYCLING, _min_sup)]
             + [(step, _repeat) for step in closed])
 
 
 def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
-    """Whether u lies in the ultra summit set of its own conjugacy class."""
-    return _walk(u, structure, _seed_stages(SummitKind.USS))[0] == u
+    """Whether u lies in the ultra summit set of its class, on bare orbits: the
+    USS walk stays at u iff u's cycling orbit is closed (so it keeps the inf)
+    and no iterated decycling lowers u's sup; a stage that moves never returns."""
+    return (_orbit(u, structure, _cycled)[1] == 0
+            and _min_sup(*_orbit(u, structure, _decycled), structure) == 0)
 
 
 def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
@@ -225,7 +245,7 @@ def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
         return x, conj
     conjs = [conj]
     exponents = [m for k in range(1, power_bound + 1) for m in (k, -k)]
-    for _ in range(100):
+    for _ in range(_SU_ROUNDS_CAP):
         moved = False
         for m in exponents:
             y = x**m
@@ -249,13 +269,13 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
     if kind is SummitKind.POSITIVE_CONJUGATES:
         return lambda w: w.is_positive()
     target = structure.canonical_length(seed)
-    closed = [step for step, pick in _seed_stages(kind) if pick is _repeat]
+    closed = [advance for (advance, _), pick in _seed_stages(kind) if pick is _repeat]
     exponents = ([m for k in range(1, power_bound + 1) for m in (k, -k)]
                  if kind is SummitKind.SU else [])
 
     def member(w: GroupElement) -> bool:
         return (structure.canonical_length(w) == target
-                and all(_orbit(w, structure, step)[2] == 0 for step in closed)
+                and all(_orbit(w, structure, advance)[1] == 0 for advance in closed)
                 and all(in_uss(w**m, structure) for m in exponents))
 
     return member
@@ -590,9 +610,9 @@ def transport_orbit(v: GroupElement, w: GroupElement, x: GroupElement,
     def step(triple, structure):
         cv, cw, cx = transport(*triple, structure)
         assert cv.conjugate_by(cx) == cw, "transports must keep conjugating"
-        return (cv, cw, cx), None
+        return cv, cw, cx
 
-    trail, _, j = _orbit((v, w, x), structure, step)
+    trail, j = _orbit((v, w, x), structure, step)
     if j != 0:
         raise GarsideError("transport orbit does not return to its start")
     return TransportRecord(v, w, x, len(trail))

@@ -309,24 +309,29 @@ def _ref_summit_membership(kind, structure, seed, power_bound):
     return member
 
 
-def _walker_inputs(c, rng):
-    """The identity, Delta powers and 100 seeded words, every fifth of them
-    negative."""
+# Large types, |W| 51840 and 14400, run beside FAMILIES with fewer inputs.
+LARGE = ("E6", "H4")
+
+
+def _walker_inputs(c, rng, words=100):
+    """The identity, Delta powers and `words` seeded words, every fifth of
+    them negative."""
     out = [GroupElement.identity(c)]
     out += [GroupElement.delta_power(c, k) for k in (-3, -1, 1, 2)]
-    for i in range(100):
+    for i in range(words):
         u = random_element(c, rng, 8, signed=i % 5 != 0)
         out.append(u.inverse() if i % 5 == 0 else u)
     return out
 
 
-@pytest.mark.parametrize("token", FAMILIES)
+@pytest.mark.parametrize("token", FAMILIES + LARGE)
 def test_orbit_walker_matches_reference_loops(token):
     c = family(token)
     rng = random.Random(31)
-    for n in (1, 2, 3):
+    large = token in LARGE
+    for n in (1, 2) if large else (1, 2, 3):
         st = GarsideStructure(c, n)
-        for u in _walker_inputs(c, rng):
+        for u in _walker_inputs(c, rng, 20 if large else 100):
             a, c1 = _ref_cycle_to_max_inf(u, st)
             assert cycle_to_max_inf(u, st) == (a, c1)
             b, c2 = _ref_decycle_to_min_sup(a, st)
@@ -341,9 +346,9 @@ def test_orbit_walker_matches_reference_loops(token):
                 st.canonical_length(u) == st.canonical_length(b)
                 and _ref_closed_orbit(u, st, cycling)
             )
-            for step in (cycling, decycling):
-                assert _walk(u, st, [(step, _repeat)]) == _ref_orbit_to_repeat(u, st, step)
-                assert (conjugacy._orbit(u, st, step)[2] == 0) == _ref_closed_orbit(u, st, step)
+            for step, ref in ((conjugacy._CYCLING, cycling), (conjugacy._DECYCLING, decycling)):
+                assert _walk(u, st, [(step, _repeat)]) == _ref_orbit_to_repeat(u, st, ref)
+                assert (conjugacy._orbit(u, st, step[0])[1] == 0) == _ref_closed_orbit(u, st, ref)
 
 
 def test_seed_walks_each_orbit_once(monkeypatch):
@@ -366,14 +371,91 @@ def test_seed_walks_each_orbit_once(monkeypatch):
             y, _ = summit_seed(random_element(c, rng, 8), SummitKind.RSSS, st)
             walks.clear()
             assert summit_seed(y, SummitKind.RSSS, st) == (y, GroupElement.identity(c))
-            assert walks == [(y, cycling), (y, decycling)]
+            assert walks == [(y, conjugacy._cycled), (y, conjugacy._decycled)]
             y, _ = summit_seed(random_element(c, rng, 8), SummitKind.USS, st)
             walks.clear()
             assert in_uss(y, st)
-            assert walks == [(y, cycling), (y, decycling)]
+            assert walks == [(y, conjugacy._cycled), (y, conjugacy._decycled)]
 
 
 _SEED_KINDS = [k for k in SummitKind if k is not SummitKind.POSITIVE_CONJUGATES]
+
+
+def test_fixed_seeds_and_membership_build_no_conjugator(monkeypatch):
+    """Orbits carry elements only: the RSSS seed of its own fixed point and
+    every membership test, member or not, build no conjugator, while a seed
+    that moves builds those of the steps it keeps."""
+    c = family("B3")
+    rng = random.Random(9)
+    built, verdicts = [], {kind: set() for kind in _SEED_KINDS}
+
+    def counted(ctx, factors):
+        built.append(factors)
+        return real(ctx, factors)
+
+    real = conjugacy._block
+    monkeypatch.setattr(conjugacy, "_block", counted)
+    moved = 0
+    for n in (1, 2):
+        st = GarsideStructure(c, n)
+        for i in range(8):
+            y, _ = summit_seed(random_element(c, rng, 8, signed=i % 3 != 0), SummitKind.RSSS, st)
+            pool = [y, cycling(y, st)[0], decycling(y, st)[0]]
+            pool += [y.conjugate_by(random_element(c, rng, 3)) for _ in range(4)]
+            for v in pool:
+                built.clear()
+                x, _ = summit_seed(v, SummitKind.RSSS, st)
+                assert bool(built) == (x != v)
+                moved += x != v
+                built.clear()
+                assert summit_seed(x, SummitKind.RSSS, st) == (x, GroupElement.identity(c))
+                assert built == []
+            for kind in _SEED_KINDS:
+                member = summit_membership(kind, st, summit_seed(y, kind, st, 2)[0], 2)
+                built.clear()
+                verdicts[kind] |= {member(v) for v in pool}
+                assert built == [], kind
+    assert moved >= 10
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_traced_cycling_leaves_results_alone(monkeypatch):
+    """A tracer rebinds the public cycling and decycling with functools.wraps
+    wrappers; closures through i-infinity and the USS, RSSS and SU graphs come
+    out as they do unwrapped, and the walks never call the wrappers."""
+    import garside
+
+    c = family("A4")
+    rng = random.Random(12)
+    words = []
+    while len(words) < 8:
+        u = random_element(c, rng, 10)
+        if not u.is_identity() and not any(cycle_to_max_inf(v)[0].is_positive()
+                                           for v in (u, u.inverse())):
+            words.append(u)
+    graph_inputs = [w("A4", "s1 s2^-1 s3"), w("A4", "s1 s2 s3 s4 s1"), words[0]]
+
+    def results():
+        closures = [parabolic_closure(u).to_json() for u in words]
+        graphs = [compute_summit_graph(u, kind, GarsideStructure(c, n), power_bound=2).to_json()
+                  for u in graph_inputs for n in (1, 2)
+                  for kind in (SummitKind.USS, SummitKind.RSSS, SummitKind.SU)]
+        return closures, graphs
+
+    expected = results()
+    calls = []
+    for name in ("cycling", "decycling"):
+        fn = getattr(conjugacy, name)
+
+        def wrapper(*args, fn=fn, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        wrapped = functools.wraps(fn)(wrapper)
+        monkeypatch.setattr(conjugacy, name, wrapped)
+        monkeypatch.setattr(garside, name, wrapped)
+    assert results() == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("token", FAMILIES)
@@ -394,7 +476,7 @@ def test_every_seed_is_a_fixed_point(token):
             assert in_uss(s, st) and in_uss(u, st) == (s == u)
 
 
-@pytest.mark.parametrize("token", FAMILIES)
+@pytest.mark.parametrize("token", FAMILIES + LARGE)
 def test_seeds_and_membership_match_reference(token):
     """The SU seed and every kind's membership test agree with the code they
     replaced, on seeds and on conjugates of them in and out of the set."""
@@ -814,7 +896,7 @@ def _check_i_infinity_stop(u):
     return moved
 
 
-@pytest.mark.parametrize("token", FAMILIES)
+@pytest.mark.parametrize("token", FAMILIES + LARGE)
 def test_i_infinity_stop_is_final(token):
     # Elements with neither a positive nor a negative conjugate, the ones
     # parabolic_closure sends to element_of_i_infinity.
