@@ -10,16 +10,21 @@ it is interned under that short key, its full permutation is built only the
 first time it is seen, and afterwards it is referred to by a small integer
 id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
-descents and support, lists indexed by id.  Inverses, tau and least reduced
-words are memoized as they are asked for, in lists indexed by id; products
-and meets in one row per left operand (the lesser id, for a meet), a dict from
-the other operand's id, so no memo key is a tuple.
+descents and support, lists indexed by id.  Inverses, tau, the complements
+and least reduced words are memoized as they are asked for, in lists indexed
+by id; tau and the complements are composed from permutations, so each
+interns only its result.  Products and meets are memoized in one row per left
+operand (the lesser id, for a meet), a dict from the other operand's id, so no
+memo key is a tuple.  The normal-form sweep has its own step table of that
+shape: for a left factor x, one row maps y to x d and one to d^-1 y, d the
+meet of x^-1 Delta and y, both holding ids alone; a step with d = y is the
+reduced product x y, and the product row holds it.
 
 A meet, a least reduced word and a longest element Delta_X are all the
 element whose inversion set, a bitmask of positive roots, one greedy climb
 fills: u is a prefix of w iff N(u) is inside N(w) (Bjorner & Brenti,
 Combinatorics of Coxeter Groups, Prop. 3.1.3).  The climb composes raw
-permutations and interns only the element it ends on, so building a context
+permutations and interns at most the element it ends on, so building a context
 interns only 1, the generators and Delta.  Everything is immutable after
 construction apart from the tables, which only grow, and all operations are
 pure.
@@ -334,9 +339,10 @@ class GroupContext:
     table for elements of W (grown as elements are met), the tables of facts
     about each element that interning fills, the Garside element of every
     standard parabolic subgroup, and the memoized W-level operations that the
-    normal-form engine is built from.  Meets, least words and each Delta_X
-    come from one climb, `_climb`, so construction interns only 1, the
-    generators and Delta, and tau is read off Delta's permutation.
+    normal-form engine is built from.  Meets, the d of each left-weighting
+    step among them, least words and each Delta_X come from one climb,
+    `_climb`, so construction interns only 1, the generators and Delta, and
+    tau is read off Delta's permutation.
 
     `_perms[a]` is the permutation of the 2N roots (N = `num_positive`, the
     positive roots first, the simple roots at 0..rank-1) by element a: a bytes
@@ -353,17 +359,24 @@ class GroupContext:
     The memos are lists indexed by element id too, which `_intern` extends
     with None: `_invs`, `_taus`, `_rcomps`, `_lcomps` and `_words` hold a^-1,
     tau(a), the complements a^-1 Delta and Delta a^-1, and the least reduced
-    word of a once asked for, and `_mul_rows[a]` and `_meet_rows[a]` are
-    None or a dict from b to a * b, and to the meet of a and b for a < b.
+    word of a once asked for; tau and the complements are composed straight
+    from permutations.  `_mul_rows[a]` and `_meet_rows[a]` are None or a dict
+    from b to a * b, and to the meet of a and b for a < b.  The step table,
+    `_step_rows[x]` and `_step_tails[x]`, is None or two dicts from y to x d
+    and to d^-1 y, the left-weighting step of `elements._normalize` with d
+    the meet of x^-1 Delta and y, for each step with d != y that `_step` has
+    made; a step with d = y is (x y, 1), held in the product row.
     """
 
     # Slots keep the table lookups on the hot path cheap; `__weakref__` lets
     # callers hold a context weakly.
     __slots__ = (
         "spec", "rank", "components_of_s", "component_types", "coxeter_order",
-        "num_positive", "_root_supps", "_pad", "_perms", "_ids", "identity", "gens",
+        "num_positive", "_root_supps", "_pad", "_digits", "_perms", "_ids", "identity",
+        "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
-        "_mul_rows", "_meet_rows", "_invs", "_taus", "_rcomps", "_lcomps", "_words", "_gen_steps",
+        "_mul_rows", "_meet_rows", "_step_rows", "_step_tails",
+        "_invs", "_taus", "_rcomps", "_lcomps", "_words", "_gen_steps",
         "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
         "tau_order", "__weakref__",
     )
@@ -389,6 +402,9 @@ class GroupContext:
         self.num_positive = num_roots // 2
         self._root_supps, gen_perms = _build_roots(spec, num_roots)
         self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
+        # The binary digit of each root for `_rcomp_roots`: b"1" for a
+        # positive root, b"0" for a negative one.
+        self._digits = bytes(48 + (r < self.num_positive) for r in range(max(num_roots, 256)))
         perm_type = tuple if self._pad is None else bytes
 
         # Element interning: images of the simple roots -> id, and id -> full
@@ -402,6 +418,8 @@ class GroupContext:
         self.supps: list[int] = []
         self._mul_rows: list[dict[int, int] | None] = []
         self._meet_rows: list[dict[int, int] | None] = []
+        self._step_rows: list[dict[int, int] | None] = []
+        self._step_tails: list[dict[int, int] | None] = []
         self._invs: list[int | None] = []
         self._taus: list[int | None] = []
         self._rcomps: list[int | None] = []
@@ -454,8 +472,8 @@ class GroupContext:
             self.ldescs.append(nset & ((1 << self.rank) - 1))
             self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
             self.supps.append(supp)
-            for memo in (self._mul_rows, self._meet_rows, self._invs, self._taus,
-                         self._rcomps, self._lcomps, self._words):
+            for memo in (self._mul_rows, self._meet_rows, self._step_rows, self._step_tails,
+                         self._invs, self._taus, self._rcomps, self._lcomps, self._words):
                 memo.append(None)
         return eid
 
@@ -484,18 +502,25 @@ class GroupContext:
         row[b] = out
         return out
 
+    def _compose(self, p: bytes | tuple[int, ...], q: bytes | tuple[int, ...]
+                 ) -> bytes | tuple[int, ...]:
+        """The permutation p * q of the roots: first q, then p."""
+        if self._pad is None:
+            return tuple(map(p.__getitem__, q))
+        return q.translate(p + self._pad)
+
+    def _inverse(self, p: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+        if self._pad is None:
+            out = [0] * len(p)
+            for i, j in enumerate(p):
+                out[j] = i
+            return tuple(out)
+        return bytes.maketrans(p + self._pad, _BYTE_RANGE)[:len(p)]
+
     def w_inv(self, a: int) -> int:
         out = self._invs[a]
         if out is None:
-            perm, pad = self._perms[a], self._pad
-            if pad is None:
-                ipm = [0] * len(perm)
-                for i, j in enumerate(perm):
-                    ipm[j] = i
-                out = self._intern(tuple(ipm))
-            else:
-                out = self._intern(bytes.maketrans(perm + pad, _BYTE_RANGE)[:len(perm)])
-            self._invs[a] = out
+            out = self._invs[a] = self._intern(self._inverse(self._perms[a]))
         return out
 
     def mask_set(self, mask: int) -> GeneratorSet:
@@ -509,16 +534,17 @@ class GroupContext:
         """Whether a divides b on the left, in the weak order on W."""
         return not self.nsets[a] & ~self.nsets[b]
 
-    def _climb(self, roots: int) -> tuple[int, tuple[int, ...]]:
-        """The greatest element m with N(m) inside roots, and its least
-        reduced word, for roots an intersection of inversion sets.
+    def _climb(self, roots: int) -> tuple[bytes | tuple[int, ...], tuple[int, ...]]:
+        """The permutation of the greatest element m with N(m) inside roots,
+        and its least reduced word, for roots an intersection of inversion
+        sets.
 
         Greedy: m grows from 1 by the least letter t with m(alpha_t) in roots,
         since N(m t) = N(m) + {m(alpha_t)}, so each m t is still below the
         greatest element; when no letter is left, m is that element.  Meets
         climb N(a) & N(b), least words N(a), Delta_X the roots of W_X.  The
-        climb composes raw permutations, so only the element it ends on is
-        looked up and interned."""
+        climb composes raw permutations and interns nothing; its callers
+        intern the element it ends on, if they need it."""
         # With bytes, m is a full translation table (the identity then the
         # pad), so each step is one translate.
         steps, pad = self._gen_steps, self._pad
@@ -531,10 +557,7 @@ class GroupContext:
                     letters.append(t)
                     break
             else:
-                out = self._ids.get(m[:self.rank])
-                if out is None:
-                    out = self._intern(m[:2 * self.num_positive])
-                return out, tuple(letters)
+                return m[:2 * self.num_positive], tuple(letters)
         raise GarsideError(f"greedy climb did not end within {self.num_positive} letters")
 
     def w_meet(self, a: int, b: int) -> int:
@@ -551,28 +574,60 @@ class GroupContext:
             out = row.get(b)
             if out is not None:
                 return out
-        out = row[b] = self._climb(self.nsets[a] & self.nsets[b])[0]
+        out = row[b] = self._intern(self._climb(self.nsets[a] & self.nsets[b])[0])
         return out
+
+    def _rcomp_roots(self, x: int) -> int:
+        """N(x^-1 Delta), the positive roots that x sends to positive roots,
+        with no element interned: x's images of the positive roots, last
+        first, become binary digits, 1 for a positive image, and int() reads
+        them as the bitmask."""
+        head = self._perms[x][self.num_positive - 1::-1]
+        if self._pad is None:
+            return int(bytes(map(self._digits.__getitem__, head)), 2)
+        return int(head.translate(self._digits), 2)
+
+    def _step(self, x: int, y: int) -> tuple[int, int]:
+        """The left-weighting step (x, y) -> (x d, d^-1 y), d the meet of
+        x^-1 Delta and y, as `elements._normalize` makes it on a miss.  When
+        y divides x^-1 Delta, d is y and the step is (x y, 1), a product that
+        `w_mul` makes and its row holds.  Otherwise one climb over
+        N(x^-1 Delta) & N(y) gives d, both products are composed from its raw
+        permutation, only they are interned, and row x of `_step_rows` and
+        `_step_tails` records them."""
+        roots, ny = self._rcomp_roots(x), self.nsets[y]
+        if not ny & ~roots:
+            return self.w_mul(x, y), self.identity
+        d = self._climb(roots & ny)[0]
+        xd = self._intern(self._compose(self._perms[x], d))
+        dy = self._intern(self._compose(self._inverse(d), self._perms[y]))
+        if self._step_rows[x] is None:
+            self._step_rows[x], self._step_tails[x] = {}, {}
+        self._step_rows[x][y], self._step_tails[x][y] = xd, dy
+        return xd, dy
 
     def w_rcomp(self, a: int) -> int:
         """Right complement w.r.t. the classical structure: a^-1 * Delta."""
         out = self._rcomps[a]
         if out is None:
-            out = self._rcomps[a] = self.w_mul(self.w_inv(a), self.delta)
+            out = self._rcomps[a] = self._intern(
+                self._compose(self._inverse(self._perms[a]), self._perms[self.delta]))
         return out
 
     def w_lcomp(self, a: int) -> int:
         """Left complement: Delta * a^-1."""
         out = self._lcomps[a]
         if out is None:
-            out = self._lcomps[a] = self.w_mul(self.delta, self.w_inv(a))
+            out = self._lcomps[a] = self._intern(
+                self._compose(self._perms[self.delta], self._inverse(self._perms[a])))
         return out
 
     def w_tau(self, a: int) -> int:
+        """Delta^-1 a Delta = Delta a Delta, Delta being an involution."""
         out = self._taus[a]
         if out is None:
-            d = self.delta
-            out = self._taus[a] = self.w_mul(self.w_mul(self.w_inv(d), a), d)
+            d = self._perms[self.delta]
+            out = self._taus[a] = self._intern(self._compose(d, self._compose(self._perms[a], d)))
         return out
 
     def w_tau_pow(self, a: int, k: int) -> int:
@@ -642,7 +697,7 @@ class GroupContext:
         if out is None:
             inside = sum(1 << s for s in X)
             roots = sum(1 << r for r, supp in enumerate(self._root_supps) if not supp & ~inside)
-            out = self._delta_memo[X] = self._climb(roots)[0]
+            out = self._delta_memo[X] = self._intern(self._climb(roots)[0])
         return out
 
     def delta_length_of(self, X: GeneratorSet) -> int:

@@ -35,7 +35,12 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     """Left normal form by the one-sweep algorithm (Epstein et al., ch. 9): append
     each factor, then left-weight pairs from the right end up to the first pair
     (x, y) already left-weighted, i.e. with ldesc(y) inside rdesc(x).  Trailing
-    identities drop.
+    identities drop.  Each step (x, y) -> (x d, d^-1 y), d the meet of
+    x^-1 Delta and y, is one memo read: of the context's step table, row x,
+    or, when y divides x^-1 Delta, so that d = y and the step is the reduced
+    product (x y, 1), of the product row of x.  x y is reduced iff
+    l(x y) = l(x) + l(y), so a product row entry that fails that test is no
+    step.  `GroupContext._step` makes the step on a miss of both.
 
     The list never holds Delta: a Delta joins the power as soon as it appears,
     appended as a factor or formed by a step x * d = Delta, and the factors
@@ -59,6 +64,7 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
     commutes with tau, so the sweep runs on the frame unchanged.  tau has
     order 1 or 2, so the frame is tau^(h mod 2)."""
     e, delta, ldesc, rdesc = ctx.identity, ctx.delta, ctx.ldescs, ctx.rdescs
+    rows, tails, muls, length = ctx._step_rows, ctx._step_tails, ctx._mul_rows, ctx.lengths
     tau = ctx.w_tau if ctx.tau_order != 1 else None
     odd = False  # the parity of the hoisted Deltas, when tau has order 2
     fs: list[int] = []
@@ -73,17 +79,26 @@ def _normalize(ctx: GroupContext, power: int, factors) -> tuple[int, tuple[int, 
         i = len(fs) - 1
         while i > 0 and ldesc[fs[i]] & ~rdesc[fs[i - 1]]:
             x, y = fs[i - 1], fs[i]
-            d = ctx.w_meet(ctx.w_rcomp(x), y)
-            x, fs[i] = ctx.w_mul(x, d), ctx.w_mul(ctx.w_inv(d), y)
+            row = rows[x]
+            xd = None if row is None else row.get(y)
+            if xd is not None:
+                fs[i] = tails[x][y]
+            else:
+                row = muls[x]
+                xd = None if row is None else row.get(y)
+                if xd is not None and length[xd] == length[x] + length[y]:
+                    fs[i] = e  # a reduced product: y divides x^-1 Delta
+                else:
+                    xd, fs[i] = ctx._step(x, y)
             i -= 1
-            if x == delta:
+            if xd == delta:
                 power += 1
                 del fs[i]
                 if tau is not None:
                     odd = not odd
                     fs[i:] = [g if g == e else tau(g) for g in fs[i:]]
             else:
-                fs[i] = x
+                fs[i] = xd
         while fs and fs[-1] == e:
             fs.pop()
     return power, tuple(map(tau, fs) if odd else fs)

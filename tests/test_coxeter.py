@@ -265,6 +265,30 @@ def test_unary_tables_match_permutations_on_all_of_w(token):
         assert len(word) == c.lengths[a]
 
 
+@pytest.mark.parametrize("token", FAMILIES + ("I2(129)",))
+def test_tau_and_complements_match_products_and_intern_only_their_result(token):
+    # tau(a) = Delta^-1 a Delta, rcomp(a) = a^-1 Delta and lcomp(a) = Delta a^-1
+    # compose permutations: on a fresh context, holding a and little else,
+    # a call interns its result and neither a^-1 nor Delta^-1 a.
+    c = family(token)
+    d = c.delta
+    definitions = {
+        "w_tau": lambda a: c.w_mul(c.w_mul(c.w_inv(d), a), d),
+        "w_rcomp": lambda a: c.w_mul(c.w_inv(a), d),
+        "w_lcomp": lambda a: c.w_mul(d, c.w_inv(a)),
+    }
+    for name, definition in definitions.items():
+        fresh = build_context(c.spec)
+        for a in c.all_elements():
+            b = fresh._intern(c._perms[a])
+            size = len(fresh._perms)
+            out = getattr(fresh, name)(b)
+            assert len(fresh._perms) <= size + 1, (name, a)
+            assert fresh._perms[out] == c._perms[definition(a)], (name, a)
+            if name == "w_rcomp":  # the step's root set, read off a's permutation
+                assert fresh._rcomp_roots(b) == fresh.nsets[out]
+
+
 def _check_tables(c, a, word):
     """The table entries of a against references read off its permutation,
     and a reduced word for a built without the tables.

@@ -135,10 +135,12 @@ def _fixpoint_normalize(c, power, factors):
     return power + k, tuple(fs[k:])
 
 
-@pytest.mark.parametrize("token", FAMILIES + ("E6",))
+@pytest.mark.parametrize("token", FAMILIES + ("E6", "I2(129)", "I2(200)"))
 def test_one_sweep_normalize_matches_fixpoint_oracle(token):
     # Up to 20 factors, so that one list forms and hoists several Deltas and
-    # twists the factors before each; E6 adds one more family with tau != 1.
+    # twists the factors before each; E6 adds one more family with tau != 1,
+    # and I2(129) and I2(200), with more than 256 roots, the tuple
+    # permutations.
     c = family(token)
     elements = c.all_elements()
     rng = random.Random(f"one-sweep/{token}")
@@ -152,35 +154,43 @@ def test_one_sweep_normalize_matches_fixpoint_oracle(token):
         assert _normalize(c, power, factors) == _fixpoint_normalize(c, power, factors)
 
 
+def _left_weighted_chain(c, rng, length=13):
+    """Random simples other than 1 and Delta, each pair left-weighted."""
+    simples = [a for a in c.all_elements() if a not in (c.identity, c.delta)]
+    chain = [rng.choice(simples)]
+    while len(chain) < length:
+        chain.append(rng.choice([b for b in simples if not c.ldescs[b] & ~c.rdescs[chain[-1]]]))
+    return chain
+
+
 @pytest.mark.parametrize("token", ["A3", "I2(5)", "B3"])
 def test_delta_formed_mid_sweep_joins_the_power_at_once(token, monkeypatch):
     # a_1 ... a_k x rcomp(x) = a_1 ... a_k Delta = Delta tau(a_1) ... tau(a_k):
-    # the sweep forms Delta at position k with one meet, and the factors
+    # the sweep forms Delta at position k with one step, and the factors
     # before it are twisted, not left-weighted against it one pair at a time.
-    c = family(token)
-    rng = random.Random(f"hoist/{token}")
-    simples = [a for a in c.all_elements() if a not in (c.identity, c.delta)]
-    chain = [rng.choice(simples)]
-    while len(chain) < 13:  # a left-weighted chain
-        chain.append(rng.choice([b for b in simples if not c.ldescs[b] & ~c.rdescs[chain[-1]]]))
-    meets = []
-    inner = GroupContext.w_meet
+    # Each k runs on a fresh context that holds the chain and no memo row, so
+    # each step misses and calls _step.
+    ref = family(token)
+    steps = []
+    inner = GroupContext._step
 
-    def counted(self, a, b):
-        meets.append((a, b))
-        return inner(self, a, b)
+    def counted(self, x, y):
+        steps.append((x, y))
+        return inner(self, x, y)
 
-    monkeypatch.setattr(GroupContext, "w_meet", counted)
-    counts = set()
     for k in (2, 6, 12):
+        c = build_context(ref.spec)
+        chain = [c._intern(ref._perms[a])
+                 for a in _left_weighted_chain(ref, random.Random(f"hoist/{token}"))]
         x = chain[k]
         factors = chain[:k] + [x, c.w_rcomp(x)]
-        meets.clear()
-        out = _normalize(c, 0, factors)
-        counts.add(len(meets))
+        with monkeypatch.context() as patch:
+            patch.setattr(GroupContext, "_step", counted)
+            steps.clear()
+            out = _normalize(c, 0, factors)
+        assert len(steps) == 1, k
         assert out == (1, tuple(c.w_tau_pow(a, 1) for a in chain[:k]))
         assert out == _fixpoint_normalize(c, 0, factors)
-    assert len(counts) == 1
 
 
 @pytest.mark.parametrize("token", FAMILIES)
@@ -190,11 +200,7 @@ def test_hoists_twist_each_factor_once(token, monkeypatch):
     # However many rounds, each factor of the result is twisted once, not
     # once per hoist.
     c = family(token)
-    rng = random.Random(f"twist/{token}")
-    simples = [a for a in c.all_elements() if a not in (c.identity, c.delta)]
-    chain = [rng.choice(simples)]
-    while len(chain) < 13:  # a left-weighted chain
-        chain.append(rng.choice([b for b in simples if not c.ldescs[b] & ~c.rdescs[chain[-1]]]))
+    chain = _left_weighted_chain(c, random.Random(f"twist/{token}"))
     prefix, x = chain[:12], chain[12]
     expected = tuple(c.w_tau(a) for a in prefix)
     calls = []
@@ -212,6 +218,30 @@ def test_hoists_twist_each_factor_once(token, monkeypatch):
         assert len(calls) == (len(prefix) if c.tau_order == 2 else 0), rounds
         assert (power, out) == (2 * rounds + 1, expected)
         assert (power, out) == _fixpoint_normalize(c, 0, factors)
+
+
+@pytest.mark.parametrize("token", ["A3", "H3", "I2(7)", "I2(129)"])
+def test_sweep_steps_are_step_table_reads(token, monkeypatch):
+    # Each left-weighting step is one read, of the step table or, for a
+    # reduced product, of a product row; a miss is one product or one climb,
+    # never a meet.  A second pass over the same lists, every step now held,
+    # calls none of them.
+    c = build_context(CoxeterSpec.from_token(token))
+    rng = random.Random(f"one-read/{token}")
+    elements = c.all_elements()
+    lists = [[rng.choice(elements) for _ in range(rng.randint(2, 12))] for _ in range(100)]
+    calls = []
+    for name in ("w_meet", "w_mul", "_climb"):
+        def counted(self, *args, inner=getattr(GroupContext, name), name=name):
+            calls.append(name)
+            return inner(self, *args)
+
+        monkeypatch.setattr(GroupContext, name, counted)
+    first = [_normalize(c, 0, fs) for fs in lists]
+    assert {"w_mul", "_climb"} <= set(calls) and "w_meet" not in calls
+    calls.clear()
+    assert [_normalize(c, 0, fs) for fs in lists] == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("token", FAMILIES)

@@ -378,9 +378,10 @@ def test_retained_closures_are_small():
 
 
 def test_context_is_freed_without_cycle_collection():
-    """Interned subgroups are held weakly under plain-tuple keys and standard
-    central elements are memoized as plain tuples: closures, enumerations and
-    summit graphs leave no reference cycle through the context."""
+    """Interned subgroups are held weakly under plain-tuple keys, standard
+    central elements are memoized as plain tuples and the step table holds
+    plain ints: closures, enumerations and summit graphs leave no reference
+    cycle through the context."""
     c = context_from_token("A3")
     ref = weakref.ref(c)
     kept = [parabolic_closure(parse_word(c, t)) for t in ("s1 s2", "s2^-1 s1^-1", "s1 s2^-1")]
@@ -393,7 +394,9 @@ def test_context_is_freed_without_cycle_collection():
     assert len(live) == len(set(kept))
     assert all(type(k) is tuple and type(k[1]) is tuple
                and {type(x) for x in (k[0], *k[1])} == {int} for k in live.keys())
-    del memo, live
+    steps = [row for table in (c._step_rows, c._step_tails) for row in table if row is not None]
+    assert steps and all({type(k), type(v)} == {int} for row in steps for k, v in row.items())
+    del memo, live, steps
     gc.disable()
     try:
         del c, kept, graph
