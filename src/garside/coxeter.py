@@ -10,15 +10,15 @@ it is interned under that short key, its full permutation is built only the
 first time it is seen, and afterwards it is referred to by a small integer
 id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
-descents and support, lists indexed by id.  Inverses, tau, the complements
-and least reduced words are memoized as they are asked for, in lists indexed
-by id; tau and the complements are composed from permutations, so each
-interns only its result.  Products and meets are memoized in one row per left
-operand (the lesser id, for a meet), a dict from the other operand's id, so no
-memo key is a tuple.  The normal-form sweep has its own step table of that
-shape: for a left factor x, one row maps y to x d and one to d^-1 y, d the
-meet of x^-1 Delta and y, both holding ids alone; a step with d = y is the
-reduced product x y, and the product row holds it.
+descents and support, lists indexed by id.  Inverses, tau, the left
+complement and least reduced words are memoized as they are asked for, in
+lists indexed by id; tau and the complement are composed from permutations,
+so each interns only its result.  Products and meets are memoized in one
+row per left operand (the lesser id, for a meet), a dict from the other
+operand's id, so no memo key is a tuple.  The normal-form sweep has its own
+step table of that shape: for a left factor x, one row maps y to x d and one
+to d^-1 y, d the meet of x^-1 Delta and y, both holding ids alone; a step
+with d = y is the reduced product x y, and the product row holds it.
 
 A meet, a least reduced word and a longest element Delta_X are all the
 element whose inversion set, a bitmask of positive roots, one greedy climb
@@ -42,8 +42,8 @@ from .errors import BudgetExceeded, GarsideError, NonSphericalType, ParseError
 
 GeneratorSet = frozenset[int]
 
-# Most elements of W listed, or simples scanned above one atom for a summit
-# graph, before BudgetExceeded.
+# Most roots of a context, elements of W listed, or simples scanned above one
+# atom for a summit graph, before BudgetExceeded.
 ENUMERATION_BUDGET = 200_000
 
 # (Order, Coxeter number) of the exceptional irreducible finite Coxeter groups.
@@ -94,9 +94,11 @@ class CoxeterSpec:
     @staticmethod
     def from_matrix(matrix, name: str | None = None) -> "CoxeterSpec":
         try:
-            rows = tuple(tuple(int(x) for x in row) for row in matrix)
-        except (TypeError, ValueError):
-            raise ParseError("Coxeter matrix must be a list of rows of integers") from None
+            rows = tuple(tuple(row) for row in matrix)
+        except TypeError:
+            rows = None
+        if rows is None or any(type(x) is not int for row in rows for x in row):
+            raise ParseError("Coxeter matrix must be a list of rows of integers")
         return CoxeterSpec(rank=len(rows), matrix=rows, name=name)
 
     @staticmethod
@@ -357,10 +359,10 @@ class GroupContext:
     generators; `lengths[a]` is the length of a.
 
     The memos are lists indexed by element id too, which `_intern` extends
-    with None: `_invs`, `_taus`, `_rcomps`, `_lcomps` and `_words` hold a^-1,
-    tau(a), the complements a^-1 Delta and Delta a^-1, and the least reduced
-    word of a once asked for; tau and the complements are composed straight
-    from permutations.  `_mul_rows[a]` and `_meet_rows[a]` are None or a dict
+    with None: `_invs`, `_taus`, `_lcomps` and `_words` hold a^-1, tau(a),
+    the left complement Delta a^-1, and the least reduced word of a once
+    asked for; tau and the complement are composed straight from
+    permutations.  `_mul_rows[a]` and `_meet_rows[a]` are None or a dict
     from b to a * b, and to the meet of a and b for a < b.  The step table,
     `_step_rows[x]` and `_step_tails[x]`, is None or two dicts from y to x d
     and to d^-1 y, the left-weighting step of `elements._normalize` with d
@@ -376,7 +378,7 @@ class GroupContext:
         "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
         "_mul_rows", "_meet_rows", "_step_rows", "_step_tails",
-        "_invs", "_taus", "_rcomps", "_lcomps", "_words", "_gen_steps",
+        "_invs", "_taus", "_lcomps", "_words", "_gen_steps",
         "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
         "tau_order", "__weakref__",
     )
@@ -399,6 +401,11 @@ class GroupContext:
         )
 
         num_roots = sum(_component_roots(*t) for t in self.component_types)
+        if num_roots > ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"{spec.name or f'rank-{self.rank} matrix'}: {num_roots} roots exceed "
+                f"enumeration budget {ENUMERATION_BUDGET}"
+            )
         self.num_positive = num_roots // 2
         self._root_supps, gen_perms = _build_roots(spec, num_roots)
         self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
@@ -422,7 +429,6 @@ class GroupContext:
         self._step_tails: list[dict[int, int] | None] = []
         self._invs: list[int | None] = []
         self._taus: list[int | None] = []
-        self._rcomps: list[int | None] = []
         self._lcomps: list[int | None] = []
         self._words: list[tuple[int, ...] | None] = []
         self.identity = self._intern(perm_type(range(num_roots)))
@@ -473,7 +479,7 @@ class GroupContext:
             self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
             self.supps.append(supp)
             for memo in (self._mul_rows, self._meet_rows, self._step_rows, self._step_tails,
-                         self._invs, self._taus, self._rcomps, self._lcomps, self._words):
+                         self._invs, self._taus, self._lcomps, self._words):
                 memo.append(None)
         return eid
 
@@ -529,10 +535,6 @@ class GroupContext:
         if out is None:
             out = self._mask_sets[mask] = frozenset(s for s in range(self.rank) if mask >> s & 1)
         return out
-
-    def w_is_prefix(self, a: int, b: int) -> bool:
-        """Whether a divides b on the left, in the weak order on W."""
-        return not self.nsets[a] & ~self.nsets[b]
 
     def _climb(self, roots: int) -> tuple[bytes | tuple[int, ...], tuple[int, ...]]:
         """The permutation of the greatest element m with N(m) inside roots,
@@ -606,14 +608,6 @@ class GroupContext:
         self._step_rows[x][y], self._step_tails[x][y] = xd, dy
         return xd, dy
 
-    def w_rcomp(self, a: int) -> int:
-        """Right complement w.r.t. the classical structure: a^-1 * Delta."""
-        out = self._rcomps[a]
-        if out is None:
-            out = self._rcomps[a] = self._intern(
-                self._compose(self._inverse(self._perms[a]), self._perms[self.delta]))
-        return out
-
     def w_lcomp(self, a: int) -> int:
         """Left complement: Delta * a^-1."""
         out = self._lcomps[a]
@@ -643,27 +637,21 @@ class GroupContext:
             out = self._words[a] = self._climb(self.nsets[a])[1]
         return out
 
-    def w_supp(self, a: int) -> GeneratorSet:
-        """Letters occurring in any (hence every) reduced word for a."""
-        return self.mask_set(self.supps[a])
-
     def all_elements(self) -> list[int]:
         """Every element of W, sorted by (length, least word); memoized.
 
         Breadth first from 1, each layer in order, each a times s for s = 0,
-        1, ... outside rdesc(a); a new b gets the word of a plus (s,).  The
-        discovery order is the sorted order, and the words are the least
-        ones: a word of v ends in some s in rdesc(v), so least_word(v) is the
-        least least_word(v s) + (s,), and for words of one length that is the
-        least pair (rank of v s in its layer, s), by induction on the length.
-        The search meets v first at exactly that pair."""
+        1, ... outside rdesc(a).  The discovery order is the sorted order: a
+        word of v ends in some s in rdesc(v), so least_word(v) is the least
+        least_word(v s) + (s,), and for words of one length that is the least
+        pair (rank of v s in its layer, s), by induction on the length.  The
+        search meets v first at exactly that pair."""
         if self._all_elements is None:
             if self.coxeter_order > ENUMERATION_BUDGET:
                 raise BudgetExceeded(
                     f"|W| = {self.coxeter_order} exceeds enumeration budget {ENUMERATION_BUDGET}"
                 )
-            words, rdescs = self._words, self.rdescs
-            words[0] = ()
+            rdescs = self.rdescs
             seen = {0}
             order = [0]
             for a in order:  # order grows as the search runs: it is the queue
@@ -673,7 +661,6 @@ class GroupContext:
                     b = self.w_mul(a, g)
                     if b not in seen:
                         seen.add(b)
-                        words[b] = words[a] + (s,)
                         order.append(b)
             self._all_elements = order
             assert len(order) == self.coxeter_order

@@ -30,6 +30,25 @@ def family(name):
     return ctx(name)
 
 
+# References for W facts that the context keeps no method for, built from
+# products, inverses, lengths and least words alone.
+
+
+def rcomp(c, a):
+    """The right complement a^-1 Delta."""
+    return c.w_mul(c.w_inv(a), c.delta)
+
+
+def is_prefix(c, a, b):
+    """Whether a divides b on the left in the weak order: l(a^-1 b) = l(b) - l(a)."""
+    return c.lengths[c.w_mul(c.w_inv(a), b)] == c.lengths[b] - c.lengths[a]
+
+
+def letters(c, a):
+    """The support of a: the letters of a reduced word for it."""
+    return frozenset(c.w_word(a))
+
+
 @pytest.fixture(scope="session")
 def a2():
     return ctx("A2")

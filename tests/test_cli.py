@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,11 +345,31 @@ def test_bad_group_files_exit_2(tmp_path, capsys):
     code, _, err = invoke(capsys, "config", "--config", str(conf), "nf", "s1")
     assert_one_line_error(code, err)
     assert "unrecognized group token 'config'" in err
-    for matrix in ([[1, "x"], ["x", 1]], 5, [[1, 3], None]):
+    # Entries are JSON integers, not coerced: 4.9 would run as I2(4), and
+    # "3", 3.0 and a true on the diagonal as what int() makes of them.
+    for matrix in ([[1, "x"], ["x", 1]], 5, [[1, 3], None], [[1, 4.9], [4.9, 1]],
+                   [[1, "3"], ["3", 1]], [[1, 3.0], [3.0, 1]], [[True, 3], [3, 1]]):
         bad_matrix = tmp_path / "bad_matrix.json"
         bad_matrix.write_text(json.dumps({"matrix": matrix}))
-        code, _, err = invoke(capsys, str(bad_matrix), "nf", "s1")
+        code, out, err = invoke(capsys, str(bad_matrix), "nf", "s1 s2 s1 s2 s1")
         assert_one_line_error(code, err)
+        assert out == "", matrix
+
+
+def test_huge_dihedral_label_exits_3_before_building_roots(tmp_path, capsys):
+    # I2(100000000) has 200,000,000 roots: the count is checked against the
+    # budget before any root is built, as a token and as a matrix file.
+    label = 100_000_000
+    matrix_file = tmp_path / "huge.json"
+    matrix_file.write_text(json.dumps({"matrix": [[1, label], [label, 1]]}))
+    for group in (f"I2({label})", str(matrix_file)):
+        start = time.process_time()
+        code, out, err = invoke(capsys, group, "nf", "s1")
+        assert time.process_time() - start < 1
+        lines = err.strip().splitlines()
+        assert code == 3 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+        assert "200000000 roots" in lines[0]
 
 
 def test_non_spherical_matrix_exits_1(tmp_path, capsys):

@@ -48,7 +48,7 @@ from garside.errors import (
 )
 from garside.oracle import enumerate_simples
 
-from conftest import FAMILIES, ctx, family, random_element
+from conftest import FAMILIES, ctx, family, is_prefix, random_element
 
 
 def w(token, text):
@@ -642,12 +642,12 @@ def test_structure_simples_match_reference(token, n):
     classical = [y for y in _ref_structure_simples(GarsideStructure(c, n)) if y.sup() <= 1]
     if n == 1:
         assert set(classical) == set(enumerate_simples(c)) - {GroupElement.identity(c)}
-    # x =< y iff N(x) lies in N(y) (Bjorner & Brenti, Prop. 3.1.3)
+    # x =< y iff l(x^-1 y) = l(y) - l(x)
     simples = [c.identity] + [_first_simple(y) for y in classical]
     for x in simples:
         above = {}
         for y in simples:
-            if c.w_is_prefix(x, y):
+            if is_prefix(c, x, y):
                 above.setdefault(c.lengths[y], set()).add(y)
         got, layer = [], [x]
         while layer:

@@ -9,7 +9,7 @@ from garside import CoxeterSpec, build_context, context_from_token
 from garside.coxeter import _BYTE_RANGE, _build_roots
 from garside.errors import GarsideError, NonSphericalType, ParseError
 
-from conftest import A2XA1_MATRIX, FAMILIES, ctx, family
+from conftest import A2XA1_MATRIX, FAMILIES, ctx, family, is_prefix, rcomp
 
 
 SPHERICAL_TOKENS = [
@@ -99,9 +99,9 @@ def test_delta_monotone_under_inclusion():
         full = frozenset(range(c.rank))
         for mask in range(1 << c.rank):
             x = frozenset(i for i in range(c.rank) if mask >> i & 1)
-            assert c.w_is_prefix(c.delta_of(x), c.delta_of(full))
+            assert is_prefix(c, c.delta_of(x), c.delta_of(full))
             for j in range(c.rank):
-                assert c.w_is_prefix(c.delta_of(x), c.delta_of(x | {j}))
+                assert is_prefix(c, c.delta_of(x), c.delta_of(x | {j}))
 
 
 def test_delta_permutation():
@@ -197,7 +197,7 @@ def test_meet_matches_descent_greedy_on_seeded_pairs(token):
         a, b = _random_element(c, rng), _random_element(c, rng)
         m = c.w_meet(a, b)
         assert m == _descent_greedy_meet(c, a, b)
-        assert c.w_is_prefix(m, a) and c.w_is_prefix(m, b)
+        assert is_prefix(c, m, a) and is_prefix(c, m, b)
 
 
 def _right_to_left(c, word):
@@ -267,14 +267,14 @@ def test_unary_tables_match_permutations_on_all_of_w(token):
 
 @pytest.mark.parametrize("token", FAMILIES + ("I2(129)",))
 def test_tau_and_complements_match_products_and_intern_only_their_result(token):
-    # tau(a) = Delta^-1 a Delta, rcomp(a) = a^-1 Delta and lcomp(a) = Delta a^-1
-    # compose permutations: on a fresh context, holding a and little else,
-    # a call interns its result and neither a^-1 nor Delta^-1 a.
+    # tau(a) = Delta^-1 a Delta and lcomp(a) = Delta a^-1 compose
+    # permutations: on a fresh context, holding a and little else, a call
+    # interns its result and neither a^-1 nor Delta^-1 a.  The step's root
+    # set N(a^-1 Delta) is read off a's permutation and interns nothing.
     c = family(token)
     d = c.delta
     definitions = {
         "w_tau": lambda a: c.w_mul(c.w_mul(c.w_inv(d), a), d),
-        "w_rcomp": lambda a: c.w_mul(c.w_inv(a), d),
         "w_lcomp": lambda a: c.w_mul(d, c.w_inv(a)),
     }
     for name, definition in definitions.items():
@@ -285,8 +285,12 @@ def test_tau_and_complements_match_products_and_intern_only_their_result(token):
             out = getattr(fresh, name)(b)
             assert len(fresh._perms) <= size + 1, (name, a)
             assert fresh._perms[out] == c._perms[definition(a)], (name, a)
-            if name == "w_rcomp":  # the step's root set, read off a's permutation
-                assert fresh._rcomp_roots(b) == fresh.nsets[out]
+    fresh = build_context(c.spec)
+    for a in c.all_elements():
+        b = fresh._intern(c._perms[a])
+        size = len(fresh._perms)
+        assert fresh._rcomp_roots(b) == c.nsets[rcomp(c, a)], a
+        assert len(fresh._perms) == size
 
 
 def _check_tables(c, a, word):
@@ -406,8 +410,8 @@ def test_interned_elements_are_their_words(token):
 
 @pytest.mark.parametrize("token", FAMILIES + ("A5", "D5", "H4"))
 def test_all_elements_is_w_sorted_by_length_and_least_word(token):
-    # The breadth-first search keeps its discovery order and fills the least
-    # words as it goes; the reference sorts W by words from the climb alone.
+    # The breadth-first search keeps its discovery order; the reference sorts
+    # W by least words from the climb.
     c = (build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX)) if token == "A2xA1"
          else context_from_token(token))
     found = c.all_elements()
@@ -415,6 +419,17 @@ def test_all_elements_is_w_sorted_by_length_and_least_word(token):
     words = {a: c._climb(c.nsets[a])[1] for a in found}
     assert found == sorted(found, key=lambda a: (c.lengths[a], words[a]))
     assert all(c.w_word(a) == words[a] for a in found)
+
+
+@pytest.mark.parametrize("token", ["A4", "F4", "I2(129)"])
+def test_all_elements_writes_no_memo(token):
+    # Listing W fills no least word: the climb behind w_word is their only
+    # source.  I2(129) lists W on tuple permutations.
+    c = context_from_token(token)
+    found = c.all_elements()
+    assert len(found) == c.coxeter_order
+    assert all(word is None for word in c._words)
+    assert all(c.w_word(a) == c._climb(c.nsets[a])[1] for a in found)
 
 
 def test_root_enumeration_stops_at_the_size_of_the_root_system():

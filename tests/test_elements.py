@@ -32,7 +32,7 @@ from garside.elements import _normalize, format_signed_word
 from garside.errors import ContextMismatch, NotSimple, ParseError
 from garside.oracle import meet_oracle
 
-from conftest import FAMILIES, ctx, family, random_element, random_word
+from conftest import FAMILIES, ctx, family, letters, random_element, random_word, rcomp
 
 
 def w(token, text):
@@ -122,7 +122,7 @@ def _fixpoint_normalize(c, power, factors):
             x, y = fs[i], fs[i + 1]
             if y == c.identity:
                 continue
-            d = c.w_meet(c.w_rcomp(x), y)
+            d = c.w_meet(rcomp(c, x), y)
             if d != c.identity:
                 fs[i] = c.w_mul(x, d)
                 fs[i + 1] = c.w_mul(c.w_inv(d), y)
@@ -183,7 +183,7 @@ def test_delta_formed_mid_sweep_joins_the_power_at_once(token, monkeypatch):
         chain = [c._intern(ref._perms[a])
                  for a in _left_weighted_chain(ref, random.Random(f"hoist/{token}"))]
         x = chain[k]
-        factors = chain[:k] + [x, c.w_rcomp(x)]
+        factors = chain[:k] + [x, rcomp(c, x)]
         with monkeypatch.context() as patch:
             patch.setattr(GroupContext, "_step", counted)
             steps.clear()
@@ -212,7 +212,7 @@ def test_hoists_twist_each_factor_once(token, monkeypatch):
 
     monkeypatch.setattr(GroupContext, "w_tau", counted)
     for rounds in (1, 2, 5):
-        factors = prefix + [x, c.w_rcomp(x), c.delta] * rounds + [c.delta]
+        factors = prefix + [x, rcomp(c, x), c.delta] * rounds + [c.delta]
         calls.clear()
         power, out = _normalize(c, 0, factors)
         assert len(calls) == (len(prefix) if c.tau_order == 2 else 0), rounds
@@ -629,7 +629,7 @@ def test_equal_supports_are_one_set():
     c = ctx("A4")
     same = [w("A4", "s1 s3"), w("A4", "s3 s1 s1"), w("A4", "s1^-1 s3"),
             w("A4", "s3^-1 s1^-1 s3 s3")]
-    sets = [support(u) for u in same] + [c.w_supp(c.w_mul(c.gens[0], c.gens[2]))]
+    sets = [support(u) for u in same] + [c.mask_set(c.supps[c.w_mul(c.gens[0], c.gens[2])])]
     assert all(x is sets[0] for x in sets) and sets[0] == frozenset({0, 2})
     full = [support(GroupElement.delta_power(c, k)) for k in (1, -2)]
     assert full[0] is full[1] is support(w("A4", "s1 s2 s3 s4"))
@@ -837,7 +837,7 @@ def test_delta_power_times_short_element_has_periodic_middle(token, base):
             if not middle:
                 continue
             y_elt = middle[0]
-            y_set = c.w_supp(y_elt)
+            y_set = letters(c, y_elt)
             assert all(f == y_elt for f in middle)
             assert y_elt == c.delta_of(y_set)
             rho = (d_x**r).inverse() * GroupElement(

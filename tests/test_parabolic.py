@@ -275,6 +275,66 @@ def test_closure_is_conjugation_equivariant(u, letters):
     assert contains_element(conjugated_parabolic(P, x), u.conjugate_by(x))
 
 
+LARGE = ("A6", "D6", "E6", "E7", "E8", "H4")
+
+
+def _signed_word(c, rng, letters, length, sign):
+    return GroupElement.from_letters(c, [(rng.choice(letters), sign) for _ in range(length)])
+
+
+@pytest.mark.parametrize("token", LARGE)
+def test_closure_theorems_on_planted_subgroups(token, monkeypatch):
+    """In the large types, u = g w g^-1 with w a word in the letters of X lies
+    in P = g A_X g^-1, so PC(u) lies in P; PC(u^2) = PC(u^-3) = PC(u), and
+    PC(h^-1 u h) = h^-1 PC(u) h.  A positive w closes on the direct path or,
+    conjugated, the positive one, a negative w on the direct or negative one,
+    and a w of exponent sum 0 (a word times the inverse of one as long) has
+    no positive or negative conjugate: the i-infinity path.  Every type
+    reaches all four."""
+    c = ctx(token)
+    rng = random.Random(f"planted closures {token}")
+    calls = []
+
+    def counted(name, inner):
+        def call(u):
+            calls.append(name)
+            return inner(u)
+        return call
+
+    monkeypatch.setattr(parabolic, "cycle_to_max_inf", counted("cycle", cycle_to_max_inf))
+    monkeypatch.setattr(parabolic, "element_of_i_infinity",
+                        counted("i-infinity", element_of_i_infinity))
+    paths = {}
+    everything = list(range(c.rank))
+    for i in range(60):
+        X = rng.sample(everything, rng.randint(2, 4))
+        n = rng.randint(1, 4)
+        w = _signed_word(c, rng, X, n, 1)
+        if i % 3 == 1:
+            w = w.inverse()
+        elif i % 3 == 2:
+            w = w * _signed_word(c, rng, X, n, 1).inverse()
+        if w.is_identity():
+            continue
+        g = GroupElement.from_letters(
+            c, [(rng.randrange(c.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))])
+        P = ParabolicSubgroup.from_conjugator(c, g, X)
+        u = w.conjugate_by(g.inverse())
+        calls.clear()
+        closure = parabolic_closure(u)
+        path = ("i-infinity" if "i-infinity" in calls
+                else ("direct", "positive", "negative")[len(calls)])
+        paths[path] = paths.get(path, 0) + 1
+        assert contains_element(closure, u) and contains_subgroup(P, closure), (i, path)
+        assert parabolic_equal(parabolic_closure(u**2), closure), (i, path)
+        assert parabolic_equal(parabolic_closure(u**-3), closure), (i, path)
+        h = GroupElement.from_letters(
+            c, [(rng.randrange(c.rank), rng.choice((1, -1))) for _ in range(rng.randint(1, 3))])
+        assert parabolic_equal(parabolic_closure(u.conjugate_by(h)),
+                               conjugated_parabolic(closure, h)), (i, path)
+    assert set(paths) == {"direct", "positive", "negative", "i-infinity"}, paths
+
+
 @pytest.mark.parametrize("token", FAMILIES)
 def test_closure_paths(token, monkeypatch):
     """Each input takes the path its shape predicts: positive and negative
