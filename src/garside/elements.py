@@ -12,11 +12,10 @@ the same way from g's complements, with no element g^-1.  `_normalize` makes
 that form in one sweep and moves each Delta it meets straight into the
 power, twisting each factor once by the parity of the Deltas to its right.
 
-The mixed normal forms are cuts of the left normal form.  The lattice
-operations still reduce to one primitive: the greatest common prefix, computed
-by repeatedly stripping the meet of the leading simple factors.  The
-suffix-order versions go through the word-reversing anti-automorphism, and
-joins through inversion, which exchanges the prefix and suffix orders.
+The mixed normal forms are cuts of the left normal form, and so are the
+lattice operations: a prefix meet or join of u and v is read off the np or
+pn form of the one quotient u^-1 v, a suffix join off the np form of v u^-1,
+and the suffix meet goes through the word-reversing anti-automorphism.
 """
 
 from __future__ import annotations
@@ -386,33 +385,34 @@ def _first_simple(u: GroupElement) -> int:
 
 
 def meet_prefix(u: GroupElement, v: GroupElement) -> GroupElement:
-    """Greatest common prefix: w with w =< u, w =< v, maximal such."""
-    u._require_same(v)
-    ctx = u.ctx
-    k = min(u.power, v.power)
-    x, y = u.shift(-k), v.shift(-k)
-    acc: list[int] = []
-    while True:
-        d = ctx.w_meet(_first_simple(x), _first_simple(y))
-        if d == ctx.identity:
-            break
-        acc.append(d)
-        di = GroupElement.from_simple(ctx, d).inverse()
-        x, y = di * x, di * y
-    return GroupElement(ctx, 0, tuple(acc)).shift(k)
+    """Greatest common prefix: w with w =< u, w =< v, maximal such.
+
+    Let m be that meet, so u = m x and v = m y with x and y positive; a
+    common prefix d of x and y would make m d a larger common prefix, so x
+    and y share none.  Then u^-1 v = x^-1 y is the np normal form of u^-1 v,
+    which is unique, so x is its negative part and m = u x^-1.  (The product
+    u^-1 v checks that u and v share a context.)"""
+    return u * np_normal_form(u.inverse() * v).negative.inverse()
 
 
 def meet_suffix(u: GroupElement, v: GroupElement) -> GroupElement:
+    """Greatest common suffix: reversal exchanges the prefix and suffix orders."""
     return meet_prefix(u.reverse(), v.reverse()).reverse()
 
 
 def join_prefix(u: GroupElement, v: GroupElement) -> GroupElement:
-    """Least common right multiple for the prefix order."""
-    return meet_suffix(u.inverse(), v.inverse()).inverse()
+    """Least common right multiple for the prefix order: u a = v b with a
+    and b positive and sharing no suffix (a common suffix d would make
+    u a d^-1 a smaller common multiple), so u^-1 v = a b^-1 is the unique
+    pn normal form of u^-1 v, and a is its positive part."""
+    return u * pn_normal_form(u.inverse() * v).positive
 
 
 def join_suffix(u: GroupElement, v: GroupElement) -> GroupElement:
-    return meet_prefix(u.inverse(), v.inverse()).inverse()
+    """Least common left multiple for the suffix order: a u = b v with a and
+    b positive and sharing no prefix, so v u^-1 = b^-1 a is the unique np
+    normal form of v u^-1, b is its negative part, and the join is b v."""
+    return np_normal_form(v * u.inverse()).negative * v
 
 
 def prefix_le(u: GroupElement, v: GroupElement) -> bool:
@@ -428,7 +428,7 @@ def suffix_le(u: GroupElement, v: GroupElement) -> bool:
 # ----------------------------------------------------------- mixed normal forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedForm:
     """np-normal form: the element is negative^-1 * positive, with no common
     prefix between the two positive parts."""
@@ -440,7 +440,7 @@ class MixedForm:
         return self.negative.inverse() * self.positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PnForm:
     """pn-normal form: the element is positive * negative^-1, with no common
     suffix between the two positive parts."""

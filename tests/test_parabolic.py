@@ -29,7 +29,7 @@ from garside import (
     ribbon,
     support,
 )
-from garside import parabolic
+from garside import oracle, parabolic
 from garside.conjugacy import cycle_to_max_inf, element_of_i_infinity
 from garside.errors import ContextMismatch, GarsideError
 from garside.lattice import _subsets
@@ -333,6 +333,31 @@ def test_closure_theorems_on_planted_subgroups(token, monkeypatch):
         assert parabolic_equal(parabolic_closure(u.conjugate_by(h)),
                                conjugated_parabolic(closure, h)), (i, path)
     assert set(paths) == {"direct", "positive", "negative", "i-infinity"}, paths
+
+
+@pytest.mark.parametrize("token", LARGE)
+def test_inclusion_is_membership_of_the_central_element(token):
+    """P subseteq Q iff z_P lies in Q, both ways round, against the oracle's
+    word-level inclusion test on the generators: P = gh A_X (gh)^-1 and
+    Q = g A_Y g^-1 with X inside Y, so P lies in Q iff h A_X h^-1 lies in
+    A_Y, which a short h keeps or breaks."""
+    c = ctx(token)
+    rng = random.Random(f"planted inclusions {token}")
+    seen = set()
+    for _ in range(40):
+        Y = rng.sample(range(c.rank), rng.randint(2, c.rank - 1))
+        X = rng.sample(Y, rng.randint(1, len(Y)))
+        g, h = (GroupElement.from_letters(
+            c, [(rng.randrange(c.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, n))])
+            for n in (3, 2))
+        P = ParabolicSubgroup.from_conjugator(c, g * h, X)
+        Q = ParabolicSubgroup.from_conjugator(c, g, Y)
+        for forward, (small, big) in ((True, (P, Q)), (False, (Q, P))):
+            inside = contains_element(big, small.z)
+            assert inside == contains_subgroup(big, small) == oracle._includes(big, small), \
+                (X, Y, format_element(g), format_element(h))
+            seen.add((forward, inside))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
 
 
 @pytest.mark.parametrize("token", FAMILIES)
