@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import conjugacy, lattice, parabolic
 from .coxeter import CoxeterSpec, GroupContext, build_context
@@ -44,7 +43,8 @@ _DOT_COMMANDS = ("summit", "complex-ball", "figures")
 
 def _read_json(path: str, what: str):
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as f:
+            return json.load(f)
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read {what} {path}: {e}") from None
 
@@ -109,7 +109,8 @@ def _subgroup_text(P: parabolic.ParabolicSubgroup) -> str:
 def _emit(args, text: str) -> None:
     if args.output:
         try:
-            Path(args.output).write_text(text + "\n")
+            with open(args.output, "w") as f:
+                f.write(text + "\n")
         except OSError as e:
             raise ParseError(f"cannot write {args.output}: {e}") from None
     else:

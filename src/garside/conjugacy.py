@@ -28,10 +28,9 @@ membership tests build none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .coxeter import ENUMERATION_BUDGET
+from .coxeter import ENUMERATION_BUDGET, _FrozenValue, _Value
 from .elements import (
     GarsideStructure,
     GroupElement,
@@ -431,19 +430,19 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
     return rho
 
 
-@dataclass
-class SummitGraph:
+class SummitGraph(_Value):
     """The directed graph of a summit set: vertices are the elements of the
     set, arrows the minimal positive conjugators between them, and every
     vertex carries a witness conjugating the base element to it."""
 
-    kind: SummitKind
-    structure: GarsideStructure
-    base: GroupElement
-    vertices: list[GroupElement]
-    arrows: list[tuple[int, int, GroupElement]]
-    witnesses: list[GroupElement]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("kind", "structure", "base", "vertices", "arrows", "witnesses", "metadata")
+
+    def __init__(self, kind: SummitKind, structure: GarsideStructure, base: GroupElement,
+                 vertices: list[GroupElement], arrows: list[tuple[int, int, GroupElement]],
+                 witnesses: list[GroupElement], metadata: dict | None = None) -> None:
+        self.kind, self.structure, self.base = kind, structure, base
+        self.vertices, self.arrows, self.witnesses = vertices, arrows, witnesses
+        self.metadata = {} if metadata is None else metadata
 
     def vertex_index(self, v: GroupElement) -> int:
         return self.vertices.index(v)
@@ -572,15 +571,18 @@ def element_of_i_infinity(u: GroupElement):
 # ------------------------------------------------------------------ transport
 
 
-@dataclass(frozen=True)
-class TransportRecord:
+class TransportRecord(_FrozenValue):
     """Data of one full transport cycle: x conjugates v to w, both in the
     ultra summit set, and after orbit_period transports the triple returns."""
 
-    v: GroupElement
-    w: GroupElement
-    x: GroupElement
-    orbit_period: int
+    __slots__ = ("v", "w", "x", "orbit_period")
+
+    def __init__(self, v: GroupElement, w: GroupElement, x: GroupElement,
+                 orbit_period: int) -> None:
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "orbit_period", orbit_period)
 
 
 def transport(v: GroupElement, w: GroupElement, x: GroupElement,
@@ -655,14 +657,16 @@ def stable_twisted_conjugator(v: GroupElement, w: GroupElement, x: GroupElement,
 # ------------------------------------------------------- arrow classification
 
 
-@dataclass(frozen=True)
-class ArrowType:
+class ArrowType(_FrozenValue):
     """Classification of an arrow label out of a positive vertex with proper
     support X: inside A_X, a letter commuting with X, or the ribbon of a
     letter adjacent to X."""
 
-    kind: str  # "inside" | "commuting-letter" | "ribbon"
-    letter: int | None = None
+    __slots__ = ("kind", "letter")  # kind: "inside" | "commuting-letter" | "ribbon"
+
+    def __init__(self, kind: str, letter: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "letter", letter)
 
 
 def classify_arrow(v: GroupElement, label: GroupElement) -> ArrowType:

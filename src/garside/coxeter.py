@@ -13,12 +13,12 @@ of the negative roots, the tables of its inversion set, length, left and right
 descents and support, lists indexed by id.  Inverses, tau, the left
 complement and least reduced words are memoized as they are asked for, in
 lists indexed by id; tau and the complement are composed from permutations,
-so each interns only its result.  Products and meets are memoized in one
-row per left operand (the lesser id, for a meet), a dict from the other
-operand's id, so no memo key is a tuple.  The normal-form sweep has its own
-step table of that shape: for a left factor x, one row maps y to x d and one
-to d^-1 y, d the meet of x^-1 Delta and y, both holding ids alone; a step
-with d = y is the reduced product x y, and the product row holds it.
+so each interns only its result.  Products are memoized in one row per
+left operand, a dict from the right operand's id, so no memo key is a
+tuple.  The normal-form sweep has its own step table of that shape: for a
+left factor x, one row maps y to x d and one to d^-1 y, d the meet of
+x^-1 Delta and y, both holding ids alone; a step with d = y is the reduced
+product x y, and the product row holds it.
 
 A meet, a least reduced word and a longest element Delta_X are all the
 element whose inversion set, a bitmask of positive roots, one greedy climb
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
@@ -61,8 +60,43 @@ _EXCEPTIONAL = {
 _BYTE_RANGE = bytes(range(256))
 
 
-@dataclass(frozen=True)
-class CoxeterSpec:
+class _Value:
+    """A value type whose fields are its ``__slots__``: equal to an object of
+    its own class with equal fields, shown as ``Name(field=value, ...)``.
+    Defining == alone leaves it unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class _FrozenValue(_Value):
+    """A `_Value` that hashes by its fields and refuses assignment; its
+    ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CoxeterSpec(_FrozenValue):
     """A Coxeter matrix, i.e. the data of a presentation.
 
     ``matrix[i][j]`` is m(s_i, s_j): 1 on the diagonal and an integer >= 2
@@ -70,11 +104,13 @@ class CoxeterSpec:
     that length).
     """
 
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    name: str | None = None
+    __slots__ = ("rank", "matrix", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, matrix: tuple[tuple[int, ...], ...],
+                 name: str | None = None) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "name", name)
         if self.rank < 1:
             raise ParseError("rank must be positive")
         if len(self.matrix) != self.rank or any(len(row) != self.rank for row in self.matrix):
@@ -362,8 +398,8 @@ class GroupContext:
     with None: `_invs`, `_taus`, `_lcomps` and `_words` hold a^-1, tau(a),
     the left complement Delta a^-1, and the least reduced word of a once
     asked for; tau and the complement are composed straight from
-    permutations.  `_mul_rows[a]` and `_meet_rows[a]` are None or a dict
-    from b to a * b, and to the meet of a and b for a < b.  The step table,
+    permutations.  `_mul_rows[a]` is None or a dict from b to a * b.  Meets
+    are not memoized: `w_meet` climbs each time.  The step table,
     `_step_rows[x]` and `_step_tails[x]`, is None or two dicts from y to x d
     and to d^-1 y, the left-weighting step of `elements._normalize` with d
     the meet of x^-1 Delta and y, for each step with d != y that `_step` has
@@ -377,7 +413,7 @@ class GroupContext:
         "num_positive", "_root_supps", "_pad", "_digits", "_perms", "_ids", "identity",
         "gens",
         "nsets", "lengths", "ldescs", "rdescs", "supps",
-        "_mul_rows", "_meet_rows", "_step_rows", "_step_tails",
+        "_mul_rows", "_step_rows", "_step_tails",
         "_invs", "_taus", "_lcomps", "_words", "_gen_steps",
         "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
         "tau_order", "__weakref__",
@@ -411,7 +447,7 @@ class GroupContext:
         self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
         # The binary digit of each root for `_rcomp_roots`: b"1" for a
         # positive root, b"0" for a negative one.
-        self._digits = bytes(48 + (r < self.num_positive) for r in range(max(num_roots, 256)))
+        self._digits = b"1" * self.num_positive + b"0" * (max(num_roots, 256) - self.num_positive)
         perm_type = tuple if self._pad is None else bytes
 
         # Element interning: images of the simple roots -> id, and id -> full
@@ -424,7 +460,6 @@ class GroupContext:
         self.rdescs: list[int] = []
         self.supps: list[int] = []
         self._mul_rows: list[dict[int, int] | None] = []
-        self._meet_rows: list[dict[int, int] | None] = []
         self._step_rows: list[dict[int, int] | None] = []
         self._step_tails: list[dict[int, int] | None] = []
         self._invs: list[int | None] = []
@@ -478,7 +513,7 @@ class GroupContext:
             self.ldescs.append(nset & ((1 << self.rank) - 1))
             self.rdescs.append(sum(1 << s for s, r in enumerate(key) if r >= n))
             self.supps.append(supp)
-            for memo in (self._mul_rows, self._meet_rows, self._step_rows, self._step_tails,
+            for memo in (self._mul_rows, self._step_rows, self._step_tails,
                          self._invs, self._taus, self._lcomps, self._words):
                 memo.append(None)
         return eid
@@ -564,20 +599,9 @@ class GroupContext:
 
     def w_meet(self, a: int, b: int) -> int:
         """Greatest common prefix of two simple elements: the climb over
-        N(a) & N(b)."""
-        if a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        row = self._meet_rows[a]
-        if row is None:
-            row = self._meet_rows[a] = {}
-        else:
-            out = row.get(b)
-            if out is not None:
-                return out
-        out = row[b] = self._intern(self._climb(self.nsets[a] & self.nsets[b])[0])
-        return out
+        N(a) & N(b).  Not memoized: the library's own meets, the np cuts of
+        `elements.meet_prefix` and the climb in `_step`, do not call it."""
+        return self._intern(self._climb(self.nsets[a] & self.nsets[b])[0])
 
     def _rcomp_roots(self, x: int) -> int:
         """N(x^-1 Delta), the positive roots that x sends to positive roots,

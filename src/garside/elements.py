@@ -21,9 +21,8 @@ and the suffix meet goes through the word-reversing anti-automorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .coxeter import GeneratorSet, GroupContext
+from .coxeter import GeneratorSet, GroupContext, _FrozenValue
 from .errors import ContextMismatch, NotSimple, ParseError
 
 _TOKEN_RE = re.compile(r"s(\d+)(\^-1)?")
@@ -428,25 +427,29 @@ def suffix_le(u: GroupElement, v: GroupElement) -> bool:
 # ----------------------------------------------------------- mixed normal forms
 
 
-@dataclass(frozen=True, slots=True)
-class MixedForm:
+class MixedForm(_FrozenValue):
     """np-normal form: the element is negative^-1 * positive, with no common
     prefix between the two positive parts."""
 
-    negative: GroupElement
-    positive: GroupElement
+    __slots__ = ("negative", "positive")
+
+    def __init__(self, negative: GroupElement, positive: GroupElement) -> None:
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "positive", positive)
 
     def element(self) -> GroupElement:
         return self.negative.inverse() * self.positive
 
 
-@dataclass(frozen=True, slots=True)
-class PnForm:
+class PnForm(_FrozenValue):
     """pn-normal form: the element is positive * negative^-1, with no common
     suffix between the two positive parts."""
 
-    positive: GroupElement
-    negative: GroupElement
+    __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: GroupElement, negative: GroupElement) -> None:
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
     def element(self) -> GroupElement:
         return self.positive * self.negative.inverse()
@@ -496,15 +499,15 @@ def _block(ctx: GroupContext, factors: list[int]) -> GroupElement:
     return GroupElement(ctx, k, factors[k:], normalized=True)
 
 
-@dataclass(frozen=True)
-class GarsideStructure:
+class GarsideStructure(_FrozenValue):
     """The Garside structure of A_S with Garside element Delta^N."""
 
-    ctx: GroupContext
-    exponent: int = 1
+    __slots__ = ("ctx", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.exponent < 1:
+    def __init__(self, ctx: GroupContext, exponent: int = 1) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "exponent", exponent)
+        if exponent < 1:
             raise ParseError("structure exponent must be >= 1")
 
     def garside_element(self) -> GroupElement:
@@ -550,14 +553,17 @@ class GarsideStructure:
         )
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_FrozenValue):
     """A printable/serializable view of a left normal form w.r.t. Delta^N.  The
     power in `text()` counts copies of Delta^N, so only N = 1 text re-parses."""
 
-    exponent: int
-    delta_power: int
-    factor_words: tuple[tuple[int, ...], ...]
+    __slots__ = ("exponent", "delta_power", "factor_words")
+
+    def __init__(self, exponent: int, delta_power: int,
+                 factor_words: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "delta_power", delta_power)
+        object.__setattr__(self, "factor_words", factor_words)
 
     def text(self) -> str:
         head = f"Δ^{self.delta_power}"

@@ -15,10 +15,9 @@ exact on small groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .coxeter import GroupContext
+from .coxeter import GroupContext, _FrozenValue, _Value
 from .elements import GroupElement, _conjugate, _product, format_positive, format_signed_word
 from .errors import (
     BudgetExceeded,
@@ -70,10 +69,12 @@ class PairCondition(Enum):
     DISJOINT_COMMUTING = "disjoint-commuting"
 
 
-@dataclass(frozen=True)
-class AdjacencyVerdict:
-    commute: bool
-    condition: PairCondition | None
+class AdjacencyVerdict(_FrozenValue):
+    __slots__ = ("commute", "condition")
+
+    def __init__(self, commute: bool, condition: PairCondition | None) -> None:
+        object.__setattr__(self, "commute", commute)
+        object.__setattr__(self, "condition", condition)
 
 
 def _pairwise_commuting(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
@@ -114,16 +115,19 @@ def characterize_pair(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> AdjacencyVe
 # ------------------------------------------------------------ bounded searches
 
 
-@dataclass
-class Certificate:
+class Certificate(_Value):
     """Audit trail of a bounded intersection/join search."""
 
-    operation: str
-    budget: int
-    witness: str | None = None
-    candidates_examined: int = 0
-    verified_inclusions: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("operation", "budget", "witness", "candidates_examined",
+                 "verified_inclusions", "notes")
+
+    def __init__(self, operation: str, budget: int, witness: str | None = None,
+                 candidates_examined: int = 0, verified_inclusions: list[str] | None = None,
+                 notes: list[str] | None = None) -> None:
+        self.operation, self.budget = operation, budget
+        self.witness, self.candidates_examined = witness, candidates_examined
+        self.verified_inclusions = [] if verified_inclusions is None else verified_inclusions
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {
@@ -353,14 +357,14 @@ def complex_neighbors(P: ParabolicSubgroup, budget: int = 0) -> list[ParabolicSu
                                  if z != P.z and _commute(P.z, z)))
 
 
-@dataclass
-class ComplexBall:
+class ComplexBall(_Value):
     """A radius-bounded piece of the graph of irreducible parabolic subgroups."""
 
-    center: ParabolicSubgroup
-    radius: int
-    vertices: list[ParabolicSubgroup]
-    edges: list[tuple[int, int]]
+    __slots__ = ("center", "radius", "vertices", "edges")
+
+    def __init__(self, center: ParabolicSubgroup, radius: int,
+                 vertices: list[ParabolicSubgroup], edges: list[tuple[int, int]]) -> None:
+        self.center, self.radius, self.vertices, self.edges = center, radius, vertices, edges
 
     def to_json(self) -> dict:
         return {

@@ -21,10 +21,9 @@ in the context's memo and die with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .coxeter import GroupContext
+from .coxeter import GroupContext, _Value
 from .elements import GroupElement
 from .errors import BudgetExceeded, NoMinimumFound
 from .lattice import _ball_words, enumerate_parabolics
@@ -226,15 +225,15 @@ def symmetric_group_image(ctx: GroupContext, word: SignedWord):
 # ------------------------------------------------------------------- elements
 
 
-@dataclass
-class Ball:
+class Ball(_Value):
     """All distinct elements expressible by signed words of bounded length,
     each with a shortest witnessing word."""
 
-    ctx: GroupContext
-    radius: int
-    elements: list[GroupElement]
-    words: dict[GroupElement, SignedWord]
+    __slots__ = ("ctx", "radius", "elements", "words")
+
+    def __init__(self, ctx: GroupContext, radius: int, elements: list[GroupElement],
+                 words: dict[GroupElement, SignedWord]) -> None:
+        self.ctx, self.radius, self.elements, self.words = ctx, radius, elements, words
 
 
 def ball(ctx: GroupContext, radius: int) -> Ball:

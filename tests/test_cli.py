@@ -331,8 +331,12 @@ def test_bad_group_files_exit_2(tmp_path, capsys):
     code, _, err = invoke(capsys, str(no_matrix), "nf", "s1")
     assert_one_line_error(code, err)
     assert "matrix" in err
-    code, _, err = invoke(capsys, str(tmp_path / "missing.json"), "nf", "s1")
+    # The message names a missing file as it was typed.
+    missing = f"{tmp_path}/./missing.json"
+    code, _, err = invoke(capsys, missing, "nf", "s1")
     assert_one_line_error(code, err)
+    assert err == (f"error: cannot read group file {missing}: "
+                   f"[Errno 2] No such file or directory: {missing!r}\n")
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     code, _, err = invoke(capsys, str(bad_json), "nf", "s1")
@@ -475,6 +479,24 @@ def test_closed_stdout_exits_1_without_traceback():
     _, err = proc.communicate(b"s1 s2^-1 s3", timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and err == b""
+
+
+def test_import_loads_no_dataclasses_inspect_or_pathlib():
+    """Each CLI call is a fresh process, and `dataclasses` (which loads
+    `inspect`) and `pathlib` would cost more than the rest of `import
+    garside.cli`.  The interpreter runs without `site`, whose path hooks may
+    load them first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import garside, garside.cli\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = ast.literal_eval(proc.stdout)
+    assert "garside.cli" in loaded
+    assert not {"dataclasses", "inspect", "pathlib"} & set(loaded)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -5,9 +5,13 @@ import weakref
 
 import pytest
 
-from garside import CoxeterSpec, build_context, context_from_token
+from garside import (AdjacencyVerdict, ArrowType, CanonicalForm, Certificate, ComplexBall,
+                     CoxeterSpec, GarsideStructure, MixedForm, PairCondition, ParabolicSubgroup,
+                     PnForm, SummitGraph, SummitKind, TransportRecord, build_context,
+                     context_from_token, parse_word)
 from garside.coxeter import _BYTE_RANGE, _build_roots
 from garside.errors import GarsideError, NonSphericalType, ParseError
+from garside.oracle import Ball
 
 from conftest import A2XA1_MATRIX, FAMILIES, ctx, family, is_prefix, rcomp
 
@@ -450,7 +454,7 @@ def test_delta_climb_is_bounded_by_the_number_of_reflections():
     c = context_from_token("A3")
     d01 = frozenset({0, 1})
     assert d01 not in c._delta_memo
-    assert c._meet_rows[c.gens[0]] is None and c._words[c.delta] is None
+    assert c._words[c.delta] is None
     c._gen_steps[:] = [_BYTE_RANGE] * c.rank
     for climb in (
         lambda: c.delta_of(d01),
@@ -571,3 +575,95 @@ def test_root_table_matches_float_bfs(token):
     num_positive, gen_perms = _ref_build_roots(c.spec)
     assert c.num_positive == num_positive
     assert [tuple(p) for p in c._perms[:c.rank + 1]] == [tuple(range(2 * num_positive))] + gen_perms
+
+
+VALUE_TYPES = ("CoxeterSpec", "MixedForm", "PnForm", "GarsideStructure", "CanonicalForm",
+               "TransportRecord", "ArrowType", "AdjacencyVerdict", "SummitGraph", "Certificate",
+               "ComplexBall", "Ball")
+
+
+def _value_types():
+    """Each value type by name: the class, whether it is frozen, its fields in
+    order with sample values, and one field with another value."""
+    c = ctx("A3")
+
+    def w(text):
+        return parse_word(c, text)
+
+    def graph():
+        return dict(kind=SummitKind.SSS, structure=GarsideStructure(c, 1), base=w("s1"),
+                    vertices=[w("s1")], arrows=[(0, 0, w("s2"))], witnesses=[w("")],
+                    metadata={"budget": 1})
+
+    cases = [
+        (CoxeterSpec, True, lambda: dict(rank=2, matrix=((1, 3), (3, 1)), name="A2"),
+         ("name", "I2(3)")),
+        (MixedForm, True, lambda: dict(negative=w("s1"), positive=w("s2 s3")),
+         ("positive", w("s3"))),
+        (PnForm, True, lambda: dict(positive=w("s2 s3"), negative=w("s1")),
+         ("negative", w("s3"))),
+        (GarsideStructure, True, lambda: dict(ctx=c, exponent=2), ("exponent", 3)),
+        (CanonicalForm, True, lambda: dict(exponent=1, delta_power=-1, factor_words=((0, 1),)),
+         ("delta_power", 0)),
+        (TransportRecord, True, lambda: dict(v=w("s1"), w=w("s2"), x=w("s2 s1"), orbit_period=2),
+         ("orbit_period", 1)),
+        (ArrowType, True, lambda: dict(kind="ribbon", letter=1), ("letter", None)),
+        (AdjacencyVerdict, True,
+         lambda: dict(commute=True, condition=PairCondition.DISJOINT_COMMUTING),
+         ("condition", None)),
+        (SummitGraph, False, graph, ("metadata", {})),
+        (Certificate, False,
+         lambda: dict(operation="join", budget=3, witness="s1", candidates_examined=4,
+                      verified_inclusions=["P<=R"], notes=["exact"]),
+         ("witness", None)),
+        (ComplexBall, False,
+         lambda: dict(center=ParabolicSubgroup.standard(c, {0}), radius=1,
+                      vertices=[ParabolicSubgroup.standard(c, {0})], edges=[(0, 0)]),
+         ("radius", 2)),
+        (Ball, False, lambda: dict(ctx=c, radius=1, elements=[w("s1")], words={w("s1"): ((0, 1),)}),
+         ("elements", [])),
+    ]
+    return {case[0].__name__: case for case in cases}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_compare_hash_and_print_by_field(name):
+    cls, frozen, fields, (changed, other) = _value_types()[name]
+    a, b = cls(**fields()), cls(**fields())
+    assert a == b and not a != b and a is not b
+    assert a != cls(**{**fields(), changed: other})
+    assert a != tuple(fields().values())
+    assert not hasattr(a, "__dict__")
+    body = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields())
+    assert repr(a) == f"{cls.__name__}({body})"
+    if frozen:
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, changed, other)
+        assert a == b
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, changed, other)
+        assert a != b
+
+
+def test_value_types_keep_defaults_and_checks():
+    c = ctx("A3")
+    assert CoxeterSpec(1, ((1,),)).name is None and ArrowType("inside").letter is None
+    assert GarsideStructure(c).exponent == 1
+    first, second = Certificate("join", 3), Certificate(operation="join", budget=3)
+    assert (first.witness, first.candidates_examined) == (None, 0)
+    first.notes.append("note")
+    first.verified_inclusions.append("P<=R")
+    assert second.notes == [] and second.verified_inclusions == []
+    graphs = [SummitGraph(SummitKind.POSITIVE_CONJUGATES, GarsideStructure(c), None, [], [], [])
+              for _ in range(2)]
+    graphs[0].metadata["budget"] = 1
+    assert graphs[1].metadata == {}
+    with pytest.raises(ParseError, match="structure exponent must be >= 1"):
+        GarsideStructure(c, 0)
+    with pytest.raises(ParseError, match="Coxeter matrix must be symmetric"):
+        CoxeterSpec(2, ((1, 3), (4, 1)))
+    with pytest.raises(ParseError, match="rank must be positive"):
+        CoxeterSpec(0, ())

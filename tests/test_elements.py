@@ -1,5 +1,5 @@
 import random
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
 import pytest
@@ -111,6 +111,13 @@ def test_left_greedy_condition_holds():
                 assert f not in (c.identity, c.delta)
 
 
+@cache
+def _meet(c, a, b):
+    """`w_meet`, which climbs afresh on each call, kept for the session: the
+    references below meet the same pairs many times."""
+    return c.w_meet(a, b)
+
+
 def _fixpoint_normalize(c, power, factors):
     """Reference left normal form: repeat full left-to-right passes, making
     each adjacent pair left-weighted, until nothing changes."""
@@ -122,7 +129,7 @@ def _fixpoint_normalize(c, power, factors):
             x, y = fs[i], fs[i + 1]
             if y == c.identity:
                 continue
-            d = c.w_meet(rcomp(c, x), y)
+            d = _meet(c, rcomp(c, x), y)
             if d != c.identity:
                 fs[i] = c.w_mul(x, d)
                 fs[i + 1] = c.w_mul(c.w_inv(d), y)
@@ -539,7 +546,7 @@ def _strip_meet_prefix(u, v):
     x, y = u.shift(-k), v.shift(-k)
     acc = []
     while True:
-        d = c.w_meet(elements._first_simple(x), elements._first_simple(y))
+        d = _meet(c, elements._first_simple(x), elements._first_simple(y))
         if d == c.identity:
             break
         acc.append(d)
