@@ -2,13 +2,22 @@
 
 A group context holds one Coxeter presentation of spherical type together with
 tables for its finite Coxeter group W.  Elements of W are realized faithfully
-as permutations of the root system.  With at most 256 roots (every irreducible
-type but I2(m) for m > 128) a permutation is a bytes: a product is
-bytes.translate, an inverse bytes.maketrans, both in C; above 256 roots it is
-a tuple of ints.  An element is fixed by its images of the simple roots, so
-it is interned under that short key, its full permutation is built only the
-first time it is seen, and afterwards it is referred to by a small integer
-id.  Interning a new element fills, in one pass over its images
+as permutations of the root system, which is built exactly, positive roots
+only: one pass from the simple roots, each root carrying its coordinates over
+the simple roots and its coroot pairings, so a reflection changes one
+coordinate by one subtraction.  The coordinates are integers for labels 2, 3
+and 4 and lie in Z[phi], pairs of ints with phi^2 = phi + 1, for label 5 (H3,
+H4); a rank-2 component of any label m takes the closed form, its roots the
+unit vectors at angles k pi / m.  No coordinate is a float, so no root key is
+rounded.  The simple roots are numbered 0..rank-1, the positive roots come
+first, and -beta is numbered beta + N for N positive roots, since s(-beta) =
+-s(beta); nothing reads the numbering beyond that.  With at most 256 roots
+(every irreducible type but I2(m) for m > 128) a permutation is a bytes: a
+product is bytes.translate, an inverse bytes.maketrans, both in C; above 256
+roots it is a tuple of ints.  An element is fixed by its images of the
+simple roots, so it is interned under that short key, its full permutation is
+built only the first time it is seen, and afterwards it is referred to by a
+small integer id.  Interning a new element fills, in one pass over its images
 of the negative roots, the tables of its inversion set, length, left and right
 descents and support, lists indexed by id.  Inverses, tau, the left
 complement and least reduced words are memoized as they are asked for, in
@@ -35,15 +44,19 @@ from __future__ import annotations
 import math
 import re
 from functools import reduce
-from operator import mul
 
 from .errors import BudgetExceeded, GarsideError, NonSphericalType, ParseError
 
 GeneratorSet = frozenset[int]
 
-# Most roots of a context, elements of W listed, or simples scanned above one
-# atom for a summit graph, before BudgetExceeded.
+# Most elements of W listed, vertices of one summit set, or simples scanned
+# above one atom for a summit graph, before BudgetExceeded.
 ENUMERATION_BUDGET = 200_000
+
+# Most entries one climb may compose, num_positive permutations of num_roots
+# entries each, checked before any root of a context is built: I2(2000) is
+# under it and I2(10000) over it.
+_CLIMB_CAP = 10_000_000
 
 # (Order, Coxeter number) of the exceptional irreducible finite Coxeter groups.
 _EXCEPTIONAL = {
@@ -310,70 +323,152 @@ def _connected_components(vertices, spec: CoxeterSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def _build_roots(spec: CoxeterSpec, num_roots: int) -> tuple[list[int], list[tuple[int, ...]]]:
+class _Golden(tuple):
+    """a + b phi in Z[phi], phi = (1 + sqrt 5) / 2, held as the pair (a, b):
+    exact, with phi^2 = phi + 1, and hashed and compared as the pair."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return _Golden((self[0] - other[0], self[1] - other[1]))
+
+    def __mul__(self, other):
+        a, b = self
+        c, d = other
+        return _Golden((a * c + b * d, a * d + b * c + b * d))
+
+
+def _dihedral_roots(comp: tuple[int, ...], spec: CoxeterSpec) -> tuple[list[int], list[list[int]]]:
+    """The positive roots of a rank-2 component {u, v} of label m in closed
+    form: the roots are the unit vectors rho_k at angle k pi / m, k mod 2m,
+    with alpha_u = rho_0 and alpha_v = rho_(m-1), so rho_k is positive iff
+    k < m, -rho_k = rho_(k+m), s_u: k -> m - k and s_v: k -> 3m - 2 - k.
+    They are numbered alpha_u, alpha_v, rho_1, ..., rho_(m-2); the two lists
+    are as in `_exact_roots`."""
+    u, v = comp
+    m = spec.m(u, v)
+    number = [0, *range(2, m), 1]  # the number of rho_k, k < m
+    ks = [0, m - 1, *range(1, m - 1)]  # the k of each number
+    images = [[number[m - k] if k else m for k in ks],
+              [number[m - 2 - k] if k < m - 1 else m + 1 for k in ks]]
+    return [1 << u, 1 << v] + [1 << u | 1 << v] * (m - 2), images
+
+
+def _exact_roots(comp: tuple[int, ...], spec: CoxeterSpec, count: int
+                 ) -> tuple[list[int], list[list[int]]]:
+    """The `count` positive roots of an irreducible component of rank 1 or at
+    least 3 (labels 3, 4 and 5), by one exact pass from the simple roots.
+
+    Returns their supports, as bitmasks of generators, and for each a in
+    comp the list of the numbers of s_a(beta) over the positive roots beta,
+    numbered in order of discovery, the simple roots first; -beta is
+    numbered beta + (the number of positive roots).
+
+    A root beta is held as its coordinates over the simple roots and its
+    coroot pairings p_b = <beta, alpha_b^v>: s_a(beta) = beta - p_a alpha_a
+    changes coordinate a alone, s_a fixes beta iff p_a = 0, and
+    <s_a(beta), alpha_b^v> = p_b - p_a <alpha_a, alpha_b^v>.  s_a permutes
+    the positive roots other than alpha_a, and each positive root is reached
+    from a simple one through positive roots, so the pass never leaves them.
+    The pairings of the simple roots are the Cartan matrix.  With labels 3
+    and 4 (A, B, D, E, F) its entries are integers once the squared lengths
+    are fixed along the tree: 1 at comp[0], equal across a 3-edge, in ratio
+    2 across a 4-edge.  With label 5 (H3, H4) all roots have length 1 and
+    the entries lie in Z[phi], as 2 cos(pi / 5) = phi (Humphreys, Reflection
+    Groups and Coxeter Groups, 2.9 and 5.3).  So every coordinate is exact,
+    and the roots are keyed by their coordinates with nothing rounded.  A
+    fault that made the pass find more roots than `count` would make it run
+    without end, so it raises GarsideError there."""
+    k = len(comp)
+    labels = [[spec.matrix[x][y] for y in comp] for x in comp]
+    golden = any(5 in row for row in labels)
+    scalar = (lambda c: _Golden((c, 0))) if golden else int
+    lengths, stack = [1] + [0] * (k - 1), [0]
+    while stack:
+        a = stack.pop()
+        for b, m in enumerate(labels[a]):
+            if not lengths[b] and m > 2:
+                lengths[b] = 3 - lengths[a] if m == 4 else lengths[a]
+                stack.append(b)
+
+    def cartan(a: int, b: int):
+        """<alpha_a, alpha_b^v> = 2 (alpha_a, alpha_b) / (alpha_b, alpha_b)."""
+        m = labels[a][b]
+        if m == 5:
+            return _Golden((0, -1))  # -phi
+        return scalar(2 if m == 1 else 0 if m == 2 else -max(1, lengths[a] // lengths[b]))
+
+    zero = scalar(0)
+    rows = [[cartan(a, b) for b in range(k)] for a in range(k)]
+    roots = [tuple(scalar(int(b == a)) for b in range(k)) for a in range(k)]
+    pairings, supps = list(rows), [1 << x for x in comp]
+    index = {v: r for r, v in enumerate(roots)}
+    images = [[] for _ in comp]
+    for r, v in enumerate(roots):  # roots grows as the pass finds them
+        p = pairings[r]
+        for a, row in enumerate(images):
+            pa = p[a]
+            if pa == zero:
+                row.append(r)
+            elif r == a:
+                row.append(None)  # -alpha_a, numbered once the roots are counted
+            else:
+                c = v[a] - pa
+                w = v[:a] + (c,) + v[a + 1:]
+                j = index.get(w)
+                if j is None:
+                    if len(roots) == count:
+                        raise GarsideError(f"root pass passed the {count} positive roots "
+                                           f"of component {list(comp)}")
+                    j = index[w] = len(roots)
+                    roots.append(w)
+                    pairings.append([q - pa * e for q, e in zip(p, rows[a])])
+                    bit = 1 << comp[a]
+                    supps.append(supps[r] | bit if c != zero else supps[r] & ~bit)
+                row.append(j)
+    for a, row in enumerate(images):
+        row[a] = a + len(roots)
+    return supps, images
+
+
+def _build_roots(spec: CoxeterSpec, components: list[tuple[int, ...]],
+                 types: list[tuple[str, int, int]]) -> tuple[list[int], list[list[int]]]:
     """The supports of the positive roots, as bitmasks of generators, and the
-    permutations of all the roots by the generators; `num_roots` is the size
-    of the root system.
+    permutations of all the roots by the generators.
 
-    One depth-first pass over the roots, from the simple roots, fills the
-    table of their images under the generators as it finds them: s_i moves
-    only coordinate i, so only that entry of the rounded key changes, and
-    s_i fixes the root when that entry stays.  The pass stops once it finds
-    more roots than there are: past about I2(10000) the rounded keys of one
-    root stop matching and it would grow without end."""
-    n = spec.rank
-    # Columns of the Gram matrix of the reflection representation,
-    # unit-length simple roots.
-    cols = [
-        [1.0 if i == j else -math.cos(math.pi / spec.m(j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-    roots = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
-    keys = [tuple(round(c, 9) for c in v) for v in roots]
-    index = {k: r for r, k in enumerate(keys)}
-    images = [[0] * n for _ in roots]  # images[r][i]: the root s_i(root r)
-    frontier = list(range(n))
-    while frontier:
-        r = frontier.pop()
-        v, k, row = roots[r], keys[r], images[r]
-        for i in range(n):
-            c = v[i] - 2.0 * sum(map(mul, v, cols[i]))
-            ci = round(c, 9)
-            if ci == k[i]:
-                row[i] = r
-                continue
-            wk = k[:i] + (ci,) + k[i + 1:]
-            j = index.get(wk)
-            if j is None:
-                j = index[wk] = len(roots)
-                if j == num_roots:
-                    raise GarsideError(
-                        f"{spec.name or f'rank-{n} matrix'}: root enumeration passed the "
-                        f"{num_roots} roots of the group; floating-point keys no longer match"
-                    )
-                w = list(v)
-                w[i] = c
-                roots.append(w)
-                keys.append(wk)
-                images.append([0] * n)
-                frontier.append(j)
-            row[i] = j
-
-    positive = [all(c >= -1e-7 for c in v) for v in roots]
-    assert len(roots) == num_roots == 2 * sum(positive), "root system must have its size"
-    order = sorted(range(num_roots), key=lambda r: not positive[r])
-    root_supps = [sum(1 << i for i, c in enumerate(keys[r]) if c) for r in order[:num_roots // 2]]
-    # The simple roots keep indices 0..n-1, ahead of the other positive roots.
-    new = [0] * num_roots
-    for p, r in enumerate(order):
-        new[r] = p
-    return root_supps, [tuple(new[images[r][i]] for r in order) for i in range(n)]
+    Each component's positive roots come from `_dihedral_roots` at rank 2
+    and `_exact_roots` otherwise; `types` are the components' classes.  The
+    simple roots are numbered 0..rank-1, then come the other positive roots,
+    component by component, then the negative roots, -beta numbered beta + N
+    for N positive roots: s(-beta) = -s(beta), so each generator's images of
+    the negative roots are its images of the positive ones, negated."""
+    supps = [1 << s for s in range(spec.rank)]
+    parts = []
+    for comp, kind in zip(components, types):
+        if len(comp) == 2:
+            local_supps, images = _dihedral_roots(comp, spec)
+        else:
+            local_supps, images = _exact_roots(comp, spec, _component_roots(*kind) // 2)
+        first = len(supps)
+        supps += local_supps[len(comp):]
+        parts.append((comp, [*comp, *range(first, len(supps))], images))
+    n = len(supps)
+    perms = [list(range(n)) for _ in range(spec.rank)]
+    for comp, number, images in parts:
+        number += [r + n for r in number]
+        for s, row in zip(comp, images):
+            perm = perms[s]
+            for r, image in zip(number, row):
+                perm[r] = number[image]
+    return supps, [p + [r + n if r < n else r - n for r in p] for p in perms]
 
 
 class GroupContext:
     """Shared read-only data for one Artin-Tits group of spherical type.
 
-    Holds the root system of the Coxeter group W, the interned permutation
+    Holds the root system of the Coxeter group W, built exactly by
+    `_build_roots` (integer or Z[phi] coordinates, or the closed form of a
+    rank-2 component; nothing rounded), the interned permutation
     table for elements of W (grown as elements are met), the tables of facts
     about each element that interning fills, the Garside element of every
     standard parabolic subgroup, and the memoized W-level operations that the
@@ -383,7 +478,8 @@ class GroupContext:
     tau is read off Delta's permutation.
 
     `_perms[a]` is the permutation of the 2N roots (N = `num_positive`, the
-    positive roots first, the simple roots at 0..rank-1) by element a: a bytes
+    positive roots first, the simple roots at 0..rank-1, -beta numbered
+    beta + N) by element a: a bytes
     of length 2N when 2N <= 256, a tuple otherwise.  With `_pad` the bytes
     2N..255, `pa + _pad` is a 256-entry translation table, so a * b is
     `pb.translate(pa + _pad)` and a^-1 is the first 2N bytes of
@@ -437,13 +533,15 @@ class GroupContext:
         )
 
         num_roots = sum(_component_roots(*t) for t in self.component_types)
-        if num_roots > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"{spec.name or f'rank-{self.rank} matrix'}: {num_roots} roots exceed "
-                f"enumeration budget {ENUMERATION_BUDGET}"
-            )
         self.num_positive = num_roots // 2
-        self._root_supps, gen_perms = _build_roots(spec, num_roots)
+        if self.num_positive * num_roots > _CLIMB_CAP:
+            raise BudgetExceeded(
+                f"{spec.name or f'rank-{self.rank} matrix'}: {self.num_positive} positive "
+                f"roots times {num_roots} roots exceed the climb cap {_CLIMB_CAP}"
+            )
+        self._root_supps, gen_perms = _build_roots(
+            spec, self.components_of_s, self.component_types)
+        assert len(self._root_supps) == self.num_positive, "root system must have its size"
         self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
         # The binary digit of each root for `_rcomp_roots`: b"1" for a
         # positive root, b"0" for a negative one.
@@ -480,8 +578,9 @@ class GroupContext:
 
         self.delta = self.delta_of(frozenset(range(self.rank)))
         self.delta_length = self.lengths[self.delta]
-        tau_on_s = self.delta_permutation(frozenset(range(self.rank)))
-        self.tau_order = 1 if all(tau_on_s[s] == s for s in tau_on_s) else 2
+        # tau is trivial iff Delta sends each alpha_s to -alpha_s, numbered s + N.
+        delta_perm, n = self._perms[self.delta], self.num_positive
+        self.tau_order = 1 if all(delta_perm[s] == s + n for s in range(self.rank)) else 2
 
     # ------------------------------------------------------- W element algebra
 
@@ -718,12 +817,11 @@ class GroupContext:
         """The permutation s -> Delta_X^-1 s Delta_X of the letters of X.
 
         Delta_X is an involution sending alpha_s to -alpha_t for some t in X,
-        and Delta_X s Delta_X is the reflection in that root, t; the image of
-        alpha_t under t, `_perms[gens[t]][t]`, is the index of -alpha_t."""
+        and Delta_X s Delta_X is the reflection in that root, t; -alpha_t is
+        numbered t + N."""
         X = self._check_subset(X)
         perm = self._perms[self.delta_of(X)]
-        negatives = {self._perms[self.gens[t]][t]: t for t in X}
-        return {s: negatives[perm[s]] for s in X}
+        return {s: perm[s] - self.num_positive for s in X}
 
     def components(self, X: GeneratorSet) -> list[GeneratorSet]:
         """Connected components of the Coxeter graph restricted to X."""

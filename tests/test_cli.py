@@ -156,11 +156,18 @@ def test_config_matrix_and_rank_cap(tmp_path, capsys):
     assert code == 1 and "cap" in err
 
 
-def test_root_enumeration_that_never_closes_exits_1(capsys):
+def test_dihedral_label_past_the_climb_cap_exits_3(capsys):
+    # Every label under the cap builds, those whose float root keys stopped
+    # matching among them; past it the context is refused at once.
+    for label in (215, 437):
+        code, out, _ = invoke(capsys, f"I2({label})", "nf", "s1 s2")
+        assert code == 0 and out.strip() == "Δ^0 · (s1 s2)"
+    start = time.process_time()
     code, out, err = invoke(capsys, "I2(10000)", "nf", "s1")
+    assert time.process_time() - start < 1
     lines = err.strip().splitlines()
-    assert code == 1 and out == ""
-    assert len(lines) == 1 and lines[0].startswith("error: I2(10000): root enumeration")
+    assert code == 3 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("budget exhausted: I2(10000): ")
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
@@ -542,6 +549,49 @@ def test_readme_library_tour():
         assert eval(expression, namespace) == expected, line
         checked.append(expected)
     assert checked == [(6, 18)]
+
+
+def _readme_table(first_header):
+    """The rows of the README table whose first column is headed as given,
+    as {first cell without backquotes: second cell as an int}."""
+    section = README.read_text(encoding="utf-8").split(f"| {first_header} |", 1)[1]
+    table = section.split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([\d,]+) \|", table, re.M)
+    return {name: int(value.replace(",", "")) for name, value in rows}
+
+
+def test_readme_option_and_oracle_tables_match_the_code(capsys, monkeypatch):
+    """Each default in the README's option table is the parser's default or
+    the budget a command reports or passes on when no --budget is given, and
+    each default in its oracle-parameter table is the keyword default."""
+    import inspect
+
+    from garside import lattice, oracle
+
+    options = _readme_table("Option")
+    assert set(options) == {"intersect --budget", "join --budget", "complex-ball --budget",
+                            "summit --power-bound"}
+    assert build_parser().parse_args(["A3", "summit", "s1"]).power_bound \
+        == options["summit --power-bound"]
+    for command, subgroups in (("intersect", ("s1,s2", "s2,s3")), ("join", ("s1", "s3"))):
+        code, out, _ = invoke(capsys, "A3", command, *subgroups, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["certificate"]["budget"] == options[f"{command} --budget"]
+    budgets = []
+    complex_ball = lattice.complex_ball
+    monkeypatch.setattr(lattice, "complex_ball",
+                        lambda P, radius, budget: budgets.append(budget)
+                        or complex_ball(P, radius, budget))
+    assert invoke(capsys, "A3", "complex-ball", "s1", "--radius", "0")[0] == 0
+    assert budgets == [options["complex-ball --budget"]]
+
+    parameters = _readme_table("Oracle parameter")
+    defaults = {}
+    for name in ("closure_oracle", "enumerate_simples", "intersect_oracle"):
+        for parameter in inspect.signature(getattr(oracle, name)).parameters.values():
+            if parameter.default is not parameter.empty:
+                defaults[f"{name}({parameter.name}=)"] = parameter.default
+    assert parameters == defaults
 
 
 def test_readme_bounds_ledger_has_one_row_per_cap():

@@ -9,8 +9,9 @@ from garside import (AdjacencyVerdict, ArrowType, CanonicalForm, Certificate, Co
                      CoxeterSpec, GarsideStructure, MixedForm, PairCondition, ParabolicSubgroup,
                      PnForm, SummitGraph, SummitKind, TransportRecord, build_context,
                      context_from_token, parse_word)
-from garside.coxeter import _BYTE_RANGE, _build_roots
-from garside.errors import GarsideError, NonSphericalType, ParseError
+from garside import coxeter
+from garside.coxeter import _BYTE_RANGE
+from garside.errors import BudgetExceeded, GarsideError, NonSphericalType, ParseError
 from garside.oracle import Ball
 
 from conftest import A2XA1_MATRIX, FAMILIES, ctx, family, is_prefix, rcomp
@@ -436,15 +437,33 @@ def test_all_elements_writes_no_memo(token):
     assert all(c.w_word(a) == c._climb(c.nsets[a])[1] for a in found)
 
 
-def test_root_enumeration_stops_at_the_size_of_the_root_system():
-    # The rounded keys of I2(10000) stop matching, so the pass would grow
-    # without end; it stops once it passes the 20,000 roots there are.
+def test_climb_cap_refuses_a_context_before_building_roots(monkeypatch):
+    # I2(10000) has 10,000 positive roots of 20,000 entries each, past the
+    # cap: refused at once, though its roots would build exactly.
     start = time.process_time()
-    with pytest.raises(GarsideError, match=r"^I2\(10000\): root enumeration passed the 20000 roots"):
+    with pytest.raises(BudgetExceeded, match=r"^I2\(10000\): 10000 positive roots times "
+                                             r"20000 roots exceed the climb cap 10000000$"):
         context_from_token("I2(10000)")
-    assert time.process_time() - start < 5
-    root_supps, gen_perms = _build_roots(CoxeterSpec.from_token("I2(8000)"), 16000)
-    assert len(root_supps) == 8000 and [len(p) for p in gen_perms] == [16000, 16000]
+    assert time.process_time() - start < 1
+    # The cap bounds num_positive * num_roots: I2(5) has 5 * 10.
+    monkeypatch.setattr(coxeter, "_CLIMB_CAP", 50)
+    assert context_from_token("I2(5)").num_positive == 5
+    monkeypatch.setattr(coxeter, "_CLIMB_CAP", 49)
+    with pytest.raises(BudgetExceeded):
+        context_from_token("I2(5)")
+
+
+def test_root_pass_stops_past_its_count_of_roots():
+    # A pass that finds more roots than its component has raises instead of
+    # running on: with a count too small for A3, and on the affine matrix of
+    # type A2~, whose roots never end.
+    a3 = CoxeterSpec.from_token("A3")
+    assert len(coxeter._exact_roots((0, 1, 2), a3, 6)[0]) == 6
+    with pytest.raises(GarsideError, match=r"passed the 5 positive roots of component \[0, 1, 2\]"):
+        coxeter._exact_roots((0, 1, 2), a3, 5)
+    affine = CoxeterSpec.from_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    with pytest.raises(GarsideError, match="passed the 1000 positive roots"):
+        coxeter._exact_roots((0, 1, 2), affine, 1000)
 
 
 def test_delta_climb_is_bounded_by_the_number_of_reflections():
@@ -522,23 +541,34 @@ def test_context_has_slots_and_weak_references():
     assert weakref.ref(c)() is c
 
 
-def _ref_build_roots(spec):
-    """The float BFS over the roots that the context ran before it filled the
-    generator table in the same pass: (num_positive, generator permutations)."""
+def _float_reflection(spec):
+    """The reflection s_i of a float vector over the unit-length simple
+    roots: v - 2 (v, alpha_i) alpha_i."""
     n = spec.rank
     gram = [
         [1.0 if i == j else -math.cos(math.pi / spec.m(i, j)) for j in range(n)]
         for i in range(n)
     ]
 
-    def key(vec):
-        return tuple(round(c, 9) for c in vec)
-
     def reflect(vec, i):
         scale = 2.0 * sum(vec[j] * gram[j][i] for j in range(n))
         out = list(vec)
         out[i] -= scale
         return tuple(out)
+
+    return reflect
+
+
+def _ref_build_roots(spec):
+    """The float BFS over the roots, keyed by 9-digit rounding, that the
+    context ran before the exact pass: the roots as vectors over the simple
+    roots, positive first and the simple roots at 0..rank-1, and the
+    generator permutations."""
+    n = spec.rank
+    reflect = _float_reflection(spec)
+
+    def key(vec):
+        return tuple(round(c, 9) for c in vec)
 
     simple = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
     index, roots, frontier = {}, [], []
@@ -558,23 +588,58 @@ def _ref_build_roots(spec):
     order = [i for i, p in enumerate(positive) if p] + [i for i, p in enumerate(positive) if not p]
     roots = [roots[i] for i in order]
     index = {key(v): i for i, v in enumerate(roots)}
-    perms = [tuple(index[key(reflect(v, i))] for v in roots) for i in range(n)]
-    return sum(positive), perms
+    return roots, [tuple(index[key(reflect(v, i))] for v in roots) for i in range(n)]
+
+
+_PRODUCT_MATRICES = {
+    "A2xA1": A2XA1_MATRIX,
+    # s1, s4 of label 5; s2 - s3 - s5 with labels 5 and 3.
+    "I2(5)xH3": [[1, 2, 2, 5, 2], [2, 1, 5, 2, 2], [2, 5, 1, 2, 3], [5, 2, 2, 1, 2],
+                 [2, 2, 3, 2, 1]],
+}
 
 
 @pytest.mark.parametrize("token", [
-    "A1", "A4", "B4", "D5", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(8)", "A2xA1",
+    "A1", "A4", "B4", "B6", "D5", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(8)", "I2(129)",
+    "A2xA1", "I2(5)xH3",
 ])
 def test_root_table_matches_float_bfs(token):
-    # One pass fills the generator table; the root numbering, and so every
-    # permutation, must be the one the two-pass BFS gave.
-    if token == "A2xA1":
-        c = build_context(CoxeterSpec.from_matrix(A2XA1_MATRIX, name=token))
+    # Each exact root r, evaluated as a float vector w(alpha_s) by following
+    # the generator table from a simple root, is one of the reference roots,
+    # one to one, with the simple roots fixed and the positive roots first;
+    # the generators permute both alike, and the supports are the nonzero
+    # coordinates.  I2(5)xH3 interleaves its components' generators.
+    if token in _PRODUCT_MATRICES:
+        c = build_context(CoxeterSpec.from_matrix(_PRODUCT_MATRICES[token], name=token))
     else:
         c = context_from_token(token)
-    num_positive, gen_perms = _ref_build_roots(c.spec)
-    assert c.num_positive == num_positive
-    assert [tuple(p) for p in c._perms[:c.rank + 1]] == [tuple(range(2 * num_positive))] + gen_perms
+    ref_roots, ref_perms = _ref_build_roots(c.spec)
+    n, size, reflect = c.num_positive, 2 * c.num_positive, _float_reflection(c.spec)
+    assert len(ref_roots) == size
+    perms = [c._perms[g] for g in c.gens]
+    vecs = [tuple(1.0 if j == i else 0.0 for j in range(c.rank)) for i in range(c.rank)]
+    vecs += [None] * (size - c.rank)
+    frontier = list(range(c.rank))
+    while frontier:
+        r = frontier.pop()
+        for i, perm in enumerate(perms):
+            v = reflect(vecs[r], i)
+            if vecs[perm[r]] is None:
+                vecs[perm[r]] = v
+                frontier.append(perm[r])
+            assert max(abs(x - y) for x, y in zip(vecs[perm[r]], v)) < 1e-9
+    match = []
+    for v in vecs:
+        near = [j for j, u in enumerate(ref_roots) if max(abs(x - y) for x, y in zip(u, v)) < 1e-9]
+        assert len(near) == 1
+        match.append(near[0])
+    assert sorted(match) == list(range(size))
+    assert match[:c.rank] == list(range(c.rank))
+    assert all((r < n) == (j < n) for r, j in enumerate(match))
+    assert all(ref[match[r]] == match[perm[r]]
+               for perm, ref in zip(perms, ref_perms) for r in range(size))
+    assert c._root_supps == [sum(1 << i for i, x in enumerate(v) if abs(x) > 1e-9)
+                             for v in vecs[:n]]
 
 
 VALUE_TYPES = ("CoxeterSpec", "MixedForm", "PnForm", "GarsideStructure", "CanonicalForm",

@@ -688,6 +688,19 @@ def test_np_pn_round_trip_and_disjointness():
             assert _share_no_atom(f.positive.reverse(), f.negative.reverse())
 
 
+def test_large_dihedral_labels_build_exactly():
+    # Seeded labels with tuple permutations (m > 128) up to 2000, where the
+    # float root keys of the past stopped matching for some: Delta has length
+    # m, tau is trivial iff m is even, and the np and pn forms round trip.
+    rng = random.Random("I2(m), 129 <= m <= 2000")
+    for m in sorted(rng.sample(range(129, 2001), 5)):
+        c = build_context(CoxeterSpec.from_token(f"I2({m})"))
+        assert c.delta_length == m and c.tau_order == (1 if m % 2 == 0 else 2), m
+        for _ in range(8):
+            u = random_element(c, rng, 12)
+            assert np_normal_form(u).element() == u and pn_normal_form(u).element() == u, m
+
+
 def test_np_regrouping_makes_parts_simple():
     rng = random.Random(14)
     c = ctx("A3")
