@@ -32,9 +32,11 @@ product x y, and the product row holds it.
 A meet, a least reduced word and a longest element Delta_X are all the
 element whose inversion set, a bitmask of positive roots, one greedy climb
 fills: u is a prefix of w iff N(u) is inside N(w) (Bjorner & Brenti,
-Combinatorics of Coxeter Groups, Prop. 3.1.3).  The climb composes raw
-permutations and interns at most the element it ends on, so building a context
-interns only 1, the generators and Delta.  Everything is immutable after
+Combinatorics of Coxeter Groups, Prop. 3.1.3).  The one exception is the
+longest element of a rank-2 component of W, which the closed form gives
+directly.  The climb composes raw permutations and interns at most the
+element it ends on, so building a context interns only 1, the generators
+and Delta.  Everything is immutable after
 construction apart from the tables, which only grow, and all operations are
 pure.
 """
@@ -343,14 +345,18 @@ def _dihedral_roots(comp: tuple[int, ...], spec: CoxeterSpec) -> tuple[list[int]
     form: the roots are the unit vectors rho_k at angle k pi / m, k mod 2m,
     with alpha_u = rho_0 and alpha_v = rho_(m-1), so rho_k is positive iff
     k < m, -rho_k = rho_(k+m), s_u: k -> m - k and s_v: k -> 3m - 2 - k.
-    They are numbered alpha_u, alpha_v, rho_1, ..., rho_(m-2); the two lists
-    are as in `_exact_roots`."""
+    They are numbered alpha_u, alpha_v, rho_1, ..., rho_(m-2); the lists
+    are as in `_exact_roots`, with a third row of images: those under the
+    longest element Delta = s_u s_v s_u ... (m letters).  s_u s_v is the
+    rotation k -> k + 2, so Delta is -1, k -> k + m, for even m, and the
+    reflection k -> 2m - 1 - k for odd m."""
     u, v = comp
     m = spec.m(u, v)
     number = [0, *range(2, m), 1]  # the number of rho_k, k < m
     ks = [0, m - 1, *range(1, m - 1)]  # the k of each number
     images = [[number[m - k] if k else m for k in ks],
-              [number[m - 2 - k] if k < m - 1 else m + 1 for k in ks]]
+              [number[m - 2 - k] if k < m - 1 else m + 1 for k in ks],
+              [number[m - 1 - k if m % 2 else k] + m for k in ks]]
     return [1 << u, 1 << v] + [1 << u | 1 << v] * (m - 2), images
 
 
@@ -432,9 +438,11 @@ def _exact_roots(comp: tuple[int, ...], spec: CoxeterSpec, count: int
 
 
 def _build_roots(spec: CoxeterSpec, components: list[tuple[int, ...]],
-                 types: list[tuple[str, int, int]]) -> tuple[list[int], list[list[int]]]:
-    """The supports of the positive roots, as bitmasks of generators, and the
-    permutations of all the roots by the generators.
+                 types: list[tuple[str, int, int]]
+                 ) -> tuple[list[int], list[list[int]], dict[int, list[int]]]:
+    """The supports of the positive roots, as bitmasks of generators, the
+    permutations of all the roots by the generators, and the permutation by
+    the longest element of each rank-2 component, keyed by its bitmask.
 
     Each component's positive roots come from `_dihedral_roots` at rank 2
     and `_exact_roots` otherwise; `types` are the components' classes.  The
@@ -454,13 +462,22 @@ def _build_roots(spec: CoxeterSpec, components: list[tuple[int, ...]],
         parts.append((comp, [*comp, *range(first, len(supps))], images))
     n = len(supps)
     perms = [list(range(n)) for _ in range(spec.rank)]
+    deltas = {}
     for comp, number, images in parts:
         number += [r + n for r in number]
-        for s, row in zip(comp, images):
-            perm = perms[s]
+        targets = [perms[s] for s in comp]
+        if len(images) > len(comp):  # the Delta row of a rank-2 component
+            targets.append(list(range(n)))
+            deltas[sum(1 << s for s in comp)] = targets[-1]
+        for perm, row in zip(targets, images):
             for r, image in zip(number, row):
                 perm[r] = number[image]
-    return supps, [p + [r + n if r < n else r - n for r in p] for p in perms]
+
+    def with_negatives(p):
+        return p + [r + n if r < n else r - n for r in p]
+
+    return (supps, [with_negatives(p) for p in perms],
+            {c: with_negatives(p) for c, p in deltas.items()})
 
 
 class GroupContext:
@@ -474,8 +491,10 @@ class GroupContext:
     standard parabolic subgroup, and the memoized W-level operations that the
     normal-form engine is built from.  Meets, the d of each left-weighting
     step among them, least words and each Delta_X come from one climb,
-    `_climb`, so construction interns only 1, the generators and Delta, and
-    tau is read off Delta's permutation.
+    `_climb`, but for the rank-2 components of W, whose Deltas come in
+    closed form from `_build_roots` (`_dihedral_deltas`, raw permutations
+    keyed by the component's bitmask); construction interns only 1, the
+    generators and Delta, and tau is read off Delta's permutation.
 
     `_perms[a]` is the permutation of the 2N roots (N = `num_positive`, the
     positive roots first, the simple roots at 0..rank-1, -beta numbered
@@ -511,8 +530,8 @@ class GroupContext:
         "nsets", "lengths", "ldescs", "rdescs", "supps",
         "_mul_rows", "_step_rows", "_step_tails",
         "_invs", "_taus", "_lcomps", "_words", "_gen_steps",
-        "_mask_sets", "_delta_memo", "_all_elements", "memo", "delta", "delta_length",
-        "tau_order", "__weakref__",
+        "_mask_sets", "_dihedral_deltas", "_delta_memo", "_all_elements", "memo",
+        "delta", "delta_length", "tau_order", "__weakref__",
     )
 
     DEFAULT_RANK_CAP = 10
@@ -539,7 +558,7 @@ class GroupContext:
                 f"{spec.name or f'rank-{self.rank} matrix'}: {self.num_positive} positive "
                 f"roots times {num_roots} roots exceed the climb cap {_CLIMB_CAP}"
             )
-        self._root_supps, gen_perms = _build_roots(
+        self._root_supps, gen_perms, deltas = _build_roots(
             spec, self.components_of_s, self.component_types)
         assert len(self._root_supps) == self.num_positive, "root system must have its size"
         self._pad = bytes(range(num_roots, 256)) if num_roots <= 256 else None
@@ -568,6 +587,7 @@ class GroupContext:
         self.gens = [self._intern(perm_type(p)) for p in gen_perms]
         # The generator permutations as _climb composes them.
         self._gen_steps = [p if self._pad is None else bytes(p) + self._pad for p in gen_perms]
+        self._dihedral_deltas = {c: perm_type(p) for c, p in deltas.items()}
         self._mask_sets: dict[int, frozenset[int]] = {}
         self._delta_memo: dict[GeneratorSet, int] = {}
         self._all_elements: list[int] | None = None
@@ -800,14 +820,26 @@ class GroupContext:
     def delta_of(self, X: GeneratorSet) -> int:
         """The longest element of W_X (the Garside element of A_X); 0 for empty X.
 
-        Its inversion set is the positive roots of W_X, those whose support
-        lies in X, and the climb fills exactly that set."""
+        Delta_X is the product of the longest elements of the components of
+        X, which commute.  A rank-2 component of W inside X takes its closed
+        form from `_build_roots`; the rest, Delta_Y for the other letters Y,
+        has for inversion set the positive roots of W_Y, those whose support
+        lies in Y, and the climb fills exactly that set.  Only the product is
+        interned."""
         X = self._check_subset(X)
         out = self._delta_memo.get(X)
         if out is None:
-            inside = sum(1 << s for s in X)
-            roots = sum(1 << r for r, supp in enumerate(self._root_supps) if not supp & ~inside)
-            out = self._delta_memo[X] = self._intern(self._climb(roots)[0])
+            inside, perm = sum(1 << s for s in X), None
+            for comp, d in self._dihedral_deltas.items():
+                if not comp & ~inside:
+                    inside &= ~comp
+                    perm = d if perm is None else self._compose(perm, d)
+            if inside or perm is None:
+                roots = sum(1 << r for r, supp in enumerate(self._root_supps)
+                            if not supp & ~inside)
+                d = self._climb(roots)[0]
+                perm = d if perm is None else self._compose(perm, d)
+            out = self._delta_memo[X] = self._intern(perm)
         return out
 
     def delta_length_of(self, X: GeneratorSet) -> int:

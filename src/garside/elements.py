@@ -15,7 +15,9 @@ power, twisting each factor once by the parity of the Deltas to its right.
 The mixed normal forms are cuts of the left normal form, and so are the
 lattice operations: a prefix meet or join of u and v is read off the np or
 pn form of the one quotient u^-1 v, a suffix join off the np form of v u^-1,
-and the suffix meet goes through the word-reversing anti-automorphism.
+and the suffix meet goes through the word-reversing anti-automorphism.  The
+support, the letters of the np form, needs no cut: `support` reads it off
+the context's support table, factor by factor, and builds no element.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ def _inverse_factors(g: "GroupElement", shift: int = 0) -> list[int]:
 def _conjugate(u: "GroupElement", g: "GroupElement", inverse_first: bool = True) -> "GroupElement":
     """g^-1 u g, or g u g^-1 when not inverse_first, with one normalization as
     in `_product`.  g^-1 is never built: its power and its twisted complements
-    go straight into the factor list."""
+    go straight into the factor list.  Elements are immutable, so conjugation
+    by the identity returns u itself."""
+    if not g.power and not g.factors:
+        return u
     ctx, p, q = u.ctx, g.power, -g.power - len(g.factors)  # q: the power of g^-1
     if inverse_first:
         parts = [*_inverse_factors(g, u.power + p), *_twisted(ctx, u.factors, p), *g.factors]
@@ -473,21 +478,31 @@ def pn_normal_form(u: GroupElement) -> PnForm:
     return PnForm(m.positive.reverse(), m.negative.reverse())
 
 
-def _support_mask(u: GroupElement) -> int:
-    ctx = u.ctx
-    assert u.is_positive(), "support of a raw factor list needs a positive element"
-    mask = (1 << ctx.rank) - 1 if u.power > 0 else 0
-    for f in u.factors:
-        mask |= ctx.supps[f]
-    return mask
-
-
 def support(u: GroupElement) -> GeneratorSet:
-    """Generators of the np-normal form of u; the context's one set for them."""
-    if u.power >= 0:
-        return u.ctx.mask_set(_support_mask(u))
-    m = np_normal_form(u)
-    return u.ctx.mask_set(_support_mask(m.negative) | _support_mask(m.positive))
+    """The generators of the np-normal form of u, read off the factor tables;
+    the context's one set for them.
+
+    Take u = Delta^p x_1 ... x_r and k = max(-p, 0).  The np form is
+    head^-1 tail with head^-1 = (Delta^-k x_1 ... x_k)^-1 and tail =
+    Delta^(p + k) x_(k+1) ... x_r (see `np_normal_form`).  When p > 0 the
+    tail holds Delta, and when k > r so does head^-1, whose power is k - r:
+    the support is every generator.  Otherwise head^-1 has power 0 and the
+    factors tau^(k-j+1)(lcomp(x_j)), j <= k (see `_inverse_factors`), the
+    tail has power 0 and the factors x_j, j > k, and the support of a
+    positive element is the union of its factors' supports.  No element is
+    built."""
+    ctx, p, fs = u.ctx, u.power, u.factors
+    if p > 0 or -p > len(fs):
+        return ctx.mask_set((1 << ctx.rank) - 1)
+    supps, mask = ctx.supps, 0
+    if p:  # k = -p
+        lcomp, tau_pow = ctx.w_lcomp, ctx.w_tau_pow
+        for j in range(-p):
+            mask |= supps[tau_pow(lcomp(fs[j]), -p - j)]
+        fs = fs[-p:]
+    for f in fs:
+        mask |= supps[f]
+    return ctx.mask_set(mask)
 
 
 # ------------------------------------------------------------ Delta^N structures

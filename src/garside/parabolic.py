@@ -5,14 +5,17 @@ generator z of (the relevant power of) its center, conjugate of Delta_X or
 Delta_X^2.  Conjugation moves z exactly as it moves the subgroup, and the
 subgroup is the parabolic closure of z, so z is its identity: each context
 keeps one live object per central element, and every constructor looks z up
-there before any work.  On a miss, the negative part of the pn-normal form of
+there before any work, under z's raw (power, factors) pair; a standard
+subgroup A_X is looked up under the memoized pair of z_X, so a hit builds no
+element.  On a miss, the negative part of the pn-normal form of
 z is the minimal positive element standardizing the subgroup, and the
 subgroup is stored re-based through it, which makes equality and
 serialization canonical.
 
 The parabolic closure of u is read off its support when u or u^-1 is
-positive; otherwise it comes from a positive conjugate found by cycling u or
-u^-1, and only failing that from the element of i-infinity.
+positive, with no element built when the subgroup is live; otherwise it
+comes from a positive conjugate found by cycling u or u^-1, and only failing
+that from the element of i-infinity.
 """
 
 from __future__ import annotations
@@ -44,18 +47,23 @@ __all__ = [
 ]
 
 
-def central_element_of_standard(ctx: GroupContext, X) -> GroupElement:
-    """z for the standard subgroup A_X: Delta_X if central in A_X, else its square.
-
-    Memoized per context as a raw (power, factors) pair: a stored element
-    would hold the context and so keep it alive until a cycle collection."""
+def _standard_z(ctx: GroupContext, X) -> tuple[int, tuple[int, ...]]:
+    """The raw (power, factors) pair of z for the standard subgroup A_X,
+    memoized per context: a stored element would hold the context and so
+    keep it alive until a cycle collection."""
     X = frozenset(X)
     memo = ctx.memo.setdefault("standard z", {})
-    if X not in memo:
+    z = memo.get(X)
+    if z is None:
         d = GroupElement.from_simple(ctx, ctx.delta_of(X))
         z = d ** ctx.central_exponent(X)
-        memo[X] = (z.power, z.factors)
-    return GroupElement(ctx, *memo[X], normalized=True)
+        z = memo[X] = (z.power, z.factors)
+    return z
+
+
+def central_element_of_standard(ctx: GroupContext, X) -> GroupElement:
+    """z for the standard subgroup A_X: Delta_X if central in A_X, else its square."""
+    return GroupElement(ctx, *_standard_z(ctx, X), normalized=True)
 
 
 class ParabolicSubgroup:
@@ -100,7 +108,14 @@ class ParabolicSubgroup:
 
     @staticmethod
     def standard(ctx: GroupContext, X) -> "ParabolicSubgroup":
-        return ParabolicSubgroup.from_central_element(ctx, central_element_of_standard(ctx, X))
+        """A_X, looked up in the live table by the memoized raw pair of z_X,
+        the key of `from_central_element`; z_X is built only on a miss."""
+        key, live = _standard_z(ctx, X), ctx.memo.get("subgroups")
+        P = None if live is None else live.get(key)
+        if P is None:
+            P = ParabolicSubgroup.from_central_element(
+                ctx, GroupElement(ctx, *key, normalized=True))
+        return P
 
     @staticmethod
     def trivial(ctx: GroupContext) -> "ParabolicSubgroup":

@@ -74,6 +74,19 @@ def b3():
     return ctx("B3")
 
 
+def count_inits(monkeypatch):
+    """A list that grows by one with each GroupElement built from now on."""
+    built = []
+    init = GroupElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    return built
+
+
 def random_word(context, rng: random.Random, max_len: int, signed: bool = True) -> str:
     letters = [f"s{i + 1}" for i in range(context.rank)]
     if signed:

@@ -511,6 +511,40 @@ def test_delta_and_its_permutation_match_products_on_every_subset(token):
         assert {s: c.gens.index(t) for s, t in conjugates.items()} == c.delta_permutation(X)
 
 
+def _climbed_delta(c, X):
+    """Delta_X by the climb over the positive roots of W_X alone."""
+    inside = sum(1 << s for s in X)
+    roots = sum(1 << r for r, supp in enumerate(c._root_supps) if not supp & ~inside)
+    return c._intern(c._climb(roots)[0])
+
+
+@pytest.mark.parametrize("token", ["I2(m), m = 2..40", "A1xI2(7)"])
+def test_dihedral_delta_matches_the_climb_on_every_subset(token):
+    # A rank-2 component of W takes its Delta from the closed form, the other
+    # letters of X from the climb; the product is the climbed Delta_X.
+    # The label 2 gives A1 x A1, with no rank-2 component.
+    if token == "A1xI2(7)":
+        contexts = [(build_context(CoxeterSpec.from_matrix(
+            [[1, 2, 2], [2, 1, 7], [2, 7, 1]], name=token)), 1)]
+    else:
+        contexts = [(build_context(CoxeterSpec.from_matrix([[1, m], [m, 1]])), int(m > 2))
+                    for m in range(2, 41)]
+    for c, rank_2_components in contexts:
+        assert len(c._dihedral_deltas) == rank_2_components
+        for X in _subsets(c.rank):
+            assert c.delta_of(X) == _climbed_delta(c, X), (c, X)
+
+
+def test_dihedral_context_builds_without_the_climb(monkeypatch):
+    # I2(2000)'s Delta once took m compositions of permutations of 2m roots.
+    def no_climb(self, roots):
+        raise AssertionError("climbed")
+
+    monkeypatch.setattr(coxeter.GroupContext, "_climb", no_climb)
+    c = context_from_token("I2(2000)")
+    assert c.delta_length == 2000 and c.tau_order == 1
+
+
 def test_least_word_interns_nothing():
     c = context_from_token("E6")
     rng = random.Random("word-miss/E6")

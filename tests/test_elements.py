@@ -32,7 +32,8 @@ from garside.elements import _normalize, format_signed_word
 from garside.errors import ContextMismatch, NotSimple, ParseError
 from garside.oracle import meet_oracle
 
-from conftest import FAMILIES, ctx, family, letters, random_element, random_word, rcomp
+from conftest import (FAMILIES, count_inits, ctx, family, letters, random_element, random_word,
+                      rcomp)
 
 
 def w(token, text):
@@ -837,6 +838,37 @@ def test_np_cut_matches_meet_reference(token):
         f = pn_normal_form(u)
         assert (f.positive, f.negative) == (pos.reverse(), neg.reverse())
         assert support(u) == _ref_support(u)
+
+
+@pytest.mark.parametrize("token", FAMILIES + ("E6", "E8", "H4"))
+def test_support_off_the_factor_tables_matches_the_np_parts(token, monkeypatch):
+    # Seeded positive words shifted by every Delta^-k, k = 0 .. r + 1: the
+    # cut lies before, inside, at and past the last factor, and tau^(k-j+1)
+    # twists each complement by either parity.  support builds no element.
+    c = family(token) if token in FAMILIES else ctx(token)
+    rng = random.Random(f"support {token}")
+    cases = []
+    for _ in range(12):
+        x = random_element(c, rng, 14, signed=False)
+        cases += [x.shift(-k) for k in range(x.canonical_length() + 2)]
+    expected = [_ref_support(u) for u in cases]
+    built = count_inits(monkeypatch)
+    got = [support(u) for u in cases]
+    monkeypatch.undo()
+    assert not built
+    for u, want, have in zip(cases, expected, got):
+        assert have == want, format_element(u)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_conjugation_by_the_identity_is_the_element_itself(token):
+    c = family(token)
+    rng = random.Random(f"identity conjugate {token}")
+    one = GroupElement.identity(c)
+    cases = [one, GroupElement.delta_power(c, -1)] + [random_element(c, rng, 8) for _ in range(10)]
+    for u in cases:
+        assert u.conjugate_by(one) is u
+        assert elements._conjugate(u, one, inverse_first=False) is u
 
 
 @pytest.mark.parametrize("token", ["A3", "B3", "I2(5)"])

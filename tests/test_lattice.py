@@ -22,7 +22,7 @@ from garside import (
     subsequence_invariance_check,
     z_commute,
 )
-from garside.elements import format_signed_word, support
+from garside.elements import format_element, format_signed_word, support
 from garside.errors import EqualSubgroups, InvalidPath, NotIrreducible, NotProper
 from garside.lattice import (
     Certificate,
@@ -86,6 +86,46 @@ def test_characterize_pair_is_conjugation_invariant():
             continue
         verdict = characterize_pair(P, Q)
         assert verdict.commute == z_commute(P, Q)
+
+
+def _standard_condition(c, X, Y):
+    """How A_X and A_Y relate, for distinct irreducible proper X and Y: nested
+    when one base holds the other, disjoint-commuting when the bases are
+    disjoint with no edge between them, and not adjacent otherwise."""
+    if X < Y:
+        return PairCondition.PROPER_SUBSET_PQ
+    if Y < X:
+        return PairCondition.PROPER_SUBSET_QP
+    if not X & Y and all(c.spec.m(x, y) == 2 for x in X for y in Y):
+        return PairCondition.DISJOINT_COMMUTING
+    return None
+
+
+@pytest.mark.parametrize("token", ("E6", "H4"))
+def test_characterize_pair_on_planted_vertex_pairs(token):
+    """P = gh A_X (gh)^-1 and Q = g A_Y g^-1 relate as A_X and A_Y do, with
+    h a word in the letters of Y when X lies inside Y (so P stays inside Q)
+    and h = 1 otherwise: eight planted pairs of each kind, both ways round."""
+    c = ctx(token)
+    rng = random.Random(f"planted vertex pairs {token}")
+    bases = _irreducible_proper_bases(c)
+    pairs = [(X, Y) for X in bases for Y in bases if X != Y]
+    mirror = {PairCondition.PROPER_SUBSET_PQ: PairCondition.PROPER_SUBSET_QP,
+              PairCondition.DISJOINT_COMMUTING: PairCondition.DISJOINT_COMMUTING, None: None}
+    for kind in (PairCondition.PROPER_SUBSET_PQ, PairCondition.DISJOINT_COMMUTING, None):
+        of_kind = [(X, Y) for X, Y in pairs if _standard_condition(c, X, Y) is kind]
+        for X, Y in rng.sample(of_kind, 8):
+            g = random_element(c, rng, 4)
+            h = GroupElement.identity(c)
+            if kind is PairCondition.PROPER_SUBSET_PQ:
+                h = GroupElement.from_letters(
+                    c, [(rng.choice(sorted(Y)), rng.choice((1, -1))) for _ in range(3)])
+            P = ParabolicSubgroup.from_conjugator(c, g * h, X)
+            Q = ParabolicSubgroup.from_conjugator(c, g, Y)
+            for verdict, expected in ((characterize_pair(P, Q), kind),
+                                      (characterize_pair(Q, P), mirror[kind])):
+                assert verdict.condition is expected, (sorted(X), sorted(Y), format_element(g))
+                assert verdict.commute == (expected is not None)
 
 
 def _nesting_by_two_tests(P, Q):

@@ -35,7 +35,7 @@ from garside.errors import ContextMismatch, GarsideError
 from garside.lattice import _subsets
 from garside.parabolic import central_element_of_standard
 
-from conftest import FAMILIES, ctx, family, random_element
+from conftest import FAMILIES, count_inits, ctx, family, random_element
 
 
 def w(token, text):
@@ -707,6 +707,49 @@ def test_standard_matches_identity_conjugator_build(token):
         P = ParabolicSubgroup.standard(c, X)
         assert ParabolicSubgroup.from_conjugator(c, one, X) is P
         assert _fields(P) == (central_element_of_standard(c, X), one, X)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_standard_is_the_central_element_build_for_any_iterable(token):
+    c = family(token)
+    for X in _subsets(c):
+        P = ParabolicSubgroup.from_central_element(c, central_element_of_standard(c, X))
+        for given in (X, sorted(X), set(X)):
+            assert ParabolicSubgroup.standard(c, given) is P, sorted(given)
+
+
+@pytest.mark.parametrize("token", FAMILIES)
+def test_standard_hits_and_direct_closures_build_no_element(token, monkeypatch):
+    c = family(token)
+    rng = random.Random(f"no element {token}")
+    positives = [random_element(c, rng, 10, signed=False) for _ in range(10)]
+    direct = positives + [p.inverse() for p in positives]
+    kept = [ParabolicSubgroup.standard(c, X) for X in _subsets(c)]
+    kept += [parabolic_closure(u) for u in direct]
+    built = count_inits(monkeypatch)
+    for X, P in zip(_subsets(c), kept):
+        assert ParabolicSubgroup.standard(c, X) is P
+    for u, P in zip(direct, kept[len(_subsets(c)):]):
+        assert parabolic_closure(u) is P
+    assert not built
+
+
+def test_standard_rebuilds_a_freed_subgroup():
+    # The live table holds subgroups weakly: once the last one is gone, a
+    # standard lookup misses and builds it again, here from a list.
+    c = context_from_token("A3")
+    live = c.memo.setdefault("subgroups", weakref.WeakValueDictionary())
+    P = ParabolicSubgroup.standard(c, [0, 2])
+    key = (P.z.power, P.z.factors)
+    assert live[key] is P
+    del P
+    gc.collect()
+    assert key not in live
+    Q = ParabolicSubgroup.standard(c, [2, 0])
+    assert live[key] is Q
+    assert _fields(Q) == (central_element_of_standard(c, {0, 2}), GroupElement.identity(c),
+                          frozenset({0, 2}))
+    assert Q.is_standard() and Q.generators() == [parse_word(c, "s1"), parse_word(c, "s3")]
 
 
 @pytest.mark.parametrize("token", FAMILIES)
