@@ -10,8 +10,10 @@ dot draws the graph of summit, complex-ball and figures.
 Exit codes: 0 on success, 1 on other library errors (a non-spherical
 Coxeter matrix, a rank above the cap, ...) and on a closed stdout, 2 on
 parse/usage errors (bad words, tokens, flags, group and config files or
-output paths), 3 when a bounded enumeration outgrows its cap (one `budget
-exhausted:` line on stderr).
+output paths, a subgroup list with an empty entry, and a subgroup argument
+of `adjacent` or `complex-ball` that is no proper irreducible vertex), 3
+when a bounded enumeration outgrows its cap (one `budget exhausted:` line
+on stderr).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .elements import (
     pn_normal_form,
     support,
 )
-from .errors import BudgetExceeded, GarsideError, ParseError
+from .errors import BudgetExceeded, GarsideError, NotIrreducible, NotProper, ParseError
 
 _KINDS = {k.value: k for k in conjugacy.SummitKind}
 _DOT_COMMANDS = ("summit", "complex-ball", "figures")
@@ -83,12 +85,16 @@ def _read_word_arg(ctx: GroupContext, text: str) -> GroupElement:
 
 def _parse_subgroup(ctx: GroupContext, text: str) -> parabolic.ParabolicSubgroup:
     """Subgroup syntax: 'BASE' or 'CONJ @ BASE', BASE a comma/space separated
-    list of generators, CONJ a signed word (identity when omitted)."""
+    list of generators, CONJ a signed word (identity when omitted).  An empty
+    BASE is the trivial subgroup, but a list with an empty entry is refused."""
     if "@" in text:
         conj_text, base_text = text.split("@", 1)
     else:
         conj_text, base_text = "", text
     conj = parse_word(ctx, conj_text)
+    entries = base_text.split(",")
+    if len(entries) > 1 and not all(e.strip() for e in entries):
+        raise ParseError(f"empty entry in the base list {base_text.strip()!r}")
     base = []
     for tok in base_text.replace(",", " ").split():
         g = parse_word(ctx, tok)
@@ -97,6 +103,16 @@ def _parse_subgroup(ctx: GroupContext, text: str) -> parabolic.ParabolicSubgroup
             raise ParseError(f"base entries must be single generators, got {tok!r}")
         base.append(letters[0][0])
     return parabolic.ParabolicSubgroup.from_conjugator(ctx, conj, frozenset(base))
+
+
+def _vertex(P: parabolic.ParabolicSubgroup) -> parabolic.ParabolicSubgroup:
+    """P, when it is a vertex of the complex (proper and irreducible); any
+    other subgroup argument is a usage error of the command that needs one."""
+    try:
+        lattice._require_vertex(P)
+    except (NotIrreducible, NotProper) as e:
+        raise ParseError(str(e)) from None
+    return P
 
 
 def _subgroup_text(P: parabolic.ParabolicSubgroup) -> str:
@@ -264,7 +280,7 @@ def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
         value = lattice.z_commute(P, Q)
         _emit_as(args, {"commute": value}, str(value).lower())
     elif args.command == "adjacent":
-        verdict = lattice.characterize_pair(P, Q)
+        verdict = lattice.characterize_pair(_vertex(P), _vertex(Q))
         payload = {
             "commute": verdict.commute,
             "condition": verdict.condition.value if verdict.condition else None,
@@ -281,7 +297,7 @@ def _run_subgroup_command(ctx: GroupContext, args, config: dict) -> int:
                  + json.dumps(cert.to_json(), sort_keys=True))
     elif args.command == "complex-ball":
         ball = lattice.complex_ball(
-            P, _non_negative("--radius", args.radius),
+            _vertex(P), _non_negative("--radius", args.radius),
             _default_budget(args, config, "complexBall", 0),
         )
         if args.format == "dot":

@@ -10,7 +10,8 @@ sup of the class, finds the label of positive conjugates or of the super
 summit set; the ultra, reduced and stable summit sets lie in the latter, so
 their labels are simples above it, and a scan of that interval by word
 length finds them (`_minimal_conjugators`).  The minimal labels are read
-off the atoms below them (`_minimal`).
+off the atoms below them (`_minimal`).  Climb and scan hand back each label
+with the conjugate they ended on, the target of its arrow.
 
 Seeds follow the standard recipe: iterated cycling raises the infimum to its
 conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
@@ -36,10 +37,10 @@ from .elements import (
     GroupElement,
     _block,
     _first_simple,
+    _pn_negative,
     _product,
     format_element,
     format_positive,
-    pn_normal_form,
     ribbon,
     support,
 )
@@ -299,17 +300,20 @@ def _structure_simples(ctx, layer: list[int]) -> list[int]:
     return list(out)
 
 
-def _minimal_conjugators(v: GroupElement, member, low, high) -> list[GroupElement]:
-    """Arrow labels out of a vertex v of the USS, the RSSS or SU: for each
-    atom s, the least conjugator rho_s above s that keeps v^rho_s in the
-    summit set `member` tests, then `_minimal` of them.
+def _minimal_conjugators(v: GroupElement, member, low,
+                         high) -> list[tuple[GroupElement, GroupElement]]:
+    """Arrows out of a vertex v of the USS, the RSSS or SU: for each atom s,
+    the least conjugator rho_s above s that keeps v^rho_s in the summit set
+    `member` tests, then `_minimal` of them, each label with its conjugate
+    v^rho_s.
 
     The scan starts at c = rho^SSS_s, the label of the super summit set
     that `_convex_conjugators(v, low, high)` climbs to, (low, high) being
-    (N inf_N, N sup_N) of the set.  It tests c, then the simples one letter
-    longer above it (`_structure_simples`), and stops at the first layer
-    with a member, which holds rho_s alone.  Let C be the set of positive
-    c with v^c in the summit set of v.
+    (N inf_N, N sup_N) of the set; the climb hands back v^c too, so the
+    first layer costs no conjugation.  It tests c, then the simples one
+    letter longer above it (`_structure_simples`), and stops at the first
+    layer with a member, which holds rho_s alone.  Let C be the set of
+    positive c with v^c in the summit set of v.
       1. tau, conjugation by Delta, is an automorphism fixing Delta^N, so it
          commutes with Delta^N cycling, decycling and powers: the USS and
          the RSSS of v, and the USS of each power v^m, are tau-invariant, and
@@ -332,24 +336,32 @@ def _minimal_conjugators(v: GroupElement, member, low, high) -> list[GroupElemen
     raises BudgetExceeded.
     """
     ctx = v.ctx
-    rho = []
-    for s, c in enumerate(_convex_conjugators(v, low, high)):
-        layer, tried = [_first_simple(c)], 0
+    arrows = []
+    for s, (c, w) in enumerate(_convex_conjugators(v, low, high)):
+        layer, tried, conjugates = [_first_simple(c)], 0, [(c, w)]
         while True:
             tried += len(layer)
             if tried > ENUMERATION_BUDGET:
                 raise BudgetExceeded(
                     f"the scan above s{s + 1} tried more than {ENUMERATION_BUDGET} simples"
                 )
-            ys = (GroupElement.from_simple(ctx, y) for y in layer)
-            found = [y for y in ys if member(v.conjugate_by(y))]
+            found = [(y, x) for y, x in conjugates if member(x)]
             if found or layer == [ctx.delta]:
                 break
             layer = _structure_simples(ctx, layer)
+            ys = [GroupElement.from_simple(ctx, y) for y in layer]
+            conjugates = [(y, v.conjugate_by(y)) for y in ys]
         assert found, "every atom admits a minimal conjugator (Delta works)"
         assert len(found) == 1, "minimal conjugator above an atom must be unique"
-        rho.append(found[0])
-    return _minimal(rho)
+        arrows.append(found[0])
+    return _minimal_arrows(arrows)
+
+
+def _minimal_arrows(arrows: list[tuple[GroupElement, GroupElement]]):
+    """`_minimal` of the labels, one per atom, each kept with its conjugate:
+    equal labels conjugate to equal elements."""
+    target = dict(arrows)
+    return [(y, target[y]) for y in _minimal([y for y, _ in arrows])]
 
 
 def _minimal(rho: list[GroupElement]) -> list[GroupElement]:
@@ -375,10 +387,12 @@ def _minimal(rho: list[GroupElement]) -> list[GroupElement]:
     ))
 
 
-def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
+def _convex_conjugators(v: GroupElement, low,
+                        high) -> list[tuple[GroupElement, GroupElement]]:
     """For each atom s, rho_s, the least c >= s (prefix order) with
     (v^c).power >= low and (v^c).sup() <= high: the labels of positive
-    conjugates or of the SSS above the atoms, one per atom.
+    conjugates or of the SSS above the atoms, one per atom, each with the
+    conjugate v^rho_s that its climb ends on.
 
     Positive conjugates take (0, inf), and the super summit set (N inf_N,
     N sup_N) of any of its elements, the extremes of the class: inf_N(u) >= p
@@ -411,7 +425,7 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
     fails neither.  By (b) every c stays =< rho_s, by (c) each step grows
     it, so the chain stops, in I and S, on rho_s.  The steps run on the
     conjugate itself, v^(c Q) = (v^c)^Q, so each is one conjugation by Q and
-    one pn cut.
+    one pn cut that builds Q alone, and the chain ends holding v^rho_s.
     """
     ctx = v.ctx
     rho = []
@@ -420,13 +434,13 @@ def _convex_conjugators(v: GroupElement, low, high) -> list[GroupElement]:
         w = v.conjugate_by(c)
         while True:
             if w.power < low:
-                q = pn_normal_form(w.shift(-low)).negative
+                q = _pn_negative(w.shift(-low))
             elif w.sup() > high:
-                q = pn_normal_form(w.inverse().shift(high)).negative
+                q = _pn_negative(w.inverse().shift(high))
             else:
                 break
             w, c = w.conjugate_by(q), c * q
-        rho.append(c)
+        rho.append((c, w))
     return rho
 
 
@@ -488,9 +502,11 @@ def compute_summit_graph(
     positive conjugates, or of the SSS, which every other kind's set lies
     in.  USS, RSSS and SU then scan the simples above each SSS label by
     word length (`_minimal_conjugators`); no element of W is listed.  Every
-    kind keeps the minimal labels by `_minimal`.  Equal labels are one
-    object per graph.  A summit set of more than ENUMERATION_BUDGET vertices
-    raises BudgetExceeded.
+    kind keeps the minimal labels by `_minimal`.  Both hand back each label
+    with the conjugate v^label that the climb or the scan ended on, which is
+    the arrow's target, so no arrow conjugates v again.  Equal labels are
+    one object per graph.  A summit set of more than ENUMERATION_BUDGET
+    vertices raises BudgetExceeded.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
@@ -505,11 +521,10 @@ def compute_summit_graph(
     shared: dict = {}
     order = [seed]
     for v in order:  # order grows as the search runs: it is the queue
-        labels = (_minimal_conjugators(v, member, low, high) if scanned
-                  else _minimal(_convex_conjugators(v, low, high)))
-        for label in labels:
+        arrows = (_minimal_conjugators(v, member, low, high) if scanned
+                  else _minimal_arrows(_convex_conjugators(v, low, high)))
+        for label, w in arrows:
             label = shared.setdefault(label, label)
-            w = v.conjugate_by(label)
             raw_arrows.append((v, w, label))
             if w not in witness_of:
                 witness_of[w] = witness_of[v] * label

@@ -409,7 +409,7 @@ def join_prefix(u: GroupElement, v: GroupElement) -> GroupElement:
     and b positive and sharing no suffix (a common suffix d would make
     u a d^-1 a smaller common multiple), so u^-1 v = a b^-1 is the unique
     pn normal form of u^-1 v, and a is its positive part."""
-    return u * pn_normal_form(u.inverse() * v).positive
+    return u * _pn_positive(u.inverse() * v)
 
 
 def join_suffix(u: GroupElement, v: GroupElement) -> GroupElement:
@@ -472,10 +472,27 @@ def np_normal_form(u: GroupElement) -> MixedForm:
 
 
 def pn_normal_form(u: GroupElement) -> PnForm:
+    """The np form of u's reversal, each part reversed back: reversal
+    exchanges prefixes and suffixes.  A caller that reads one part takes
+    `_pn_positive` or `_pn_negative`, which build only that part."""
     if u.power >= 0:
         return PnForm(u, GroupElement.identity(u.ctx))
     m = np_normal_form(u.reverse())
     return PnForm(m.positive.reverse(), m.negative.reverse())
+
+
+def _pn_positive(u: GroupElement) -> GroupElement:
+    """The positive part of `pn_normal_form`, the negative part never built."""
+    if u.power >= 0:
+        return u
+    return np_normal_form(u.reverse()).positive.reverse()
+
+
+def _pn_negative(u: GroupElement) -> GroupElement:
+    """The negative part of `pn_normal_form`, the positive part never built."""
+    if u.power >= 0:
+        return GroupElement.identity(u.ctx)
+    return np_normal_form(u.reverse()).negative.reverse()
 
 
 def support(u: GroupElement) -> GeneratorSet:

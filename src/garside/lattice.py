@@ -7,10 +7,11 @@ commutation of the central elements; the three-way characterization (nested or
 disjoint-commuting) is decided through those membership tests plus commutation
 of the generators, with the centre proving the intersection trivial.
 
-The existence results behind intersections and joins are not effective, so
-both are bounded searches that return a certificate recording the witness and
-the verified inclusions; oracle tests pin down the budgets at which they are
-exact on small groups.
+A join is exact as soon as the closure of a product of the central elements
+contains both subgroups (see `join`).  Otherwise, and for intersections, the
+existence results are not effective, so both are bounded searches that
+return a certificate recording the witness and the verified inclusions;
+oracle tests pin down the budgets at which they are exact on small groups.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _require_vertex(P: ParabolicSubgroup) -> None:
 
 
 def _commute(a: GroupElement, b: GroupElement) -> bool:
-    return a * b == b * a
+    """ab = ba iff a^-1 b a = b: one conjugation, not two products."""
+    return b.conjugate_by(a) == b
 
 
 def z_commute(P: ParabolicSubgroup, Q: ParabolicSubgroup) -> bool:
@@ -282,14 +284,26 @@ def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[Parab
 
 def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
          budget: int = 3) -> tuple[ParabolicSubgroup, Certificate]:
-    """Bounded realization of the join: the minimal parabolic subgroup found
-    that contains both P and Q.
+    """The join P v Q: the first closure PC(z_P z_Q^k), k = 1, 2, 3, that
+    contains P and Q, or else a bounded search for the minimal parabolic
+    subgroup found that contains both.
 
-    Candidates are closures of products of the central elements plus every
-    enumerated subgroup within the conjugator budget; incomparable candidates
-    are refined by bounded intersection, which by the lattice property is
-    again an upper bound when the refinement is exact.  An enumerated
-    g A_X g^-1 holds P and Q iff it holds z_P and z_Q, read off their supports
+    The first answer is exact.  Parabolic subgroups form a lattice
+    (Cumplido, Gebhardt, Gonzalez-Meneses & Wiest, Adv. Math. 352 (2019)),
+    so P v Q is a parabolic subgroup; it holds z_P and z_Q, hence z_P z_Q^k,
+    and so PC(z_P z_Q^k) =< P v Q, the closure being the least parabolic
+    subgroup holding the element.  A closure that contains P and Q is an
+    upper bound, so it is P v Q.  Every upper bound then contains it: the
+    note that it is minimal among the enumerated upper bounds needs no
+    check, and none of them is standardized.  The enumeration of conjugate
+    subgroups still runs, but only to count them: the certificate's
+    `candidatesExamined` is 3 + their number either way.
+
+    When no k works, every enumerated g A_X g^-1 within the conjugator
+    budget that holds P and Q is a candidate; incomparable candidates are
+    refined by bounded intersection, which by the lattice property is again
+    an upper bound when the refinement is exact.  An enumerated g A_X g^-1
+    holds P and Q iff it holds z_P and z_Q, read off their supports
     conjugated by g (`_conjugated_support`, exact for every conjugator), so
     only the upper bounds are standardized.
     """
@@ -303,21 +317,20 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
     def is_upper(T: ParabolicSubgroup) -> bool:
         return contains_subgroup(T, P) and contains_subgroup(T, Q)
 
-    candidates: list[ParabolicSubgroup] = [ParabolicSubgroup.full(ctx)]
-    for k in (1, 2, 3):
-        T = parabolic_closure(_product(ctx, (P.z,) + (Q.z,) * k))
-        cert.candidates_examined += 1
-        if is_upper(T) and T not in candidates:
-            candidates.append(T)
+    closures = (parabolic_closure(_product(ctx, (P.z,) + (Q.z,) * k)) for k in (1, 2, 3))
+    exact = next((T for T in closures if is_upper(T)), None)
     found = _conjugators(ctx, _subsets(ctx), budget)
-    cert.candidates_examined += len(found)
+    cert.candidates_examined = 3 + len(found)
+    cert.verified_inclusions.extend(["z(P) in R", "z(Q) in R"])
+    if exact is not None:
+        cert.notes.append("minimal among all enumerated upper bounds")
+        return exact, cert
     spans = {g: _conjugated_support(P.z, g) | _conjugated_support(Q.z, g)
              for g in {g for g, _ in found.values()}}
     uppers = _standardized(ctx, (z for z, (g, X) in found.items() if spans[g] <= X))
-    candidates += [T for T in uppers if T not in candidates]
 
-    result = candidates[0]
-    for T in candidates[1:]:
+    result = ParabolicSubgroup.full(ctx)
+    for T in uppers:
         if contains_subgroup(result, T):
             result = T
         elif contains_subgroup(T, result):
@@ -330,7 +343,6 @@ def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,
                 cert.notes.append("incomparable upper bounds left unrefined")
     if not is_upper(result):
         raise GarsideError("join search produced a non-upper bound")
-    cert.verified_inclusions.extend(["z(P) in R", "z(Q) in R"])
     minimal = all(contains_subgroup(T, result) for T in uppers)
     cert.notes.append(
         "minimal among all enumerated upper bounds"

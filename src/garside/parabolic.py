@@ -27,10 +27,10 @@ from .conjugacy import cycle_to_max_inf, element_of_i_infinity
 from .elements import (
     GroupElement,
     _conjugate,
+    _pn_negative,
     _product,
     format_element,
     format_positive,
-    pn_normal_form,
     support,
 )
 from .errors import ContextMismatch, GarsideError
@@ -96,7 +96,7 @@ class ParabolicSubgroup:
         key = (z.power, z.factors)
         P = live.get(key)
         if P is None:
-            b = pn_normal_form(z).negative
+            b = _pn_negative(z)
             standard_z = z.conjugate_by(b)
             if not standard_z.is_positive():
                 raise GarsideError("standardized central element must be positive")

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from garside import SummitKind, build_context, compute_summit_graph, context_from_token, parse_word
-from garside import cli, conjugacy
+from garside import ParabolicSubgroup, cli, conjugacy, lattice
 from garside.cli import build_parser, run
 from garside.elements import GarsideStructure
-from garside.errors import BudgetExceeded
+from garside.errors import BudgetExceeded, NotIrreducible, NotProper
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
 
@@ -440,8 +440,45 @@ def test_complex_ball_centre_checked_at_every_radius(capsys):
         for radius in ("0", "1"):
             code, out, err = invoke(capsys, "A3", "complex-ball", centre,
                                     "--radius", radius)
-            assert_one_line_error(code, err, expected_code=1)
+            assert_one_line_error(code, err, expected_code=2)
             assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("A4", "adjacent", "s1", "s1 @"), "A[] is reducible"),
+    (("A4", "adjacent", "s1,s3", "s2"), "A[s1,s3] is reducible"),
+    (("A4", "adjacent", "s1,s2,s3,s4", "s1"), "A[s1,s2,s3,s4] is the whole group"),
+    (("A4", "complex-ball", ""), "A[] is reducible"),
+    (("A4", "complex-ball", "s1,s3"), "A[s1,s3] is reducible"),
+    (("A4", "intersect", "s1,,s2", "s1"), "empty entry"),
+    (("A4", "join", "s1", "s2,"), "empty entry"),
+    (("A4", "z", ",s1"), "empty entry"),
+    (("A4", "z", " , "), "empty entry"),
+])
+def test_subgroup_arguments_that_are_no_vertex_or_have_an_empty_entry_exit_2(
+        capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert message in err and out == ""
+
+
+def test_vertex_errors_stay_library_errors_outside_the_cli():
+    c = context_from_token("A4")
+    with pytest.raises(NotIrreducible):
+        lattice.complex_ball(ParabolicSubgroup.standard(c, {0, 2}), 1)
+    with pytest.raises(NotProper):
+        lattice.characterize_pair(ParabolicSubgroup.full(c), ParabolicSubgroup.standard(c, {0}))
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("A4", "z", ""), "Δ^0"),
+    (("A4", "z", "s1 @ "), "Δ^0"),
+    (("A4", "z", "s1, s2"), "Δ^0 · (s1 s2 s1)(s1 s2 s1)"),
+    (("A4", "z", "s1 s2"), "Δ^0 · (s1 s2 s1)(s1 s2 s1)"),
+])
+def test_empty_base_and_comma_space_lists_still_parse(capsys, argv, shown):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out.strip() == shown
 
 
 def test_threads_flag_is_gone(capsys):

@@ -617,8 +617,13 @@ def _ref_atom_labels(v, member, layers_of_atoms):
     return rho
 
 
+def _with_conjugates(v, labels):
+    """Each label with the conjugate v^label, as the engine hands them back."""
+    return [(y, v.conjugate_by(y)) for y in labels]
+
+
 def _ref_minimal_conjugators(v, member, layers_of_atoms):
-    return conjugacy._minimal(_ref_atom_labels(v, member, layers_of_atoms))
+    return _with_conjugates(v, conjugacy._minimal(_ref_atom_labels(v, member, layers_of_atoms)))
 
 
 @functools.cache
@@ -697,7 +702,7 @@ def test_convex_labels_match_scan(token, n, monkeypatch):
         member = summit_membership(SummitKind.POSITIVE_CONJUGATES, st, graph.vertices[0])
 
         def scan(v, low=0, high=math.inf):
-            return _ref_atom_labels(v, member, layers)
+            return _with_conjugates(v, _ref_atom_labels(v, member, layers))
 
         for v in graph.vertices:
             assert conjugacy._convex_conjugators(v, 0, math.inf) == scan(v), (token, n, v)
@@ -729,7 +734,7 @@ def test_sss_convex_labels_match_scan(token, n, monkeypatch):
         low, high = n * st.inf(graph.vertices[0]), n * st.sup(graph.vertices[0])
 
         def scan(v, low, high):
-            return _ref_atom_labels(v, member, layers)
+            return _with_conjugates(v, _ref_atom_labels(v, member, layers))
 
         vertices = graph.vertices
         if len(vertices) > 150:
@@ -774,6 +779,74 @@ def test_minimal_matches_pairwise_reference(token, n, kind, monkeypatch):
         u = random_element(c, rng, 5, signed=kind is not SummitKind.POSITIVE_CONJUGATES)
         vertices += len(compute_summit_graph(u, kind, st).vertices)
     assert len(checked) == vertices
+
+
+# Each arrow's target is the conjugate that its label's climb or scan ended
+# on.  The reference is the graph loop that conjugates each vertex by each
+# label afresh, with the labels taken from the same engine.
+
+
+def _ref_summit_graph(u, kind, st, power_bound=4):
+    seed, witness = summit_seed(u, kind, st, power_bound)
+    member = summit_membership(kind, st, seed, power_bound)
+    n = st.exponent
+    low, high = ((0, math.inf) if kind is SummitKind.POSITIVE_CONJUGATES
+                 else (n * st.inf(seed), n * st.sup(seed)))
+    scanned = kind not in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS)
+    witness_of, raw_arrows, order = {seed: witness}, [], [seed]
+    for v in order:
+        if scanned:
+            labels = [y for y, _ in conjugacy._minimal_conjugators(v, member, low, high)]
+        else:
+            labels = conjugacy._minimal([c for c, _ in conjugacy._convex_conjugators(v, low, high)])
+        for label in labels:
+            x = v.conjugate_by(label)
+            raw_arrows.append((v, x, label))
+            if x not in witness_of:
+                witness_of[x] = witness_of[v] * label
+                order.append(x)
+    vertices = sorted(witness_of, key=GroupElement.sort_key)
+    index = {v: i for i, v in enumerate(vertices)}
+    arrows = sorted(((index[a], index[b], label) for a, b, label in raw_arrows),
+                    key=lambda t: (t[0], t[1], t[2].sort_key()))
+    meta = {"budget": ENUMERATION_BUDGET}
+    if kind is SummitKind.SU:
+        meta["powerBound"] = power_bound
+    return conjugacy.SummitGraph(kind, st, u, vertices, arrows,
+                                 [witness_of[v] for v in vertices], meta)
+
+
+@pytest.mark.parametrize("token, n", [(token, n) for token in FAMILIES + LARGE for n in (1, 2)])
+def test_summit_arrows_take_the_conjugates_handed_back(token, n, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    convex, scan, handed = conjugacy._convex_conjugators, conjugacy._minimal_conjugators, []
+
+    def checked(engine):
+        def call(v, *args):
+            out = engine(v, *args)
+            for label, x in out:
+                assert x == v.conjugate_by(label), (token, n, v, label)
+            handed.append(len(out))
+            return out
+        return call
+
+    # At N = 2 a 5-letter word can have an SSS of tens of thousands of
+    # vertices (52,082 for one in F4), so words there have 3 letters at most.
+    rng = random.Random(f"conjugates/{token}/{n}")
+    large = token in LARGE
+    for kind in SummitKind:
+        for _ in range(1 if large else 2):
+            u = random_element(c, rng, 3 if large or n == 2 else 5,
+                               signed=kind is not SummitKind.POSITIVE_CONJUGATES)
+            handed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(conjugacy, "_convex_conjugators", checked(convex))
+                m.setattr(conjugacy, "_minimal_conjugators", checked(scan))
+                graph = compute_summit_graph(u, kind, st, power_bound=3)
+            assert handed, (token, n, kind, u)
+            ref = _ref_summit_graph(u, kind, st, power_bound=3)
+            assert graph.to_json() == ref.to_json(), (token, n, kind, u)
 
 
 # Graphs larger than any the benchmark builds, pinned by the sha256 of their

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from garside import (
     GroupElement,
@@ -34,7 +36,7 @@ from garside.lattice import (
     enumerate_parabolics,
     signed_ball,
 )
-from garside import context_from_token, lattice, parabolic
+from garside import context_from_token, lattice, oracle, parabolic
 from garside.oracle import ball
 from garside.parabolic import central_element_of_standard
 
@@ -316,11 +318,12 @@ def test_complex_ball_builds_candidates_once(monkeypatch):
 
 
 def test_join_standardizes_only_upper_bounds(monkeypatch):
-    # pn_normal_form runs once per subgroup built; a fresh context holds none
+    # the standardizer's pn cut runs once per subgroup built; a fresh
+    # context holds none
     c = context_from_token("A4")
     calls = []
-    real = parabolic.pn_normal_form
-    monkeypatch.setattr(parabolic, "pn_normal_form", lambda u: calls.append(u) or real(u))
+    real = parabolic._pn_negative
+    monkeypatch.setattr(parabolic, "_pn_negative", lambda u: calls.append(u) or real(u))
     P = ParabolicSubgroup.standard(c, {0})
     Q = ParabolicSubgroup.from_conjugator(c, parse_word(c, "s2"), {2})
     R, cert = join(P, Q, budget=1)
@@ -461,9 +464,10 @@ _REFINING = {
 def test_join_matches_standardizing_reference(token, monkeypatch):
     """Seeded non-nested pairs.  Some product closure is the join on every
     such pair, so join never refines; a second pass withholds the product
-    closures (the first three closures a join takes each read as the whole
-    group), which sends the pinned pairs in rank 4 through the refinement
-    step (the reference calls intersect unpatched, so only join is counted)."""
+    closures (the first three closures a join takes each read as the trivial
+    group, which holds neither P nor Q), which sends every pair through the
+    enumeration and the pinned pairs in rank 4 through the refinement step
+    (the reference calls intersect unpatched, so only join is counted)."""
     c = family(token)
     rng = random.Random(f"join-{token}")
     bases = [X for X in _subsets(c) if X and len(X) < c.rank]
@@ -481,7 +485,7 @@ def test_join_matches_standardizing_reference(token, monkeypatch):
     def closure(u):
         closures.append(u)
         if withheld and len(closures) <= 3:
-            return ParabolicSubgroup.full(c)
+            return ParabolicSubgroup.trivial(c)
         return real_closure(u)
 
     monkeypatch.setattr(lattice, "intersect",
@@ -499,6 +503,95 @@ def test_join_matches_standardizing_reference(token, monkeypatch):
         if not withheld:
             assert not refinements
     assert bool(refinements) == (token in _REFINING)
+
+
+@pytest.mark.parametrize("token", FAMILIES + ("E6", "H4"))
+def test_join_stops_at_the_proven_answer(token, monkeypatch):
+    """On seeded non-nested pairs, join returns the first product closure
+    that holds P and Q, which the lattice makes the join itself, without
+    standardizing any enumerated subgroup or refining: the full search of
+    `_ref_join` gives the same subgroup and the same certificate,
+    `candidatesExamined` included."""
+    c = family(token)
+    rng = random.Random(f"exact join {token}")
+    bases = [X for X in _subsets(c) if X and len(X) < c.rank]
+    pairs = []
+    while len(pairs) < 6:
+        P, Q = (ParabolicSubgroup.from_conjugator(c, random_element(c, rng, 3),
+                                                  rng.choice(bases)) for _ in "PQ")
+        if not _nested(P, Q):
+            pairs.append((P, Q))
+    for P, Q in pairs:
+        for budget in (1, 2):
+            ref, ref_cert = _ref_join(P, Q, budget)
+            built = []
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "_standardized", lambda *a: built.append(a) or [])
+                m.setattr(lattice, "intersect", lambda *a, **k: built.append(a))
+                R, cert = join(P, Q, budget)
+            assert not built, (token, P, Q, budget)
+            assert R.to_json() == ref.to_json(), (token, P, Q, budget)
+            assert cert.to_json() == ref_cert.to_json(), (token, P, Q, budget)
+
+
+# Criterion 9, the adjacency biconditional, as a property in every family and
+# in the large types: distinct vertices commute (their central elements do)
+# iff they are nested or disjoint and commuting, each side recomputed apart
+# from `characterize_pair` (products for commutation, the word oracle for
+# inclusion).
+LARGE = ("A6", "D6", "E6", "E7", "E8", "H4")
+
+
+@hs.composite
+def vertex_pairs(draw):
+    c = family(draw(hs.sampled_from(FAMILIES + LARGE)))
+    bases = _irreducible_proper_bases(c)
+    words = hs.lists(hs.tuples(hs.integers(0, c.rank - 1), hs.sampled_from((1, -1))),
+                     max_size=3)
+    g = GroupElement.from_letters(c, draw(words))
+    h = GroupElement.from_letters(c, draw(words) if draw(hs.booleans()) else [])
+    P = ParabolicSubgroup.from_conjugator(c, g, draw(hs.sampled_from(bases)))
+    Q = ParabolicSubgroup.from_conjugator(c, g * h, draw(hs.sampled_from(bases)))
+    assume(not parabolic_equal(P, Q))
+    return P, Q
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(vertex_pairs())
+def test_criterion_9_adjacency_biconditional_in_every_type(pair):
+    P, Q = pair
+    verdict = characterize_pair(P, Q)
+    assert verdict.commute == (verdict.condition is not None)
+    assert verdict.commute == (P.z * Q.z == Q.z * P.z)
+    if oracle._includes(Q, P):
+        expected = PairCondition.PROPER_SUBSET_PQ
+    elif oracle._includes(P, Q):
+        expected = PairCondition.PROPER_SUBSET_QP
+    elif all(a * b == b * a for a in P.generators() for b in Q.generators()):
+        expected = PairCondition.DISJOINT_COMMUTING
+    else:
+        expected = None
+    assert verdict.condition is expected
+
+
+@pytest.mark.parametrize("token", FAMILIES + LARGE)
+def test_commute_is_one_conjugation(token):
+    """`_commute` tests b^a == b; on seeded pairs, commuting ones planted
+    (powers of one element, central Delta powers, standard central elements),
+    it agrees with a b == b a."""
+    c = family(token)
+    rng = random.Random(f"commute {token}")
+    seen = set()
+    for i in range(30):
+        a = random_element(c, rng, 6)
+        b = (random_element(c, rng, 6), a ** rng.randint(-2, 2),
+             GroupElement.delta_power(c, 2 * rng.randint(-1, 1)) * a,
+             central_element_of_standard(c, rng.sample(range(c.rank), 1)))[i % 4]
+        expected = a * b == b * a
+        assert lattice._commute(a, b) == expected == lattice._commute(b, a), \
+            (token, format_element(a), format_element(b))
+        seen.add(expected)
+    assert seen == {True, False}, token
 
 
 def _ref_complex_ball(P, radius, budget):
