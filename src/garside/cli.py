@@ -10,8 +10,9 @@ dot draws the graph of summit, complex-ball and figures.
 Exit codes: 0 on success, 1 on other library errors (a non-spherical
 Coxeter matrix, a rank above the cap, ...) and on a closed stdout, 2 on
 parse/usage errors (bad words, tokens, flags, group and config files or
-output paths, a subgroup list with an empty entry, and a subgroup argument
-of `adjacent` or `complex-ball` that is no proper irreducible vertex), 3
+output paths, a subgroup list with an empty entry, a subgroup argument of
+`adjacent` or `complex-ball` that is no proper irreducible vertex, and two
+`adjacent` arguments that name one subgroup), 3
 when a bounded enumeration outgrows its cap (one `budget exhausted:` line
 on stderr).
 """
@@ -37,7 +38,8 @@ from .elements import (
     pn_normal_form,
     support,
 )
-from .errors import BudgetExceeded, GarsideError, NotIrreducible, NotProper, ParseError
+from .errors import (BudgetExceeded, EqualSubgroups, GarsideError, NotIrreducible,
+                     NotProper, ParseError)
 
 _KINDS = {k.value: k for k in conjugacy.SummitKind}
 _DOT_COMMANDS = ("summit", "complex-ball", "figures")
@@ -372,7 +374,7 @@ def run(argv=None) -> int:
         if hasattr(args, "subgroup"):
             return _run_subgroup_command(ctx, args, config)
         return _run_word_command(ctx, args)
-    except ParseError as e:
+    except (ParseError, EqualSubgroups) as e:  # `adjacent` on one subgroup twice
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -4,26 +4,28 @@ All conjugation here follows the convention u^x = x^-1 u x.  The summit sets
 are computed with respect to an explicit Garside structure (Delta^N for some
 N >= 1); the set of positive conjugates and its arrow labels do not depend on
 N (see `_convex_conjugators`), the other summit sets do.  The arrow label
-above each atom is the least element of a meet-closed set of conjugators.
-For every kind one climb (`_convex_conjugators`), bounded by the power and
-sup of the class, finds the label of positive conjugates or of the super
-summit set; the ultra, reduced and stable summit sets lie in the latter, so
-their labels are simples above it, and a scan of that interval by word
-length finds them (`_minimal_conjugators`).  The minimal labels are read
-off the atoms below them (`_minimal`).  Climb and scan hand back each label
-with the conjugate they ended on, the target of its arrow.
+above each atom is the least element of a meet-closed set of conjugators,
+and every kind finds it on one path (`_minimal_conjugators`): a climb
+bounded by the power and sup of the class (`_convex_conjugators`) ends on
+the label of positive conjugates or of the super summit set, and a scan by
+word length of the simples above it stops at the first layer with a member.
+For positive conjugates and the SSS that is the climb's end; the ultra,
+reduced and stable summit sets lie in the SSS, so their labels lie above it.
+The minimal labels are read off the atoms below them (`_minimal`), each
+with the conjugate the path ended on, the target of its arrow.
 
-Seeds follow the standard recipe: iterated cycling raises the infimum to its
-conjugacy-class maximum, iterated decycling lowers the supremum to its minimum
-(the super summit set), and an orbit looping without a gain is conclusive,
-because the trajectories live in a finite set of conjugates.  The table in
-`_seed_stages` defines each further kind by the steps whose orbits its
-elements close; SU is RSSS plus the truncated power condition, which
-`summit_seed` and `summit_membership` add.  Every stage stops at the first
-best element of its trail and a closed orbit repeats at its start, so
-summit_seed(u) is (u, identity) exactly when u lies in its set.  Orbits carry
-elements only: a seed builds the conjugators of the steps it keeps, and the
-membership tests build none.
+Seeds follow the standard recipe, one row of `_seed_stages` per kind:
+iterated cycling raises the infimum to its conjugacy-class maximum, which
+is all that positive conjugates need, iterated decycling lowers the
+supremum to its minimum (the super summit set), and an orbit looping
+without a gain is conclusive, because the trajectories live in a finite set
+of conjugates.  Each further kind adds the steps whose orbits its elements
+close; SU is RSSS plus the truncated power condition, which `summit_seed`
+and `summit_membership` add.  Every stage stops at the first best element
+of its trail and a closed orbit repeats at its start, so summit_seed(u) is
+(u, identity) exactly when u lies in its set.  Orbits carry elements only: a
+seed builds the conjugators of the steps it keeps, and the membership tests
+build none.
 """
 
 from __future__ import annotations
@@ -206,21 +208,15 @@ def cycle_to_max_inf(u: GroupElement, structure: GarsideStructure | None = None)
     return _walk(u, structure, [(_CYCLING, _max_inf)])
 
 
-def decycle_to_min_sup(u: GroupElement, structure: GarsideStructure | None = None):
-    """Iterated decycling until the structure supremum is minimal; identity on
-    elements already realizing the minimum."""
-    structure = structure or GarsideStructure(u.ctx, 1)
-    return _walk(u, structure, [(_DECYCLING, _min_sup)])
-
-
 def _seed_stages(kind: SummitKind):
-    """The walk of a kind's seed: maximal inf, minimal sup, then a closed
-    orbit of each step that the kind's elements close."""
-    closed = {SummitKind.SSS: (), SummitKind.USS: (_CYCLING,),
-              SummitKind.RSSS: (_CYCLING, _DECYCLING),
-              SummitKind.SU: (_CYCLING, _DECYCLING)}[kind]
-    return ([(_CYCLING, _max_inf), (_DECYCLING, _min_sup)]
-            + [(step, _repeat) for step in closed])
+    """The walk of a kind's seed, a prefix of one walk: maximal inf, which is
+    all positive conjugates need; minimal sup, for the SSS; then a closed
+    orbit of each step that the kind's elements close, cycling for the USS
+    and decycling too for the RSSS and SU."""
+    stages = [(_CYCLING, _max_inf), (_DECYCLING, _min_sup),
+              (_CYCLING, _repeat), (_DECYCLING, _repeat)]
+    return stages[:{SummitKind.POSITIVE_CONJUGATES: 1, SummitKind.SSS: 2,
+                    SummitKind.USS: 3, SummitKind.RSSS: 4, SummitKind.SU: 4}[kind]]
 
 
 def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
@@ -233,14 +229,13 @@ def in_uss(u: GroupElement, structure: GarsideStructure) -> bool:
 
 def summit_seed(u: GroupElement, kind: SummitKind, structure: GarsideStructure,
                 power_bound: int = 4):
-    """Conjugate u into the summit set of `kind`; returns (element, conjugator).
-    SU then moves each power x^m, 0 < |m| <= power_bound, into its USS."""
-    if kind is SummitKind.POSITIVE_CONJUGATES:
-        v, conj = cycle_to_max_inf(u, structure)
-        if not v.is_positive():
-            raise EmptySet(f"{u} has no positive conjugate")
-        return v, conj
+    """Conjugate u into the summit set of `kind` by the walk of its
+    `_seed_stages` row; returns (element, conjugator).  Maximal inf reaches a
+    positive conjugate when u has one (EmptySet otherwise).  SU then moves
+    each power x^m, 0 < |m| <= power_bound, into its USS."""
     x, conj = _walk(u, structure, _seed_stages(kind))
+    if kind is SummitKind.POSITIVE_CONJUGATES and not x.is_positive():
+        raise EmptySet(f"{u} has no positive conjugate")
     if kind is not SummitKind.SU:
         return x, conj
     conjs = [conj]
@@ -267,11 +262,13 @@ def summit_membership(kind: SummitKind, structure: GarsideStructure,
     canonical length have maximal inf and minimal sup.
     """
     if kind is SummitKind.POSITIVE_CONJUGATES:
-        return lambda w: w.is_positive()
+        return GroupElement.is_positive
     target = structure.canonical_length(seed)
     closed = [advance for (advance, _), pick in _seed_stages(kind) if pick is _repeat]
     exponents = ([m for k in range(1, power_bound + 1) for m in (k, -k)]
                  if kind is SummitKind.SU else [])
+    if not closed:  # the SSS: the canonical length alone
+        return lambda w: structure.canonical_length(w) == target
 
     def member(w: GroupElement) -> bool:
         return (structure.canonical_length(w) == target
@@ -302,18 +299,24 @@ def _structure_simples(ctx, layer: list[int]) -> list[int]:
 
 def _minimal_conjugators(v: GroupElement, member, low,
                          high) -> list[tuple[GroupElement, GroupElement]]:
-    """Arrows out of a vertex v of the USS, the RSSS or SU: for each atom s,
-    the least conjugator rho_s above s that keeps v^rho_s in the summit set
-    `member` tests, then `_minimal` of them, each label with its conjugate
-    v^rho_s.
+    """Arrows out of a vertex v of any summit set: for each atom s, the least
+    conjugator rho_s above s that keeps v^rho_s in the summit set `member`
+    tests, then `_minimal` of them, each label with its conjugate v^rho_s.
 
-    The scan starts at c = rho^SSS_s, the label of the super summit set
+    The scan starts at c = rho^SSS_s, or at the positive-conjugate label,
     that `_convex_conjugators(v, low, high)` climbs to, (low, high) being
-    (N inf_N, N sup_N) of the set; the climb hands back v^c too, so the
-    first layer costs no conjugation.  It tests c, then the simples one
-    letter longer above it (`_structure_simples`), and stops at the first
-    layer with a member, which holds rho_s alone.  Let C be the set of
-    positive c with v^c in the summit set of v.
+    (0, inf) for positive conjugates and (N inf_N, N sup_N) of the set
+    otherwise; the climb hands back v^c too, so the first layer costs no
+    conjugation.  It tests c, then the simples one letter longer above it
+    (`_structure_simples`), and stops at the first layer with a member,
+    which holds rho_s alone.  For positive conjugates and the SSS the first
+    layer is the answer: the climb ends on c with (v^c).power >= low and
+    (v^c).sup() <= high.  So v^c is positive when low = 0.  For the SSS, v^c
+    has N inf_N >= low and N sup_N <= high, the extremes of the class, so it
+    has the seed's canonical length, the least in the class, and `member`
+    holds at once: one member test per atom, and no simple is listed.  For
+    the other kinds, let C be the set of positive c with v^c in the summit
+    set of v.
       1. tau, conjugation by Delta, is an automorphism fixing Delta^N, so it
          commutes with Delta^N cycling, decycling and powers: the USS and
          the RSSS of v, and the USS of each power v^m, are tau-invariant, and
@@ -332,34 +335,26 @@ def _minimal_conjugators(v: GroupElement, member, low,
          member y of a layer is in C above s, so rho_s =< y, and y is
          longer than rho_s unless y = rho_s: the first layer with a member
          is that of rho_s and holds rho_s alone.
-    A scan that tries more than ENUMERATION_BUDGET simples above one atom
-    raises BudgetExceeded.
+    Equal labels conjugate v to equal elements, so the minimal labels keep
+    their conjugates.  A scan that tries more than ENUMERATION_BUDGET simples
+    above one atom raises BudgetExceeded.
     """
     ctx = v.ctx
-    arrows = []
-    for s, (c, w) in enumerate(_convex_conjugators(v, low, high)):
-        layer, tried, conjugates = [_first_simple(c)], 0, [(c, w)]
-        while True:
-            tried += len(layer)
-            if tried > ENUMERATION_BUDGET:
-                raise BudgetExceeded(
-                    f"the scan above s{s + 1} tried more than {ENUMERATION_BUDGET} simples"
-                )
-            found = [(y, x) for y, x in conjugates if member(x)]
-            if found or layer == [ctx.delta]:
-                break
-            layer = _structure_simples(ctx, layer)
-            ys = [GroupElement.from_simple(ctx, y) for y in layer]
-            conjugates = [(y, v.conjugate_by(y)) for y in ys]
-        assert found, "every atom admits a minimal conjugator (Delta works)"
-        assert len(found) == 1, "minimal conjugator above an atom must be unique"
-        arrows.append(found[0])
-    return _minimal_arrows(arrows)
-
-
-def _minimal_arrows(arrows: list[tuple[GroupElement, GroupElement]]):
-    """`_minimal` of the labels, one per atom, each kept with its conjugate:
-    equal labels conjugate to equal elements."""
+    arrows = _convex_conjugators(v, low, high)
+    for s, (c, w) in enumerate(arrows):
+        if not member(w):
+            layer, tried, found = [_first_simple(c)], 1, []
+            while not found:
+                assert layer != [ctx.delta], "every atom admits a minimal conjugator (Delta works)"
+                layer = _structure_simples(ctx, layer)
+                tried += len(layer)
+                if tried > ENUMERATION_BUDGET:
+                    raise BudgetExceeded(f"the scan above s{s + 1} tried more than "
+                                         f"{ENUMERATION_BUDGET} simples")
+                ys = [GroupElement.from_simple(ctx, y) for y in layer]
+                found = [(y, x) for y in ys if member(x := v.conjugate_by(y))]
+            assert len(found) == 1, "minimal conjugator above an atom must be unique"
+            arrows[s] = found[0]
     target = dict(arrows)
     return [(y, target[y]) for y in _minimal([y for y, _ in arrows])]
 
@@ -458,13 +453,6 @@ class SummitGraph(_Value):
         self.vertices, self.arrows, self.witnesses = vertices, arrows, witnesses
         self.metadata = {} if metadata is None else metadata
 
-    def vertex_index(self, v: GroupElement) -> int:
-        return self.vertices.index(v)
-
-    def arrow_labels_from(self, v: GroupElement) -> list[GroupElement]:
-        i = self.vertex_index(v)
-        return [label for a, _, label in self.arrows if a == i]
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -497,16 +485,14 @@ def compute_summit_graph(
 ) -> SummitGraph:
     """Compute the full minimal-conjugator graph of the chosen summit set.
 
-    Every kind climbs from each atom by convexity (`_convex_conjugators`),
-    with bounds on power and sup read once off the seed: the labels of
-    positive conjugates, or of the SSS, which every other kind's set lies
-    in.  USS, RSSS and SU then scan the simples above each SSS label by
-    word length (`_minimal_conjugators`); no element of W is listed.  Every
-    kind keeps the minimal labels by `_minimal`.  Both hand back each label
-    with the conjugate v^label that the climb or the scan ended on, which is
-    the arrow's target, so no arrow conjugates v again.  Equal labels are
-    one object per graph.  A summit set of more than ENUMERATION_BUDGET
-    vertices raises BudgetExceeded.
+    Every kind takes its seed from `summit_seed` and its arrows from
+    `_minimal_conjugators`, with bounds on power and sup read once off the
+    seed: a climb from each atom by convexity, then, for USS, RSSS and SU,
+    a scan by word length of the simples above the SSS label; no element of
+    W is listed.  Each label comes back with the conjugate v^label that the
+    climb or the scan ended on, which is the arrow's target, so no arrow
+    conjugates v again.  Equal labels are one object per graph.  A summit
+    set of more than ENUMERATION_BUDGET vertices raises BudgetExceeded.
     """
     structure = structure or GarsideStructure(u.ctx, 1)
     seed, witness = summit_seed(u, kind, structure, power_bound)
@@ -515,15 +501,12 @@ def compute_summit_graph(
     n = structure.exponent
     low, high = ((0, math.inf) if kind is SummitKind.POSITIVE_CONJUGATES
                  else (n * structure.inf(seed), n * structure.sup(seed)))
-    scanned = kind not in (SummitKind.POSITIVE_CONJUGATES, SummitKind.SSS)
     witness_of = {seed: witness}
     raw_arrows = []
     shared: dict = {}
     order = [seed]
     for v in order:  # order grows as the search runs: it is the queue
-        arrows = (_minimal_conjugators(v, member, low, high) if scanned
-                  else _minimal_arrows(_convex_conjugators(v, low, high)))
-        for label, w in arrows:
+        for label, w in _minimal_conjugators(v, member, low, high):
             label = shared.setdefault(label, label)
             raw_arrows.append((v, w, label))
             if w not in witness_of:

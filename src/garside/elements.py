@@ -246,11 +246,6 @@ class GroupElement:
             raise NotSimple(f"{self} is not simple for the classical structure")
         return _first_simple(self)
 
-    def word_length(self) -> int:
-        """Letter count of the shortest positive word (positive elements only)."""
-        ctx = self.ctx
-        return self.power * ctx.delta_length + sum(ctx.lengths[f] for f in self.factors)
-
     # ------------------------------------------------------------- arithmetic
 
     def _require_same(self, other: "GroupElement") -> None:

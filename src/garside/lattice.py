@@ -271,15 +271,10 @@ def _standardized(ctx: GroupContext, zs) -> list[ParabolicSubgroup]:
                   key=ParabolicSubgroup.sort_key)
 
 
-def _conjugates(ctx: GroupContext, bases, radius: int) -> list[ParabolicSubgroup]:
-    """The subgroups of `_conjugators`, standardized and sorted."""
-    return _standardized(ctx, _conjugators(ctx, bases, radius))
-
-
 def enumerate_parabolics(ctx: GroupContext, conjugator_bound: int) -> list[ParabolicSubgroup]:
     """All subgroups g A_X g^-1 with g in the signed ball of the given radius,
     deduplicated by their central elements."""
-    return _conjugates(ctx, _subsets(ctx), conjugator_bound)
+    return _standardized(ctx, _conjugators(ctx, _subsets(ctx), conjugator_bound))
 
 
 def join(P: ParabolicSubgroup, Q: ParabolicSubgroup,

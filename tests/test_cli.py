@@ -16,7 +16,7 @@ from garside import SummitKind, build_context, compute_summit_graph, context_fro
 from garside import ParabolicSubgroup, cli, conjugacy, lattice
 from garside.cli import build_parser, run
 from garside.elements import GarsideStructure
-from garside.errors import BudgetExceeded, NotIrreducible, NotProper
+from garside.errors import BudgetExceeded, EqualSubgroups, NotIrreducible, NotProper
 
 from conftest import A2XA1_MATRIX, FAMILIES, family, random_word
 
@@ -454,6 +454,8 @@ def test_complex_ball_centre_checked_at_every_radius(capsys):
     (("A4", "join", "s1", "s2,"), "empty entry"),
     (("A4", "z", ",s1"), "empty entry"),
     (("A4", "z", " , "), "empty entry"),
+    (("A4", "adjacent", "s1", "s1"), "needs distinct subgroups"),
+    (("I2(5)", "adjacent", "s2", "s2^-1 @ s2"), "needs distinct subgroups"),
 ])
 def test_subgroup_arguments_that_are_no_vertex_or_have_an_empty_entry_exit_2(
         capsys, argv, message):
@@ -468,6 +470,9 @@ def test_vertex_errors_stay_library_errors_outside_the_cli():
         lattice.complex_ball(ParabolicSubgroup.standard(c, {0, 2}), 1)
     with pytest.raises(NotProper):
         lattice.characterize_pair(ParabolicSubgroup.full(c), ParabolicSubgroup.standard(c, {0}))
+    with pytest.raises(EqualSubgroups):
+        lattice.characterize_pair(ParabolicSubgroup.standard(c, {0}),
+                                  ParabolicSubgroup.standard(c, {0}))
 
 
 @pytest.mark.parametrize("argv, shown", [

@@ -35,7 +35,6 @@ from garside.conjugacy import (
     _walk,
     cycle_to_max_inf,
     cycling_conjugator_product,
-    decycle_to_min_sup,
     in_uss,
     summit_membership,
     summit_seed,
@@ -163,16 +162,17 @@ def test_max_inf_min_sup_are_idempotent(token, n, letters):
     assert st.inf(v) >= st.inf(u) and st.sup(v) <= st.sup(u)
     again, conj2 = cycle_to_max_inf(v, st)
     assert again == v and conj2.is_identity()
-    s, conj3 = decycle_to_min_sup(v, st)
+    s, conj3 = summit_seed(v, SummitKind.SSS, st)
     assert v.conjugate_by(conj3) == s
     assert st.inf(s) >= st.inf(v) and st.sup(s) <= st.sup(v)
-    t, conj4 = decycle_to_min_sup(s, st)
+    t, conj4 = summit_seed(s, SummitKind.SSS, st)
     assert t == s and conj4.is_identity()
 
 
-# The loops that cycle_to_max_inf, decycle_to_min_sup, the walk to the first
-# repeat and the closed-orbit test ran before they shared one orbit walker, and the
-# seeds and membership tests written out per kind: the reference.
+# The loops that cycle_to_max_inf, the decycling to minimal sup, the walk to
+# the first repeat and the closed-orbit test ran before they shared one orbit
+# walker, and the seeds and membership tests written out per kind: the
+# reference.
 
 
 def _ref_cycle_to_max_inf(u, structure):
@@ -335,7 +335,7 @@ def test_orbit_walker_matches_reference_loops(token):
             a, c1 = _ref_cycle_to_max_inf(u, st)
             assert cycle_to_max_inf(u, st) == (a, c1)
             b, c2 = _ref_decycle_to_min_sup(a, st)
-            assert decycle_to_min_sup(a, st) == (b, c2)
+            assert summit_seed(a, SummitKind.SSS, st) == (b, c2)
             x, c3 = _ref_orbit_to_repeat(b, st, cycling)
             assert summit_seed(u, SummitKind.USS, st) == (x, c1 * c2 * c3)
             y, c4 = _ref_orbit_to_repeat(x, st, decycling)
@@ -591,7 +591,7 @@ def _ref_structure_simples(structure):
                         )
         frontier = nxt
     out = [u for u in seen if not u.is_identity()]
-    out.sort(key=lambda u: (u.word_length(), u.sort_key()))
+    out.sort(key=lambda u: (len(u.as_signed_word()), u.sort_key()))
     return out
 
 
@@ -599,7 +599,7 @@ def _ref_atom_layers(simples, ctx, s):
     layers = {}
     for y in simples:
         if prefix_le(GroupElement.generator(ctx, s), y):
-            layers.setdefault(y.word_length(), []).append(y)
+            layers.setdefault(len(y.as_signed_word()), []).append(y)
     return list(layers.values())
 
 
@@ -847,6 +847,45 @@ def test_summit_arrows_take_the_conjugates_handed_back(token, n, monkeypatch):
             assert handed, (token, n, kind, u)
             ref = _ref_summit_graph(u, kind, st, power_bound=3)
             assert graph.to_json() == ref.to_json(), (token, n, kind, u)
+
+
+# Positive-conjugate and SSS labels take the scan of every kind, and its first
+# layer, the end of the climb, is the answer: one member test per atom at each
+# vertex, and no simple listed.  The graphs themselves are compared with the
+# reference above, which takes these labels by the climb alone.
+
+
+@pytest.mark.parametrize("token, n", [(token, n) for token in FAMILIES + LARGE for n in (1, 2)])
+def test_pos_and_sss_labels_are_the_first_layer_of_the_scan(token, n, monkeypatch):
+    c = family(token)
+    st = GarsideStructure(c, n)
+    tested = []
+
+    def counted_membership(*args):
+        member = summit_membership(*args)
+
+        def counted(w):
+            tested.append(w)
+            return member(w)
+        return counted
+
+    def listed(ctx, layer):
+        raise AssertionError(f"{token} N={n}: the scan listed simples above the climb")
+
+    # Positive-conjugate graphs stay small, but a 3-letter word can have an
+    # SSS of over 10,000 vertices (F4 at N = 2, H4 at N = 1), so SSS words
+    # get one letter fewer at N = 2 and in the large types.
+    rng = random.Random(f"first-layer/{token}/{n}")
+    monkeypatch.setattr(conjugacy, "summit_membership", counted_membership)
+    monkeypatch.setattr(conjugacy, "_structure_simples", listed)
+    sss_length = 4 - n - (token in LARGE)
+    for kind, length in ((SummitKind.POSITIVE_CONJUGATES, 6), (SummitKind.SSS, sss_length)):
+        for _ in range(3):
+            u = random_element(c, rng, length, signed=kind is SummitKind.SSS)
+            tested.clear()
+            graph = compute_summit_graph(u, kind, st)
+            # the seed's own check, then one test per atom at every vertex
+            assert len(tested) == 1 + c.rank * len(graph.vertices), (token, n, kind, u)
 
 
 # Graphs larger than any the benchmark builds, pinned by the sha256 of their
@@ -1105,7 +1144,8 @@ def test_classify_arrow_examples():
     g = compute_summit_graph(w("A4", "s1 s2"), SummitKind.POSITIVE_CONJUGATES)
     v12 = w("A4", "s1 s2")
     kinds = {}
-    for label in g.arrow_labels_from(v12):
+    i = g.vertices.index(v12)
+    for label in [label for a, _, label in g.arrows if a == i]:
         arrow = classify_arrow(v12, label)
         kinds[format_element(label)] = (arrow.kind, arrow.letter)
     assert kinds["Δ^0 · (s1)"] == ("inside", None)

@@ -987,7 +987,7 @@ def test_longest_element_op():
     assert longest_element(a4, {0, 1}) == w("A4", "s1 s2 s1")
     d123 = longest_element(a4, {0, 1, 2})
     assert d123 == w("A4", "s1 s2 s1 s3 s2 s1")
-    assert d123.word_length() == 6
+    assert len(d123.as_signed_word()) == 6
     assert longest_element(a4, {2}) == w("A4", "s3")
     assert longest_element(a4, set()).is_identity()
     # it really is the join of the generators

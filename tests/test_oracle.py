@@ -46,6 +46,10 @@ def w(token, text):
     return parse_word(ctx(token), text)
 
 
+# Large types, |W| 51840 and 14400, beside FAMILIES with a few seeded words.
+LARGE = ("E6", "H4")
+
+
 def signed(rng, rank, max_len):
     return tuple(
         (rng.randrange(rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))
@@ -147,7 +151,7 @@ def test_reversing_equality_matches_rewriting():
             assert not ws.equal_positive(w1, w1 + (0,))
 
 
-@pytest.mark.parametrize("token", FAMILIES)
+@pytest.mark.parametrize("token", FAMILIES + LARGE)
 def test_delta_word_is_the_engine_delta(token):
     c = family(token)
     ws = word_system(c)
@@ -174,10 +178,10 @@ def _positive(c, word):
 
 def test_oracle_normal_forms_match_engine():
     rng = random.Random(61)
-    for token in FAMILIES:
+    for token, words in [(t, 40) for t in FAMILIES] + [(t, 10) for t in LARGE]:
         c = family(token)
         ws = word_system(c)
-        for _ in range(40):
+        for _ in range(words):
             word = signed(rng, c.rank, 10)
             u = GroupElement.from_letters(c, word)
             p, factors = ws.left_normal_form(word)
@@ -301,9 +305,9 @@ def _divisor_bfs_meet(u, v, order):
 
 def test_meet_oracle_matches_engine():
     rng = random.Random(62)
-    for token in FAMILIES:
+    for token, pairs in [(t, 25) for t in FAMILIES] + [(t, 10) for t in LARGE]:
         c = family(token)
-        for _ in range(25):
+        for _ in range(pairs):
             a = random_element(c, rng, 6)
             b = random_element(c, rng, 6)
             assert meet_oracle(a, b, "prefix") == meet_prefix(a, b), token
